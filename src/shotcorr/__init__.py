@@ -44,6 +44,7 @@ from .correlator import (  # noqa: F401
     chi_pair,
     chi_plus,
     correct_fidelity,
+    correlator_from_chi,
     filter_F,
     phase_cross_correlation,
     phase_variance,

@@ -7,20 +7,19 @@ sampler (``simulate``), re-analyze stored shot records (``correlate``),
 and fit spectrum parameters to measured curves (``fit``).
 
 All frequencies are rad/s internally; ``--freq-units hz`` converts the
-frequency-valued config fields (names starting with ``omega``) by 2 pi
+frequency-valued config fields (every key named ``omega_*``) by 2 pi
 on input.  Spectral amplitudes are never rescaled.  Every CSV artifact
 is written atomically and paired with a ``<out>.json`` sidecar echoing
 the resolved config and the package version; JSON artifacts embed the
-same echo inline.
+same echo inline.  Bad input, I/O failures and quadrature failures exit
+with status 1 and one ``error:`` line.
 """
 
 import argparse
-import copy
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -31,7 +30,9 @@ from .correlator import (
     autocorrelation_analytic,
     chi_minus_approx,
     chi_pair,
+    correlator_from_chi,
 )
+from .csvio import atomic_write, write_csv
 from .fitting import (
     FitParam,
     FitProblem,
@@ -48,6 +49,7 @@ from .montecarlo import (
     records_to_csv,
     run_protocol,
 )
+from .numerics import QuadratureError
 from .schedules import (
     build_schedule,
     constant_contrast_schedule,
@@ -65,74 +67,35 @@ __all__ = ["main"]
 
 TWO_PI = 2.0 * math.pi
 
-# config keys holding frequencies, converted under --freq-units hz
-_FREQ_KEYS = {
-    "omega_q",
-    "omega_l",
-    "omega_e",
-    "omega_low",
-    "omega_high",
-    "omega_min",
-    "omega_max",
-}
+# sentinel default of _field: the field is required
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
-def _atomic_write(path, text: str):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _write_sidecar(path, config, notes):
     doc = {"version": __version__, "config": config, "notes": notes}
-    _atomic_write(str(path) + ".json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write(str(path) + ".json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _convert_hz(obj):
-    """Multiply frequency-named fields by 2 pi, recursively."""
+def _convert_hz(obj, key=""):
+    """Multiply every value under a key named ``omega_*`` by 2 pi, recursively.
+
+    Lists convert element by element and grid objects at their start and
+    stop.  None and the string "inf" pass through unchanged.
+    """
     if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if k in _FREQ_KEYS and v is not None:
-                if isinstance(v, (list, tuple)):
-                    out[k] = [x * TWO_PI for x in v]
-                elif isinstance(v, dict):
-                    out[k] = {
-                        kk: (vv * TWO_PI if kk in ("start", "stop") else vv)
-                        for kk, vv in v.items()
-                    }
-                else:
-                    out[k] = v * TWO_PI
-            else:
-                out[k] = _convert_hz(v)
-        return out
+        return {k: _convert_hz(v, key if k in ("start", "stop") else k) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_convert_hz(v) for v in obj]
-    return obj
+        return [_convert_hz(v, key) for v in obj]
+    if not key.startswith("omega_") or obj is None or obj == "inf":
+        return obj
+    try:
+        return float(obj) * TWO_PI
+    except ValueError:
+        raise ConfigError(f"config field '{key}' has invalid value {obj!r}") from None
 
 
 def _section(config, name):
@@ -144,10 +107,9 @@ def _section(config, name):
     return sec
 
 
-def _field(sec, secname, key, kind=float, default=_fmt):
-    # default sentinel _fmt means "required"
+def _field(sec, secname, key, kind=float, default=_REQUIRED):
     if key not in sec:
-        if default is _fmt:
+        if default is _REQUIRED:
             raise ConfigError(f"config field '{secname}.{key}' is required")
         return default
     try:
@@ -197,42 +159,23 @@ def build_spectrum(config):
             gamma=_field(sec, "spectrum", "gamma", float, 1.0),
             coupling_c=float(coupling),
         )
-        try:
-            if "rms_field" in sec:
-                return OverhauserModel.from_rms(float(sec["rms_field"]), **kw)
-            return OverhauserModel(s0=_field(sec, "spectrum", "s0"), **kw)
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"spectrum: {e}") from None
+        if "rms_field" in sec:
+            return OverhauserModel.from_rms(float(sec["rms_field"]), **kw)
+        return OverhauserModel(s0=_field(sec, "spectrum", "s0"), **kw)
     if family == "white":
-        try:
-            return WhiteModel(
-                level=_field(sec, "spectrum", "level"),
-                omega_high=_field(sec, "spectrum", "omega_high"),
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"spectrum: {e}") from None
+        return WhiteModel(
+            level=_field(sec, "spectrum", "level"),
+            omega_high=_field(sec, "spectrum", "omega_high"),
+        )
     if family == "power_law":
-        try:
-            return PowerLawModel(
-                amplitude=_field(sec, "spectrum", "amplitude"),
-                alpha=_field(sec, "spectrum", "alpha"),
-                omega_low=_field(sec, "spectrum", "omega_low"),
-                omega_high=_field(sec, "spectrum", "omega_high"),
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"spectrum: {e}") from None
+        return PowerLawModel(
+            amplitude=_field(sec, "spectrum", "amplitude"),
+            alpha=_field(sec, "spectrum", "alpha"),
+            omega_low=_field(sec, "spectrum", "omega_low"),
+            omega_high=_field(sec, "spectrum", "omega_high"),
+        )
     if family == "tabulated":
-        path = _field(sec, "spectrum", "path", str)
-        try:
-            return TabulatedModel.from_csv(path)
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"spectrum: {e}") from None
+        return TabulatedModel.from_csv(_field(sec, "spectrum", "path", str))
     raise ConfigError(f"config field 'spectrum.family' unknown: {family!r}")
 
 
@@ -240,17 +183,12 @@ def build_qubit(config):
     sec = config.get("qubit", {})
     if not isinstance(sec, dict):
         raise ConfigError("config section 'qubit' must be an object")
-    try:
-        return QubitParams(
-            omega_q=_field(sec, "qubit", "omega_q", float, 0.0),
-            coupling_c=_field(sec, "qubit", "coupling_c", float, 1.0),
-            readout_flip_prob=_field(sec, "qubit", "readout_flip_prob", float, 0.0),
-            dead_time=_field(sec, "qubit", "dead_time", float, 0.0),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"qubit: {e}") from None
+    return QubitParams(
+        omega_q=_field(sec, "qubit", "omega_q", float, 0.0),
+        coupling_c=_field(sec, "qubit", "coupling_c", float, 1.0),
+        readout_flip_prob=_field(sec, "qubit", "readout_flip_prob", float, 0.0),
+        dead_time=_field(sec, "qubit", "dead_time", float, 0.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +213,12 @@ def cmd_chi(config, args):
         for dt in dts:
             pair = EvolutionPair(tau, dt)
             cm, cp = chi_pair(spectrum, pair)
-            corr = autocorrelation_analytic(spectrum, pair, qubit)
+            corr = correlator_from_chi(cm, cp, pair.tau, qubit.omega_q)
             row = [dt, tau, cm, cp, corr]
             if tag_regime:
                 row.append(chi_minus_approx(spectrum, pair).branch)
             rows.append(row)
-    _write_csv(args.out, header, rows)
+    write_csv(args.out, header, rows)
     notes = {"regime_column": tag_regime}
     if isinstance(spectrum, OverhauserModel) and not tag_regime:
         notes["regime_column_reason"] = "no finite cutoff; regime map undefined"
@@ -298,22 +236,12 @@ def cmd_schedule(config, args):
                 "config field 'schedule.kind' constant_contrast needs an overhauser spectrum"
             )
         target = _field(sec, "schedule", "target", float, 2.0)
-        try:
-            sched = constant_contrast_schedule(model, dts, target=target)
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"schedule: {e}") from None
+        sched = constant_contrast_schedule(model, dts, target=target)
         notes = {"kind": kind, "target": target}
     elif kind == "oneoverf":
         level = _field(sec, "schedule", "level")
         variant = _field(sec, "schedule", "variant", str, "exact")
-        try:
-            sched = oneoverf_schedule(level, dts, variant=variant)
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"schedule: {e}") from None
+        sched = oneoverf_schedule(level, dts, variant=variant)
         notes = {
             "kind": kind,
             "level": level,
@@ -333,32 +261,22 @@ def cmd_schedule(config, args):
 def _protocol_from_config(config):
     sec = _section(config, "protocol")
     qubit = build_qubit(config)
-    try:
-        prot = Protocol(
-            tau=_field(sec, "protocol", "tau"),
-            cycle_period=_field(sec, "protocol", "cycle_period"),
-            n_cycles=_field(sec, "protocol", "n_cycles", int),
-            qubit=qubit,
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"protocol: {e}") from None
+    prot = Protocol(
+        tau=_field(sec, "protocol", "tau"),
+        cycle_period=_field(sec, "protocol", "cycle_period"),
+        n_cycles=_field(sec, "protocol", "n_cycles", int),
+        qubit=qubit,
+    )
     n_records = _field(sec, "protocol", "n_records", int, 1)
     lags = sec.get("lags")
     if lags is None:
         lags = [m for m in (1, 2, 3, 5, 8) if m < prot.n_cycles]
     grid_sec = config.get("grid", {})
-    try:
-        grid = GridSpec(
-            n_modes=_field(grid_sec, "grid", "n_modes", int, 4096),
-            omega_min=_field(grid_sec, "grid", "omega_min", float, None),
-            omega_max=_field(grid_sec, "grid", "omega_max", float, None),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"grid: {e}") from None
+    grid = GridSpec(
+        n_modes=_field(grid_sec, "grid", "n_modes", int, 4096),
+        omega_min=_field(grid_sec, "grid", "omega_min", float, None),
+        omega_max=_field(grid_sec, "grid", "omega_max", float, None),
+    )
     return prot, n_records, lags, grid
 
 
@@ -415,7 +333,7 @@ def cmd_simulate(config, args):
             "seed": args.seed,
         },
     )
-    _write_csv(args.out, header, rows)
+    write_csv(args.out, header, rows)
     notes = {"seed": args.seed, "records_csv": os.path.basename(rec_path)}
     if eps > 0.0:
         notes["fidelity"] = (
@@ -441,10 +359,7 @@ def cmd_correlate(config, args):
                 "config fields 'correlate.tau' and 'correlate.cycle_period' are "
                 f"required (no readable sidecar at {path}.json)"
             ) from None
-    try:
-        records = records_from_csv(path, tau=float(tau), cycle_period=float(cycle))
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"correlate: {e}") from None
+    records = records_from_csv(path, tau=float(tau), cycle_period=float(cycle))
     lags = sec.get("lags")
     if lags is None:
         shortest = min(len(r) for r in records)
@@ -458,16 +373,12 @@ def cmd_correlate(config, args):
 def _load_curve(path):
     try:
         return CorrelationCurve.from_csv(path)
-    except OSError as e:
-        raise ConfigError(f"fit: {e}") from None
     except ValueError as e:
-        msg = str(e)
-        if "header" in msg:
-            raise ConfigError(
-                f"fit: {msg}; if the file lacks a stderr column, supply "
-                "uncertainties before fitting"
-            ) from None
-        raise ConfigError(f"fit: {msg}") from None
+        if "header" not in str(e):
+            raise
+        raise ConfigError(
+            f"{e}; if the file lacks a stderr column, supply uncertainties before fitting"
+        ) from None
 
 
 def cmd_fit(config, args):
@@ -476,14 +387,9 @@ def cmd_fit(config, args):
     mode = _field(sec, "fit", "mode", str, "fit")
     if mode == "alpha":
         window = sec.get("corr_window", (0.02, 0.48))
-        try:
-            est = estimate_alpha_slope(
-                curve.delta_t, curve.correlation, curve.stderr, corr_window=tuple(window)
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"fit: {e}") from None
+        est = estimate_alpha_slope(
+            curve.delta_t, curve.correlation, curve.stderr, corr_window=tuple(window)
+        )
         result = est.to_dict()
     elif mode == "discriminate":
         kw = {}
@@ -491,21 +397,16 @@ def cmd_fit(config, args):
             kw["omega_e_bounds"] = tuple(float(v) for v in sec["omega_e_bounds"])
         if "gammas" in sec:
             kw["gammas"] = tuple(float(v) for v in sec["gammas"])
-        try:
-            decision = discriminate_gamma(
-                curve.delta_t,
-                curve.tau,
-                curve.correlation,
-                curve.stderr,
-                omega_l=_field(sec, "fit", "omega_l"),
-                coupling_c=_field(sec, "fit", "coupling_c", float, 1.0),
-                qubit=build_qubit(config),
-                **kw,
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"fit: {e}") from None
+        decision = discriminate_gamma(
+            curve.delta_t,
+            curve.tau,
+            curve.correlation,
+            curve.stderr,
+            omega_l=_field(sec, "fit", "omega_l"),
+            coupling_c=_field(sec, "fit", "coupling_c", float, 1.0),
+            qubit=build_qubit(config),
+            **kw,
+        )
         result = decision.to_dict()
     elif mode == "fit":
         family = _field(sec, "fit", "family", str)
@@ -529,27 +430,22 @@ def cmd_fit(config, args):
             spec = {"family": family, **fixed, **values}
             return build_spectrum({"spectrum": spec})
 
-        try:
-            problem = FitProblem(
-                delta_t=curve.delta_t,
-                tau=curve.tau,
-                correlation=curve.correlation,
-                stderr=curve.stderr,
-                build=build,
-                params=tuple(params),
-                qubit=build_qubit(config),
-            )
-            res = fit(
-                problem,
-                init=sec.get("init"),
-                n_starts=_field(sec, "fit", "n_starts", int, 8),
-                max_eval=_field(sec, "fit", "max_eval", int, 10000),
-                seed=args.seed,
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"fit: {e}") from None
+        problem = FitProblem(
+            delta_t=curve.delta_t,
+            tau=curve.tau,
+            correlation=curve.correlation,
+            stderr=curve.stderr,
+            build=build,
+            params=tuple(params),
+            qubit=build_qubit(config),
+        )
+        res = fit(
+            problem,
+            init=sec.get("init"),
+            n_starts=_field(sec, "fit", "n_starts", int, 8),
+            max_eval=_field(sec, "fit", "max_eval", int, 10000),
+            seed=args.seed,
+        )
         result = res.to_dict()
     else:
         raise ConfigError(f"config field 'fit.mode' unknown: {mode!r}")
@@ -559,7 +455,7 @@ def cmd_fit(config, args):
         "mode": mode,
         "result": result,
     }
-    _atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _figure_model(config, secname, rms_default, gamma=1.0, omega_e_scale=1.0):
@@ -588,10 +484,10 @@ def cmd_figure2(config, args):
     for tau in taus:
         for dt in dts:
             pair = EvolutionPair(tau, dt)
-            cm, _ = chi_pair(model, pair)
-            corr = autocorrelation_analytic(model, pair)
+            cm, cp = chi_pair(model, pair)
+            corr = correlator_from_chi(cm, cp, pair.tau)
             rows.append([dt, tau, corr, cm, "" if pair.is_physical else "unphysical"])
-    _write_csv(args.out, ["delta_t_s", "tau_s", "correlation", "chi_minus", "flags"], rows)
+    write_csv(args.out, ["delta_t_s", "tau_s", "correlation", "chi_minus", "flags"], rows)
     _write_sidecar(
         args.out,
         config,
@@ -632,7 +528,7 @@ def cmd_figure3a(config, args):
         for pair in sched.pairs():
             corr = autocorrelation_analytic(model, pair)
             rows.append([name, pair.delta_t, pair.tau, corr])
-    _write_csv(args.out, ["variant", "delta_t_s", "tau_s", "correlation"], rows)
+    write_csv(args.out, ["variant", "delta_t_s", "tau_s", "correlation"], rows)
     _write_sidecar(
         args.out,
         config,
@@ -658,22 +554,17 @@ def cmd_figure3b(config, args):
     amplitude = _field(sec, "figure3b", "amplitude", float, math.pi / level)
     omega_low = _field(sec, "figure3b", "omega_low", float, 1.0e-5)
     omega_high = _field(sec, "figure3b", "omega_high", float, 1.0e8)
-    try:
-        sched = oneoverf_schedule(level, dts, variant=variant)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"figure3b: {e}") from None
+    sched = oneoverf_schedule(level, dts, variant=variant)
     rows = []
     for alpha in alphas:
         model = PowerLawModel(
             amplitude=amplitude, alpha=alpha, omega_low=omega_low, omega_high=omega_high
         )
         for pair in sched.pairs():
-            cm, _ = chi_pair(model, pair)
-            corr = autocorrelation_analytic(model, pair)
+            cm, cp = chi_pair(model, pair)
+            corr = correlator_from_chi(cm, cp, pair.tau)
             rows.append([f"alpha_{alpha:g}", pair.delta_t, pair.tau, cm, corr])
-    _write_csv(
+    write_csv(
         args.out, ["variant", "delta_t_s", "tau_s", "chi_minus", "correlation"], rows
     )
     _write_sidecar(
@@ -736,15 +627,13 @@ def main(argv=None) -> int:
     if not isinstance(config, dict):
         print("error: config root must be a JSON object", file=sys.stderr)
         return 1
-    if args.freq_units == "hz":
-        config = _convert_hz(copy.deepcopy(config))
     handler, _ = _COMMANDS[args.command]
     try:
+        if args.freq_units == "hz":
+            config = _convert_hz(config)
         handler(config, args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (ValueError, OSError, QuadratureError) as e:
+        # ValueError covers ConfigError and every model's input checks
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

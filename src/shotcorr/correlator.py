@@ -46,6 +46,7 @@ __all__ = [
     "chi_plus",
     "chi_pair",
     "autocorrelation_analytic",
+    "correlator_from_chi",
     "t2_star",
     "ApproxChiMinus",
     "chi_minus_approx",
@@ -314,9 +315,18 @@ def autocorrelation_analytic(
     """
     chi_m, chi_p = chi_pair(spectrum, pair, quad)
     omega_q = qubit.omega_q if qubit is not None else 0.0
-    return 0.5 * math.cos(2.0 * omega_q * pair.tau) * math.exp(-chi_p / 2.0) + 0.5 * math.exp(
-        -chi_m / 2.0
-    )
+    return correlator_from_chi(chi_m, chi_p, pair.tau, omega_q)
+
+
+def correlator_from_chi(chi_m, chi_p, tau, omega_q: float = 0.0):
+    """<P P'> = (1/2) cos(2 omega_q tau) exp(-chi_p / 2) + (1/2) exp(-chi_m / 2).
+
+    Takes scalars or NumPy arrays.  Scalars are evaluated with ``math``
+    and arrays with NumPy, whose exp and cos may differ from ``math`` in
+    the last bit; artifact bytes are fixed to the ``math`` values.
+    """
+    xp = np if isinstance(chi_m, np.ndarray) else math
+    return 0.5 * xp.cos(2.0 * omega_q * tau) * xp.exp(-chi_p / 2.0) + 0.5 * xp.exp(-chi_m / 2.0)
 
 
 def t2_star(spectrum: SpectrumModel, quad=None, bracket=None) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import optimize
 from scipy.stats import qmc
 
-from .correlator import EvolutionPair, QubitParams, chi_pair
+from .correlator import EvolutionPair, QubitParams, chi_pair, correlator_from_chi
 from .spectra import OverhauserModel, SpectrumModel
 
 __all__ = [
@@ -146,19 +146,13 @@ class FitResult:
         }
 
 
-def _correlator_row(spectrum, tau, delta_t, qubit, quad):
-    cm, cp = chi_pair(spectrum, EvolutionPair(tau, delta_t), quad)
-    return 0.5 * math.cos(2.0 * qubit.omega_q * tau) * math.exp(-cp / 2.0) + 0.5 * math.exp(
-        -cm / 2.0
-    )
-
-
 def predict(problem: FitProblem, values: dict, quad=None) -> np.ndarray:
     """Model correlator at every data point for one parameter set."""
     spectrum = problem.build(values)
+    omega_q = problem.qubit.omega_q
     return np.array(
         [
-            _correlator_row(spectrum, t, d, problem.qubit, quad)
+            correlator_from_chi(*chi_pair(spectrum, EvolutionPair(t, d), quad), t, omega_q)
             for t, d in zip(problem.tau, problem.delta_t)
         ]
     )
@@ -334,9 +328,8 @@ class GammaDecision:
         }
 
 
-def _profiled_level_chi2(u, w, corr, se, cos2wt, level):
-    model = 0.5 * cos2wt * np.exp(-level * w / 2.0) + 0.5 * np.exp(-level * u / 2.0)
-    r = (model - corr) / se
+def _profiled_level_chi2(u, w, corr, se, tau, omega_q, level):
+    r = (correlator_from_chi(level * u, level * w, tau, omega_q) - corr) / se
     return float(r @ r)
 
 
@@ -360,7 +353,9 @@ def discriminate_gamma(
     level is optimized with no further quadrature.  The cutoff frequency
     is scanned on a log grid spanning ``omega_e_bounds`` (default: two
     decades beyond the resolvable range on each side) and polished with
-    a bounded scalar minimizer.
+    a bounded scalar minimizer.  Each candidate's ``n_eval`` counts the
+    full-curve chi sweeps made for it, covariance included, and its
+    ``success`` is set only if every scalar minimization converged.
     """
     dt = np.asarray(delta_t, dtype=float)
     tv = np.asarray(tau, dtype=float)
@@ -370,15 +365,19 @@ def discriminate_gamma(
         raise ValueError("delta_t, tau, correlation, stderr must be equal-length 1-d")
     if len(dt) < 4:
         raise ValueError("need at least 4 points to compare cutoff shapes")
-    qubit = qubit if qubit is not None else QubitParams()
-    cos2wt = np.cos(2.0 * qubit.omega_q * tv)
+    omega_q = (qubit if qubit is not None else QubitParams()).omega_q
     if omega_e_bounds is None:
         omega_e_bounds = (max(1e-2 / dt.max(), 3.0 * omega_l), 1e2 / dt.min())
     lo_e, hi_e = omega_e_bounds
     if not (hi_e > lo_e > omega_l):
         raise ValueError("omega_e_bounds must be above omega_l and increasing")
+    # per-gamma bookkeeping: full-curve chi sweeps, and whether every
+    # scalar minimization reported convergence
+    n_sweeps, converged = 0, True
 
     def unit_chis(gamma, omega_e):
+        nonlocal n_sweeps
+        n_sweeps += 1
         model = OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
         u = np.empty(len(dt))
         w = np.empty(len(dt))
@@ -387,6 +386,7 @@ def discriminate_gamma(
         return u, w
 
     def best_level(u, w):
+        nonlocal converged
         # 1-d profile over log10(level); chi is linear in the level
         guess = 1.0
         big = np.argmax(u)
@@ -394,15 +394,17 @@ def discriminate_gamma(
             guess = -2.0 * math.log(2.0 * corr[big]) / u[big]
         span = 6.0
         res = optimize.minimize_scalar(
-            lambda t: _profiled_level_chi2(u, w, corr, se, cos2wt, 10.0**t),
+            lambda t: _profiled_level_chi2(u, w, corr, se, tv, omega_q, 10.0**t),
             bounds=(math.log10(guess) - span, math.log10(guess) + span),
             method="bounded",
             options={"xatol": 1e-10},
         )
+        converged &= bool(res.success)
         return 10.0**res.x, float(res.fun)
 
     fits = {}
     for gamma in gammas:
+        n_sweeps, converged = 0, True
         grid = np.geomspace(lo_e, hi_e, 25)
         scan = []
         for we in grid:
@@ -427,6 +429,7 @@ def discriminate_gamma(
             method="bounded",
             options={"xatol": 1e-6},
         )
+        converged &= bool(res.success)
         we_fit = 10.0**res.x
         u, w = unit_chis(gamma, we_fit)
         level_fit, chi2_fit = best_level(u, w)
@@ -440,7 +443,7 @@ def discriminate_gamma(
 
         def chi2_xy(x, gamma=gamma):
             u2, w2 = unit_chis(gamma, 10.0 ** x[1])
-            return _profiled_level_chi2(u2, w2, corr, se, cos2wt, 10.0 ** x[0])
+            return _profiled_level_chi2(u2, w2, corr, se, tv, omega_q, 10.0 ** x[0])
 
         cov = _covariance(
             chi2_xy,
@@ -454,8 +457,8 @@ def discriminate_gamma(
             cov=cov,
             chi2=chi2_fit,
             n_points=len(dt),
-            n_eval=0,
-            success=True,
+            n_eval=n_sweeps,
+            success=converged,
             message=f"profiled fit, gamma={gamma:g}",
         )
 

@@ -22,13 +22,13 @@ flips does not perturb the trajectories.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csvio
 from .correlator import QubitParams, correct_fidelity
 from .spectra import SpectrumModel
 
@@ -51,6 +51,9 @@ __all__ = [
 
 # cycles per GEMV block in the phase accumulation
 _BLOCK = 256
+
+_RECORDS_HEADER = ("cycle_index", "t_center_s", "outcome")
+_CURVE_HEADER = ("delta_t_s", "tau_s", "correlation", "stderr", "n_pairs")
 
 
 @dataclass(frozen=True)
@@ -175,59 +178,36 @@ class ShotRecord:
     def t_center(self):
         return np.arange(len(self.outcomes)) * self.cycle_period + self.tau / 2.0
 
-    def to_csv(self, path):
-        t = self.t_center()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["cycle_index", "t_center_s", "outcome"])
-            for i, (tc, o) in enumerate(zip(t, self.outcomes)):
-                writer.writerow([i, f"{tc:.12g}", int(o)])
-
 
 def records_to_csv(records: list[ShotRecord], path) -> None:
     """Write a batch of records to one CSV; cycle_index restarts per record."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cycle_index", "t_center_s", "outcome"])
-        for rec in records:
-            for i, (tc, o) in enumerate(zip(rec.t_center(), rec.outcomes)):
-                writer.writerow([i, f"{tc:.12g}", int(o)])
+    rows = (
+        row
+        for rec in records
+        for row in zip(range(len(rec)), rec.t_center().tolist(), rec.outcomes.tolist())
+    )
+    csvio.write_csv(path, _RECORDS_HEADER, rows)
+
+
+def _outcome(cell: str) -> int:
+    value = int(cell)
+    if value not in (-1, 1):
+        raise ValueError("outcome must be +1 or -1")
+    return value
 
 
 def records_from_csv(path, tau: float, cycle_period: float) -> list[ShotRecord]:
     """Read a batch CSV back; record boundaries are cycle_index resets."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty records file") from None
-        if [h.strip() for h in header] != ["cycle_index", "t_center_s", "outcome"]:
-            raise ValueError(
-                f"{path}: expected header 'cycle_index,t_center_s,outcome', "
-                f"got {','.join(header)!r}"
-            )
-        records, chunk, prev = [], [], None
-        for i, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                idx = int(row[0])
-                outcome = int(row[2])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: malformed row {i}: {row!r}") from None
-            if outcome not in (-1, 1):
-                raise ValueError(f"{path}: row {i}: outcome must be +1 or -1")
-            if prev is not None and idx <= prev:
-                records.append(ShotRecord(np.array(chunk), tau, cycle_period))
-                chunk = []
-            chunk.append(outcome)
-            prev = idx
-        if chunk:
-            records.append(ShotRecord(np.array(chunk), tau, cycle_period))
-    if not records:
+    idx, _, outcomes = csvio.read_columns(
+        path, dict(zip(_RECORDS_HEADER, (int, None, _outcome)))
+    )
+    if not outcomes:
         raise ValueError(f"{path}: no outcome rows")
-    return records
+    starts = np.flatnonzero(np.diff(idx) <= 0) + 1
+    return [
+        ShotRecord(chunk, tau, cycle_period)
+        for chunk in np.split(np.array(outcomes), starts)
+    ]
 
 
 def synthesize_modes(
@@ -443,44 +423,14 @@ class CorrelationCurve:
     n_pairs: np.ndarray
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"])
-            for row in zip(self.delta_t, self.tau, self.correlation, self.stderr, self.n_pairs):
-                writer.writerow(
-                    [f"{row[0]:.12g}", f"{row[1]:.12g}", f"{row[2]:.12g}", f"{row[3]:.12g}", int(row[4])]
-                )
+        rows = zip(self.delta_t, self.tau, self.correlation, self.stderr, self.n_pairs)
+        csvio.write_csv(path, _CURVE_HEADER, rows)
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty curve file") from None
-            expected = ["delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"]
-            # extra trailing columns (e.g. uncorrected estimates) are ignored
-            if [h.strip() for h in header][: len(expected)] != expected:
-                raise ValueError(
-                    f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
-                )
-            cols = [[], [], [], [], []]
-            for i, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    for c, val in zip(cols, row):
-                        c.append(float(val))
-                except ValueError:
-                    raise ValueError(f"{path}: malformed row {i}: {row!r}") from None
-        return cls(
-            np.asarray(cols[0]),
-            np.asarray(cols[1]),
-            np.asarray(cols[2]),
-            np.asarray(cols[3]),
-            np.asarray(cols[4], dtype=int),
-        )
+        # extra trailing columns (e.g. uncorrected estimates) are ignored
+        cols = csvio.read_columns(path, dict.fromkeys(_CURVE_HEADER, float), prefix=True)
+        return cls(*(np.asarray(c) for c in cols[:4]), np.asarray(cols[4], dtype=int))
 
 
 def correlation_curve(

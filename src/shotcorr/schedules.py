@@ -35,12 +35,12 @@ Two rules are provided:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csvio
 from .correlator import EvolutionPair, chi_minus
 from .numerics import lambert_w, lambert_w_m1
 from .spectra import OverhauserModel
@@ -57,6 +57,8 @@ __all__ = [
 
 FLAG_UNPHYSICAL = "unphysical"
 FLAG_TAU_CUTOFF = "tau_omega_e"
+
+_HEADER = ("delta_t_s", "tau_s", "flags")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,34 +102,11 @@ class Schedule:
         return [EvolutionPair(t, d) for t, d in zip(self.tau, self.delta_t)]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["delta_t_s", "tau_s", "flags"])
-            for d, t, fl in zip(self.delta_t, self.tau, self.flags):
-                writer.writerow([f"{d:.12g}", f"{t:.12g}", fl])
+        csvio.write_csv(path, _HEADER, zip(self.delta_t, self.tau, self.flags))
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty schedule file") from None
-            if [h.strip() for h in header] != ["delta_t_s", "tau_s", "flags"]:
-                raise ValueError(
-                    f"{path}: expected header 'delta_t_s,tau_s,flags', got {','.join(header)!r}"
-                )
-            dts, taus, flags = [], [], []
-            for i, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    dts.append(float(row[0]))
-                    taus.append(float(row[1]))
-                except (ValueError, IndexError):
-                    raise ValueError(f"{path}: malformed row {i}: {row!r}") from None
-                flags.append(row[2] if len(row) > 2 else "")
+        dts, taus, flags = csvio.read_columns(path, dict(zip(_HEADER, (float, float, str))))
         return cls(np.asarray(dts), np.asarray(taus), tuple(flags))
 
 

@@ -29,12 +29,12 @@ TabulatedModel
 from __future__ import annotations
 
 import abc
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csvio
 from .numerics import QuadratureSpec, filon_cos_integral
 
 __all__ = [
@@ -274,27 +274,10 @@ class TabulatedModel(SpectrumModel):
     @classmethod
     def from_csv(cls, path):
         """Load from CSV with header ``omega_rad_per_s,S``."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty spectrum file") from None
-            if [h.strip() for h in header] != ["omega_rad_per_s", "S"]:
-                raise ValueError(
-                    f"{path}: expected header 'omega_rad_per_s,S', got {','.join(header)!r}"
-                )
-            rows = []
-            for i, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError):
-                    raise ValueError(f"{path}: malformed row {i}: {row!r}") from None
-        if len(rows) < 2:
+        omega, density = csvio.read_columns(path, {"omega_rad_per_s": float, "S": float})
+        if len(omega) < 2:
             raise ValueError(f"{path}: need at least two spectrum rows")
-        return cls(np.asarray(rows))
+        return cls(np.column_stack((omega, density)))
 
     def evaluate(self, omega):
         w = _check_omega(omega)

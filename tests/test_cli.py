@@ -3,14 +3,17 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from shotcorr import cli, correlator
 from shotcorr.cli import main
 from shotcorr.correlator import EvolutionPair, autocorrelation_analytic
+from shotcorr.numerics import QuadratureError
 from shotcorr.spectra import WhiteModel
 
 
@@ -106,6 +109,60 @@ class TestChiCommand:
             == 0
         )
         assert out_rad.read_bytes() == out_hz.read_bytes()
+
+    def test_hz_infinite_cutoff_matches_rad(self, tmp_path):
+        # "inf" passes through the conversion; every other omega_* key,
+        # including list-valued ones, is scaled by 2 pi
+        hz_spec = dict(OVERHAUSER_SPEC, omega_l=0.1, omega_e="inf")
+        rad_spec = dict(OVERHAUSER_SPEC, omega_l=0.1 * 2 * math.pi, omega_e="inf")
+        chi = {"tau": 5e-4, "delta_t": [1e-4, 1e-2]}
+        cfg_hz = write_config(
+            tmp_path / "hz.json",
+            {"spectrum": hz_spec, "chi": chi, "fit": {"omega_e_bounds": [10.0, 1000.0]}},
+        )
+        cfg_rad = write_config(tmp_path / "rad.json", {"spectrum": rad_spec, "chi": chi})
+        out_hz = tmp_path / "hz.csv"
+        out_rad = tmp_path / "rad.csv"
+        assert run_cli(["chi", "--config", cfg_hz, "--freq-units", "hz", "--out", out_hz]) == 0
+        assert run_cli(["chi", "--config", cfg_rad, "--out", out_rad]) == 0
+        assert out_hz.read_bytes() == out_rad.read_bytes()
+        echo = json.loads((tmp_path / "hz.csv.json").read_text())["config"]
+        assert echo["spectrum"]["omega_e"] == "inf"
+        assert echo["fit"]["omega_e_bounds"] == [10.0 * 2 * math.pi, 1000.0 * 2 * math.pi]
+
+    def test_one_chi_pair_per_row(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(spectrum, pair, quad=None):
+            calls.append(pair)
+            return original(spectrum, pair, quad)
+
+        original = correlator.chi_pair
+        monkeypatch.setattr(cli, "chi_pair", counted)
+        monkeypatch.setattr(correlator, "chi_pair", counted)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "spectrum": OVERHAUSER_SPEC,
+                "chi": {"tau": [1e-5, 5e-4], "delta_t": [1e-3, 1.0, 10.0]},
+            },
+        )
+        assert run_cli(["chi", "--config", cfg, "--out", tmp_path / "chi.csv"]) == 0
+        assert len(calls) == len(read_rows(tmp_path / "chi.csv")) == 6
+
+    def test_artifacts_get_umask_mode(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"spectrum": OVERHAUSER_SPEC, "chi": {"tau": 5e-4, "delta_t": [1e-3]}},
+        )
+        out = tmp_path / "chi.csv"
+        old = os.umask(0o022)
+        try:
+            assert run_cli(["chi", "--config", cfg, "--out", out]) == 0
+        finally:
+            os.umask(old)
+        for path in (out, tmp_path / "chi.csv.json"):
+            assert os.stat(path).st_mode & 0o777 == 0o644
 
     def test_missing_field_names_it(self, tmp_path, capsys):
         cfg = write_config(
@@ -480,3 +537,82 @@ class TestEntryPoint:
         cfg.write_text("{not json")
         assert run_cli(["chi", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
         assert "JSON" in capsys.readouterr().err
+
+
+def _records_file(path):
+    rows = [f"{i},{i * 1e-3 + 1e-4:.12g},{1 if i % 3 else -1}" for i in range(40)]
+    path.write_text("cycle_index,t_center_s,outcome\n" + "\n".join(rows * 2) + "\n")
+    return path
+
+
+# one small config per CSV-writing command; each run must leave its CSV,
+# a sidecar and nothing else, identically on a rerun
+CONTRACT_CASES = {
+    "chi": lambda d: {"spectrum": OVERHAUSER_SPEC, "chi": {"tau": 5e-4, "delta_t": [1e-3, 1.0]}},
+    "schedule": lambda d: {
+        "schedule": {"kind": "oneoverf", "level": 1e-7, "delta_t": [0.01, 0.1]}
+    },
+    "simulate": lambda d: {
+        "spectrum": {"family": "white", "level": 2e3, "omega_high": 1e6},
+        "protocol": {"tau": 2e-4, "cycle_period": 1e-3, "n_cycles": 40, "n_records": 2},
+        "grid": {"n_modes": 256},
+    },
+    "correlate": lambda d: {
+        "correlate": {
+            "records": str(_records_file(d / "in.records.csv")),
+            "tau": 2e-4,
+            "cycle_period": 1e-3,
+        }
+    },
+    "figure2": lambda d: {"figure2": {"tau": [1e-7], "delta_t": [1e-5, 1e-3]}},
+    "figure3a": lambda d: {"figure3a": {"delta_t": [1e-4, 1e-2]}},
+    "figure3b": lambda d: {"figure3b": {"alpha": [1.0], "delta_t": [0.01, 0.1]}},
+}
+
+
+class TestArtifactContract:
+    @pytest.mark.parametrize("command", sorted(CONTRACT_CASES))
+    def test_atomic_sidecar_and_rerun_identical(self, tmp_path, command):
+        cfg = write_config(tmp_path / "cfg.json", CONTRACT_CASES[command](tmp_path))
+        runs = []
+        for name in ("a", "b"):
+            d = tmp_path / name
+            d.mkdir()
+            out = d / "out.csv"
+            assert run_cli([command, "--config", cfg, "--out", out, "--seed", 4]) == 0
+            assert out.exists() and (d / "out.csv.json").exists()
+            assert not [p.name for p in d.iterdir() if p.name.startswith(".tmp-")]
+            runs.append({p.name: p.read_bytes() for p in d.iterdir()})
+        assert runs[0] == runs[1]
+
+    def _fails_cleanly(self, capsys, argv):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.json", CONTRACT_CASES["schedule"](tmp_path))
+        out = tmp_path / "missing" / "sched.csv"
+        err = self._fails_cleanly(capsys, ["schedule", "--config", cfg, "--out", out])
+        assert str(out) in err
+
+    def test_quadrature_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("panel budget exhausted")
+
+        monkeypatch.setattr(cli, "chi_pair", fail)
+        cfg = write_config(tmp_path / "c.json", CONTRACT_CASES["chi"](tmp_path))
+        err = self._fails_cleanly(capsys, ["chi", "--config", cfg, "--out", tmp_path / "x.csv"])
+        assert "panel budget" in err
+
+    def test_short_curve_row_names_it(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        TestFitCommand().write_alpha_curve(curve)
+        lines = curve.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:3])
+        curve.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "f.json", {"fit": {"input": str(curve), "mode": "alpha"}})
+        err = self._fails_cleanly(capsys, ["fit", "--config", cfg, "--out", tmp_path / "x.json"])
+        assert "malformed row 3" in err

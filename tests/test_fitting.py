@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from shotcorr import fitting
 from shotcorr.correlator import EvolutionPair, autocorrelation_analytic
 from shotcorr.fitting import (
     FitParam,
@@ -323,6 +324,39 @@ class TestDiscriminateGamma:
         d = decision.to_dict()
         for key in ("best_gamma", "delta_chi2", "indeterminate", "fits"):
             assert key in d
+
+
+    def test_bookkeeping_counts_sweeps(self, monkeypatch):
+        # n_eval is the number of full-curve chi sweeps per candidate, so
+        # with n points it accounts for every chi_pair call the fit made
+        calls = []
+
+        def counted(spectrum, pair, quad=None):
+            calls.append(spectrum.gamma)
+            return original(spectrum, pair, quad)
+
+        original = fitting.chi_pair
+        monkeypatch.setattr(fitting, "chi_pair", counted)
+        truth = OverhauserModel(
+            s0=4.0e3, omega_l=2.0e3, omega_e=2.0e6, gamma=1.0, coupling_c=1.0
+        )
+        tau = 5.0e-4
+        dts = np.geomspace(1.0e-2, 1.0, 4)
+        corr = analytic_curve(truth, tau, dts, quad=QUICK)
+        decision = discriminate_gamma(
+            dts,
+            np.full(len(dts), tau),
+            corr,
+            np.full(len(dts), 0.005),
+            omega_l=2.0e3,
+            coupling_c=1.0,
+            quad=QUICK,
+        )
+        for gamma, result in decision.fits.items():
+            assert result.n_eval > 0
+            assert result.n_eval * len(dts) == calls.count(gamma)
+            assert result.success is True
+        assert sum(r.n_eval for r in decision.fits.values()) * len(dts) == len(calls)
 
 
 class TestAlphaSlope:

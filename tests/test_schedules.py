@@ -232,6 +232,14 @@ class TestScheduleCsv:
         back = Schedule.from_csv(path)
         assert back.flags == sched.flags
 
+    def test_round_trip_quotes_text_flags(self, tmp_path):
+        # hand-assembled flags may hold the delimiter or quotes
+        flags = ("a,b", 'say "x"', "")
+        sched = Schedule(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]), flags)
+        path = tmp_path / "sched.csv"
+        sched.to_csv(path)
+        assert Schedule.from_csv(path).flags == flags
+
     def test_header_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("dt,tau,flags\n1.0,0.1,\n")
