@@ -28,7 +28,7 @@ from .correlator import (
     EvolutionPair,
     QubitParams,
     autocorrelation_analytic,
-    chi_minus_approx,
+    chi_minus_branch,
     chi_pair,
     correlator_from_chi,
 )
@@ -120,6 +120,19 @@ def _field(sec, secname, key, kind=float, default=_REQUIRED):
         ) from None
 
 
+def _number_list(val, name, kind=float):
+    """Each element of a JSON list through ``kind``; failures name the field."""
+    if not isinstance(val, list):
+        raise ConfigError(f"config field '{name}' must be a list, got {val!r}")
+    out = []
+    for v in val:
+        try:
+            out.append(kind(v))
+        except (TypeError, ValueError):
+            raise ConfigError(f"config field '{name}' has invalid element {v!r}") from None
+    return out
+
+
 def _grid_values(sec, secname, key):
     """A float list, or {start, stop, num[, spacing]} expanded log/linear."""
     if key not in sec:
@@ -128,7 +141,7 @@ def _grid_values(sec, secname, key):
     if isinstance(val, (int, float)):
         return np.array([float(val)])
     if isinstance(val, list):
-        return np.asarray([float(v) for v in val])
+        return np.asarray(_number_list(val, f"{secname}.{key}"))
     if isinstance(val, dict):
         start = _field(val, f"{secname}.{key}", "start")
         stop = _field(val, f"{secname}.{key}", "stop")
@@ -216,7 +229,7 @@ def cmd_chi(config, args):
             corr = correlator_from_chi(cm, cp, pair.tau, qubit.omega_q)
             row = [dt, tau, cm, cp, corr]
             if tag_regime:
-                row.append(chi_minus_approx(spectrum, pair).branch)
+                row.append(chi_minus_branch(spectrum, pair.delta_t))
             rows.append(row)
     write_csv(args.out, header, rows)
     notes = {"regime_column": tag_regime}
@@ -271,6 +284,8 @@ def _protocol_from_config(config):
     lags = sec.get("lags")
     if lags is None:
         lags = [m for m in (1, 2, 3, 5, 8) if m < prot.n_cycles]
+    else:
+        lags = _number_list(lags, "protocol.lags", int)
     grid_sec = config.get("grid", {})
     grid = GridSpec(
         n_modes=_field(grid_sec, "grid", "n_modes", int, 4096),
@@ -364,6 +379,8 @@ def cmd_correlate(config, args):
     if lags is None:
         shortest = min(len(r) for r in records)
         lags = [m for m in (1, 2, 3, 5, 8) if m < shortest]
+    else:
+        lags = _number_list(lags, "correlate.lags", int)
     eps = _field(sec, "correlate", "epsilon", float, 0.0)
     curve = correlation_curve(records, lags, correct_epsilon=eps or None)
     curve.to_csv(args.out)
@@ -386,17 +403,20 @@ def cmd_fit(config, args):
     curve = _load_curve(_field(sec, "fit", "input", str))
     mode = _field(sec, "fit", "mode", str, "fit")
     if mode == "alpha":
-        window = sec.get("corr_window", (0.02, 0.48))
+        window = sec.get("corr_window", [0.02, 0.48])
         est = estimate_alpha_slope(
-            curve.delta_t, curve.correlation, curve.stderr, corr_window=tuple(window)
+            curve.delta_t,
+            curve.correlation,
+            curve.stderr,
+            corr_window=tuple(_number_list(window, "fit.corr_window")),
         )
         result = est.to_dict()
     elif mode == "discriminate":
-        kw = {}
-        if "omega_e_bounds" in sec:
-            kw["omega_e_bounds"] = tuple(float(v) for v in sec["omega_e_bounds"])
-        if "gammas" in sec:
-            kw["gammas"] = tuple(float(v) for v in sec["gammas"])
+        kw = {
+            key: tuple(_number_list(sec[key], f"fit.{key}"))
+            for key in ("omega_e_bounds", "gammas")
+            if key in sec
+        }
         decision = discriminate_gamma(
             curve.delta_t,
             curve.tau,
@@ -474,7 +494,11 @@ def cmd_figure2(config, args):
     sec = config.get("figure2", {})
     rms_default = 3.0e-5
     model = _figure_model(config, "figure2", rms_default)
-    taus = np.asarray(sec.get("tau", np.geomspace(5.0e-8, 5.0e-6, 5)), dtype=float)
+    taus = (
+        _number_list(sec["tau"], "figure2.tau")
+        if "tau" in sec
+        else np.geomspace(5.0e-8, 5.0e-6, 5)
+    )
     dts = (
         _grid_values(sec, "figure2", "delta_t")
         if "delta_t" in sec
@@ -545,7 +569,7 @@ def cmd_figure3b(config, args):
     sec = config.get("figure3b", {})
     level = _field(sec, "figure3b", "level", float, 1.0e-7)
     variant = _field(sec, "figure3b", "variant", str, "exact")
-    alphas = [float(a) for a in sec.get("alpha", (0.9, 1.0, 1.1))]
+    alphas = _number_list(sec.get("alpha", [0.9, 1.0, 1.1]), "figure3b.alpha")
     dts = (
         _grid_values(sec, "figure3b", "delta_t")
         if "delta_t" in sec

@@ -50,6 +50,7 @@ __all__ = [
     "t2_star",
     "ApproxChiMinus",
     "chi_minus_approx",
+    "chi_minus_branch",
     "LinearizedCorrelation",
     "autocorrelation_linearized",
     "correct_fidelity",
@@ -379,6 +380,19 @@ class ApproxChiMinus:
     note: str
 
 
+def chi_minus_branch(model: OverhauserModel, delta_t: float) -> str:
+    """Regime of the knee-plus-cutoff chi_minus at a shot separation.
+
+    'quadratic' below 1/omega_e, 'linear' up to and including 1/omega_l,
+    'plateau' beyond; see ``chi_minus_approx``.
+    """
+    if delta_t < 1.0 / model.omega_e:
+        return "quadratic"
+    if delta_t <= 1.0 / model.omega_l:
+        return "linear"
+    return "plateau"
+
+
 def chi_minus_approx(model: OverhauserModel, pair: EvolutionPair, quad=None) -> ApproxChiMinus:
     """Branch approximation of chi_minus for the knee-plus-cutoff model.
 
@@ -399,15 +413,13 @@ def chi_minus_approx(model: OverhauserModel, pair: EvolutionPair, quad=None) -> 
     t_cut = 1.0 / model.omega_e
     t_knee = 1.0 / model.omega_l
     c2s0 = model.coupling_c**2 * model.s0
-    if dt < t_cut:
-        branch = "quadratic"
+    branch = chi_minus_branch(model, dt)
+    if branch == "quadratic":
         a = gamma_fn(1.0 / model.gamma + 1.0)
         value = a / math.pi * c2s0 * model.omega_e * model.omega_l**2 * tau**2 * dt**2
-    elif dt <= t_knee:
-        branch = "linear"
+    elif branch == "linear":
         value = c2s0 * model.omega_l**2 * tau**2 * dt
     else:
-        branch = "plateau"
         value = 2.0 * tau**2 * variance(model, quad)
     crossover = (t_cut / 3.0 <= dt <= 3.0 * t_cut) or (t_knee / 3.0 <= dt <= 3.0 * t_knee)
     tau_warning = tau * model.omega_e >= 0.1

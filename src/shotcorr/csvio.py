@@ -18,7 +18,7 @@ import secrets
 
 import numpy as np
 
-__all__ = ["atomic_write", "write_csv", "read_columns"]
+__all__ = ["atomic_write", "format_cell", "write_lines", "write_csv", "read_columns"]
 
 
 def atomic_write(path, text: str) -> None:
@@ -46,7 +46,7 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
-def _format_cell(x) -> str:
+def format_cell(x) -> str:
     """One CSV cell: floats .12g, ints plainly, text as is (quoted if needed)."""
     if isinstance(x, float):
         return format(x, ".12g")
@@ -59,11 +59,14 @@ def _format_cell(x) -> str:
     return format(float(x), ".12g")
 
 
+def write_lines(path, header, lines) -> None:
+    """Atomically write a header line and data lines already joined by commas."""
+    atomic_write(path, "\n".join([",".join(header), *lines]) + "\n")
+
+
 def write_csv(path, header, rows) -> None:
     """Atomically write a header line and one line per row."""
-    lines = [",".join(header)]
-    lines += [",".join(map(_format_cell, row)) for row in rows]
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_lines(path, header, [",".join(map(format_cell, row)) for row in rows])
 
 
 def read_columns(path, columns: dict, prefix: bool = False) -> list[list]:

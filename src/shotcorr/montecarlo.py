@@ -95,6 +95,22 @@ class GridSpec:
             raise ValueError("resolved grid is empty; check omega bounds")
         return lo, hi
 
+    def cells(self, spectrum: SpectrumModel, duration: float):
+        """Grid floor, mode frequencies and cell widths of the resolved grid.
+
+        The frequencies are the cells' log midpoints after a leading 0.0,
+        the DC mode; the widths belong to the cells alone.
+        """
+        lo, hi = self.resolve(spectrum, duration)
+        if (hi / lo) ** (1.0 / self.n_modes) > 1.5:
+            raise ValueError(
+                "frequency grid too coarse: adjacent-mode ratio "
+                f"{(hi / lo) ** (1.0 / self.n_modes):.3g} > 1.5; raise n_modes"
+            )
+        edges = np.geomspace(lo, hi, self.n_modes + 1)
+        omega = np.concatenate(([0.0], np.sqrt(edges[:-1] * edges[1:])))
+        return lo, omega, np.diff(edges)
+
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
@@ -180,13 +196,22 @@ class ShotRecord:
 
 
 def records_to_csv(records: list[ShotRecord], path) -> None:
-    """Write a batch of records to one CSV; cycle_index restarts per record."""
-    rows = (
-        row
-        for rec in records
-        for row in zip(range(len(rec)), rec.t_center().tolist(), rec.outcomes.tolist())
-    )
-    csvio.write_csv(path, _RECORDS_HEADER, rows)
+    """Write a batch of records to one CSV; cycle_index restarts per record.
+
+    The ``cycle_index,t_center_s,`` text of a row depends only on the
+    record's length, tau and cycle period, so it is formatted once per
+    such protocol and each record adds its outcomes.
+    """
+    prefixes = {}
+    lines = []
+    for rec in records:
+        key = (len(rec), rec.tau, rec.cycle_period)
+        if key not in prefixes:
+            prefixes[key] = [
+                f"{i},{csvio.format_cell(t)}," for i, t in enumerate(rec.t_center().tolist())
+            ]
+        lines += map(str.__add__, prefixes[key], map(str, rec.outcomes.tolist()))
+    csvio.write_lines(path, _RECORDS_HEADER, lines)
 
 
 def _outcome(cell: str) -> int:
@@ -220,31 +245,38 @@ def synthesize_modes(
     at the cell's log midpoint.  Frequencies below the grid floor enter
     as a DC mode with the floor's share of the variance.
     """
-    lo, hi = grid.resolve(spectrum, duration)
-    if (hi / lo) ** (1.0 / grid.n_modes) > 1.5:
-        raise ValueError(
-            "frequency grid too coarse: adjacent-mode ratio "
-            f"{(hi / lo) ** (1.0 / grid.n_modes):.3g} > 1.5; raise n_modes"
-        )
-    edges = np.geomspace(lo, hi, grid.n_modes + 1)
-    omega = np.sqrt(edges[:-1] * edges[1:])
-    widths = np.diff(edges)
-    amp = np.sqrt(spectrum.evaluate(omega) * widths / math.pi)
+    lo, omega, widths = grid.cells(spectrum, duration)
+    amp = np.sqrt(spectrum.evaluate(omega[1:]) * widths / math.pi)
     # below-grid variance: S is flat under the floor by construction
     dc_amp = math.sqrt(spectrum.evaluate(lo) * lo / math.pi)
-    omega = np.concatenate(([0.0], omega))
     amp = np.concatenate(([dc_amp], amp))
     u = rng.standard_normal(len(omega))
     v = rng.standard_normal(len(omega))
     return ModeSet(omega, amp, u, v)
 
 
-def accumulated_phases(modes: ModeSet, protocol: Protocol) -> np.ndarray:
+def _phase_table(omega: np.ndarray, cycle_period: float):
+    """cos and sin of omega_k times each in-block offset j * cycle_period.
+
+    Shape (modes, _BLOCK) each.  The table depends on the grid and the
+    cycle period alone, so every record of a protocol can share it.
+    """
+    arg = omega[:, None] * (np.arange(_BLOCK) * cycle_period)[None, :]
+    m_cos = np.cos(arg)
+    m_sin = np.sin(arg, out=arg)
+    # shared by concurrent records: no reader may write to it
+    m_cos.flags.writeable = m_sin.flags.writeable = False
+    return m_cos, m_sin
+
+
+def accumulated_phases(modes: ModeSet, protocol: Protocol, table=None) -> np.ndarray:
     """Phase integral of every cycle's evolution window, exactly per mode.
 
     Blocked evaluation: the in-block time offsets repeat, so their
-    cosines are precomputed once and each block needs two matrix-vector
-    products plus one scalar-argument trig call per mode.
+    cosines come from one table and each block needs two matrix-vector
+    products plus one scalar-argument trig call per mode.  ``table`` is
+    that table for ``modes.omega`` and the protocol's cycle period, as
+    ``run_protocol`` shares it; it is built here when None.
     """
     tau = protocol.tau
     dt = protocol.cycle_period
@@ -254,9 +286,7 @@ def accumulated_phases(modes: ModeSet, protocol: Protocol) -> np.ndarray:
     bu = modes.amp * gain * modes.u
     bv = modes.amp * gain * modes.v
 
-    offs = np.arange(_BLOCK) * dt
-    m_cos = np.cos(w[:, None] * offs[None, :])
-    m_sin = np.sin(w[:, None] * offs[None, :])
+    m_cos, m_sin = table if table is not None else _phase_table(w, dt)
 
     phases = np.empty(n)
     for s in range(0, n, _BLOCK):
@@ -294,6 +324,7 @@ def run_record(
     seed: int,
     record_index: int = 0,
     independent_cycles: bool = False,
+    table=None,
 ) -> ShotRecord:
     """Simulate one record; deterministic in (seed, record_index).
 
@@ -301,6 +332,8 @@ def run_record(
     readout projection and the readout flips decoupled.  With
     ``independent_cycles`` every cycle draws its own trajectory, a
     diagnostics mode that deliberately destroys the delay dependence.
+    ``table`` is passed on to ``accumulated_phases``; it does not change
+    the outcomes.
     """
     ss = np.random.SeedSequence(seed, spawn_key=(record_index,))
     traj_ss, readout_ss, flip_ss = ss.spawn(3)
@@ -309,7 +342,7 @@ def run_record(
     if independent_cycles:
         phases = accumulated_phases_independent(modes, protocol, rng_traj)
     else:
-        phases = accumulated_phases(modes, protocol)
+        phases = accumulated_phases(modes, protocol, table)
 
     qubit = protocol.qubit
     p_plus = 0.5 * (1.0 + np.cos(qubit.omega_q * protocol.tau + phases))
@@ -331,23 +364,27 @@ def run_protocol(
     threads: int | None = None,
     independent_cycles: bool = False,
 ) -> list[ShotRecord]:
-    """Simulate ``n_records`` independent records, in submission order."""
+    """Simulate ``n_records`` independent records, in submission order.
+
+    The phase table is built once here and read, never written, by every
+    record, so the worker threads share one copy.
+    """
     if n_records < 1:
         raise ValueError("n_records must be positive")
     grid = grid if grid is not None else GridSpec()
+    table = None
+    if not independent_cycles:
+        omega = grid.cells(spectrum, protocol.duration)[1]
+        table = _phase_table(omega, protocol.cycle_period)
+    args = (spectrum, protocol, grid, seed)
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(
-                    run_record, spectrum, protocol, grid, seed, i, independent_cycles
-                )
+                pool.submit(run_record, *args, i, independent_cycles, table)
                 for i in range(n_records)
             ]
             return [f.result() for f in futures]
-    return [
-        run_record(spectrum, protocol, grid, seed, i, independent_cycles)
-        for i in range(n_records)
-    ]
+    return [run_record(*args, i, independent_cycles, table) for i in range(n_records)]
 
 
 def _blocking_stderr(x: np.ndarray) -> float:

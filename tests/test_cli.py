@@ -150,6 +150,27 @@ class TestChiCommand:
         assert run_cli(["chi", "--config", cfg, "--out", tmp_path / "chi.csv"]) == 0
         assert len(calls) == len(read_rows(tmp_path / "chi.csv")) == 6
 
+    def test_regime_column_needs_no_variance_integral(self, tmp_path, monkeypatch):
+        calls = []
+        original = correlator.variance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(correlator, "variance", counted)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "spectrum": OVERHAUSER_SPEC,
+                "chi": {"tau": 5e-4, "delta_t": [1e-5, 1e-3, 10.0, 100.0]},
+            },
+        )
+        assert run_cli(["chi", "--config", cfg, "--out", tmp_path / "chi.csv"]) == 0
+        regimes = [r["regime"] for r in read_rows(tmp_path / "chi.csv")]
+        assert regimes == ["quadratic", "linear", "plateau", "plateau"]
+        assert calls == []
+
     def test_artifacts_get_umask_mode(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -509,6 +530,64 @@ class TestFigureBundles:
         assert by["alpha_1.1"][-1] > 1.1 * by["alpha_1.1"][0]
 
 
+def _alpha_curve(tmp_path):
+    path = tmp_path / "curve.csv"
+    TestFitCommand().write_alpha_curve(path)
+    return str(path)
+
+
+def _chi(tmp_path, value):
+    return {"spectrum": OVERHAUSER_SPEC, "chi": {"tau": 5e-4, "delta_t": value}}
+
+
+def _fit(mode, key):
+    def build(tmp_path, value):
+        sec = {"input": _alpha_curve(tmp_path), "mode": mode, "omega_l": 1.0, key: value}
+        return {"fit": sec}
+
+    return build
+
+
+def _lags(tmp_path, value):
+    protocol = {"tau": 2e-4, "cycle_period": 1e-3, "n_cycles": 20, "lags": value}
+    return TestSimulateCommand().sim_config(protocol=protocol)
+
+
+def _alphas(tmp_path, value):
+    return {"figure3b": {"alpha": value, "delta_t": [0.01]}}
+
+
+# (command, config builder, field the message must name, bad value);
+# a scalar chi.delta_t is a valid one-point grid, so it has no scalar case
+_BAD_LISTS = [
+    (command, build, field, value)
+    for command, build, field in [
+        ("chi", _chi, "chi.delta_t"),
+        ("fit", _fit("alpha", "corr_window"), "fit.corr_window"),
+        ("fit", _fit("discriminate", "omega_e_bounds"), "fit.omega_e_bounds"),
+        ("fit", _fit("discriminate", "gammas"), "fit.gammas"),
+        ("simulate", _lags, "protocol.lags"),
+        ("figure3b", _alphas, "figure3b.alpha"),
+    ]
+    for value in ([None], ["x"], 5.0)
+    if not (command == "chi" and value == 5.0)
+]
+
+
+class TestListFields:
+    @pytest.mark.parametrize(
+        "command, build, field, value",
+        _BAD_LISTS,
+        ids=[f"{case[2]}={case[3]!r}" for case in _BAD_LISTS],
+    )
+    def test_bad_list_exits_with_message(self, tmp_path, capsys, command, build, field, value):
+        cfg = write_config(tmp_path / "c.json", build(tmp_path, value))
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert field in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "s.json"
@@ -524,10 +603,15 @@ class TestEntryPoint:
             )
         )
         out = tmp_path / "sched.csv"
+        # the child imports the same shotcorr as this process, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "shotcorr.cli", "schedule", "--config", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

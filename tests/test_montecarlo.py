@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from shotcorr import csvio, montecarlo
 from shotcorr.correlator import (
     EvolutionPair,
     QubitParams,
@@ -199,6 +200,66 @@ class TestDeterminism:
         assert not np.array_equal(a[0].outcomes, b[0].outcomes)
 
 
+class TestSharedPhaseTable:
+    """run_protocol builds the phase table once and every record reads it."""
+
+    def protocol(self, flip=0.0):
+        # 600 cycles: two full 256-cycle blocks and a partial one
+        qubit = QubitParams(omega_q=300.0, readout_flip_prob=flip)
+        return Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=600, qubit=qubit)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("flip, independent", [(0.0, False), (0.2, False), (0.0, True)])
+    def test_records_equal_standalone_records(self, threads, flip, independent):
+        m = sampling_zoo()[1]
+        prot = self.protocol(flip)
+        grid = GridSpec(n_modes=512)
+        recs = run_protocol(
+            m, prot, 3, seed=21, grid=grid, threads=threads, independent_cycles=independent
+        )
+        for i, rec in enumerate(recs):
+            alone = run_record(
+                m, prot, grid, seed=21, record_index=i, independent_cycles=independent
+            )
+            assert rec.outcomes.tobytes() == alone.outcomes.tobytes()
+
+    def test_shared_table_gives_the_same_phase_bits(self):
+        m = sampling_zoo()[1]
+        prot = self.protocol()
+        grid = GridSpec(n_modes=512)
+        table = montecarlo._phase_table(
+            grid.cells(m, prot.duration)[1], prot.cycle_period
+        )
+        for seed in (1, 2):
+            modes = synthesize_modes(m, grid, prot.duration, np.random.default_rng(seed))
+            shared = accumulated_phases(modes, prot, table)
+            assert shared.tobytes() == accumulated_phases(modes, prot).tobytes()
+
+    @pytest.mark.parametrize(
+        "n_records, threads, independent, builds",
+        [(1, None, False, 1), (5, None, False, 1), (5, 2, False, 1), (5, None, True, 0)],
+    )
+    def test_one_table_per_protocol(self, monkeypatch, n_records, threads, independent, builds):
+        calls = []
+        build = montecarlo._phase_table
+
+        def counted(omega, cycle_period):
+            calls.append(cycle_period)
+            return build(omega, cycle_period)
+
+        monkeypatch.setattr(montecarlo, "_phase_table", counted)
+        run_protocol(
+            sampling_zoo()[0],
+            Protocol(tau=2.0e-4, cycle_period=1.0e-3, n_cycles=64),
+            n_records,
+            seed=4,
+            grid=GridSpec(n_modes=256),
+            threads=threads,
+            independent_cycles=independent,
+        )
+        assert len(calls) == builds
+
+
 class TestAgainstAnalytic:
     def test_lorentzian_type(self):
         m = sampling_zoo()[1]
@@ -382,6 +443,33 @@ class TestCsv:
         assert len(back) == 4
         for ra, rb in zip(recs, back):
             assert np.array_equal(ra.outcomes, rb.outcomes)
+
+    def test_records_bytes_match_generic_writer(self, tmp_path):
+        # two lengths and two protocols, interleaved; a cycle period of 0.1
+        # puts t_center values like 0.30000000000000004 through .12g
+        rng = np.random.default_rng(8)
+
+        def rec(n, tau, cycle_period):
+            return ShotRecord(rng.choice([-1, 1], n), tau, cycle_period)
+
+        recs = [
+            rec(7, 0.02, 0.1),
+            rec(4, 0.02, 0.1),
+            rec(7, 1.0e-4, 1.0 / 3.0),
+            rec(7, 0.02, 0.1),
+            rec(4, 1.0e-4, 1.0 / 3.0),
+        ]
+        path = tmp_path / "records.csv"
+        records_to_csv(recs, path)
+        generic = tmp_path / "generic.csv"
+        rows = [
+            row
+            for r in recs
+            for row in zip(range(len(r)), r.t_center().tolist(), r.outcomes.tolist())
+        ]
+        csvio.write_csv(generic, ("cycle_index", "t_center_s", "outcome"), rows)
+        assert path.read_bytes() == generic.read_bytes()
+        assert "\n3,0.31," in path.read_text()
 
     def test_records_bad_outcome(self, tmp_path):
         path = tmp_path / "records.csv"
