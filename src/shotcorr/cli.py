@@ -304,9 +304,7 @@ def cmd_simulate(config, args):
     spectrum = build_spectrum(config)
     prot, n_records, lags, grid = _protocol_from_config(config)
     eps = prot.qubit.readout_flip_prob
-    records = run_protocol(
-        spectrum, prot, n_records, seed=args.seed, grid=grid, threads=args.threads
-    )
+    records = run_protocol(spectrum, prot, n_records, seed=args.seed, grid=grid)
     raw = correlation_curve(records, lags)
     header = ["delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"]
     rows = []
@@ -625,7 +623,6 @@ def _parser():
         )
         sp.add_argument("--out", required=True, help="output artifact path")
         sp.add_argument("--seed", type=int, default=0, help="random seed (simulate)")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads")
         sp.add_argument(
             "--freq-units",
             choices=("hz", "rad"),

@@ -4,16 +4,18 @@ Three entry points:
 
 ``fit``
     generic bounded weighted-least-squares fit of any spectrum family to
-    a correlation curve: Nelder-Mead polished over a Sobol multistart,
-    log-scaled coordinates for positive parameters, covariance from a
-    finite-difference Hessian.
+    a correlation curve: the trust-region-reflective least-squares
+    solver on the weighted residuals from each point of a Sobol
+    multistart, log-scaled coordinates for positive parameters, and the
+    Gauss-Newton covariance (J^T J)^-1 of the final residual Jacobian.
 
 ``discriminate_gamma``
     decides between cutoff shape exponents (exponential vs Gaussian) by
     fitting each candidate with the overall level and the cutoff
     frequency free.  The level enters every chi linearly, so it is
     profiled out with no extra quadrature; only the cutoff frequency
-    needs integral re-evaluation.
+    needs integral re-evaluation.  The covariance comes from the same
+    Gauss-Newton form as ``fit``'s.
 
 ``estimate_alpha_slope``
     reads the power-law exponent straight off the decay of the
@@ -158,9 +160,13 @@ def predict(problem: FitProblem, values: dict, quad=None) -> np.ndarray:
     )
 
 
+def _residuals(problem: FitProblem, values: dict, quad=None) -> np.ndarray:
+    return (predict(problem, values, quad) - problem.correlation) / problem.stderr
+
+
 def chi_squared(problem: FitProblem, values: dict, quad=None) -> float:
     """Weighted squared residual sum for one parameter set."""
-    resid = (predict(problem, values, quad) - problem.correlation) / problem.stderr
+    resid = _residuals(problem, values, quad)
     return float(resid @ resid)
 
 
@@ -172,6 +178,11 @@ def _from_internal(x, par: FitParam):
     return 10.0**x if par.log_scale else x
 
 
+# finite-difference step of the residual Jacobians in internal
+# coordinates, relative to max(1, |x|) as least_squares applies diff_step
+_FD_STEP = 1e-4
+
+
 def fit(
     problem: FitProblem,
     init: dict | None = None,
@@ -180,19 +191,25 @@ def fit(
     seed: int = 0,
     quad=None,
 ) -> FitResult:
-    """Bounded multistart fit of the problem's free parameters.
+    """Bounded multistart least-squares fit of the problem's free parameters.
 
-    Nelder-Mead inside the (possibly log-scaled) bound box, started from
-    a scrambled Sobol sample of the box; the best minimum is kept and
-    checked for stationarity by +-0.1 percent coordinate nudges.  The
-    covariance is 2 * pinv(Hessian of the weighted squared residuals),
-    eigenvalue-floored, mapped back to natural parameter units.
+    Each start runs the trust-region-reflective solver (Branch, Coleman
+    & Li 1999) on the weighted residuals (predict - correlation) / stderr
+    inside the (possibly log-scaled) bound box, with a forward-difference
+    Jacobian, and may spend ``max_eval // n_starts`` (at least 50)
+    evaluations outside the Jacobian.  The starts are ``init`` when given
+    (natural-unit values for every free parameter, inside the bounds),
+    then a scrambled Sobol sample of the box; the lowest cost wins, and
+    ``chi2`` is twice that cost.
 
-    ``init``, when given, supplies one extra explicit start (a dict of
-    natural-unit values for every free parameter, inside the bounds).
+    The covariance is the Gauss-Newton (J^T J)^-1 of the winner's final
+    Jacobian, eigenvalue-floored and mapped back to natural units; at a
+    good fit it equals 2 * inv(Hessian of chi2), and it costs no
+    evaluations.  ``n_eval`` counts every residual evaluation, Jacobian
+    columns included; ``success`` and ``message`` are the solver's
+    verdict on the winning start.
     """
     pars = problem.params
-    d = len(pars)
     lo = np.array([_to_internal(p.lower, p) for p in pars])
     hi = np.array([_to_internal(p.upper, p) for p in pars])
     n_eval = 0
@@ -200,12 +217,12 @@ def fit(
     def unpack(x):
         return {p.name: _from_internal(v, p) for p, v in zip(pars, x)}
 
-    def objective(x):
+    def residuals(x):
         nonlocal n_eval
         n_eval += 1
-        return chi_squared(problem, unpack(np.clip(x, lo, hi)), quad)
+        return _residuals(problem, unpack(x), quad)
 
-    sampler = qmc.Sobol(d, scramble=True, seed=seed)
+    sampler = qmc.Sobol(len(pars), scramble=True, seed=seed)
     starts = lo + (hi - lo) * sampler.random(n_starts)
     if init is not None:
         missing = [p.name for p in pars if p.name not in init]
@@ -216,88 +233,34 @@ def fit(
             raise ValueError("init lies outside the parameter bounds")
         starts = np.vstack([x_init, starts])
     budget = max(max_eval // max(n_starts, 1), 50)
-    best_x, best_f = None, math.inf
-    for x0 in starts:
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=list(zip(lo, hi)),
-            options={"maxfev": budget, "xatol": 1e-7, "fatol": 1e-10},
+    runs = [
+        optimize.least_squares(
+            residuals, x0, bounds=(lo, hi), method="trf", diff_step=_FD_STEP, max_nfev=budget
         )
-        if res.fun < best_f:
-            best_x, best_f = np.asarray(res.x), float(res.fun)
-
-    # stationarity: a 0.1 percent nudge in any coordinate must not find a
-    # better point; if it does, polish from there and re-check
-    message = "converged"
-    success = True
-    for _ in range(3):
-        improved = False
-        for j in range(d):
-            for sgn in (-1.0, 1.0):
-                x_try = best_x.copy()
-                step = 1e-3 * max(abs(best_x[j]), 1e-2)
-                x_try[j] = np.clip(x_try[j] + sgn * step, lo[j], hi[j])
-                f_try = objective(x_try)
-                if f_try < best_f * (1.0 - 1e-6) - 1e-12:
-                    res = optimize.minimize(
-                        objective,
-                        x_try,
-                        method="Nelder-Mead",
-                        bounds=list(zip(lo, hi)),
-                        options={"maxfev": budget, "xatol": 1e-7, "fatol": 1e-10},
-                    )
-                    if res.fun < best_f:
-                        best_x, best_f = np.asarray(res.x), float(res.fun)
-                    improved = True
-        if not improved:
-            break
-    else:
-        success = False
-        message = "stationarity check kept finding lower points"
-
-    cov = _covariance(objective, best_x, lo, hi, pars)
+        for x0 in starts
+    ]
+    best = min(runs, key=lambda r: r.cost)
     return FitResult(
-        values=unpack(best_x),
-        cov=cov,
-        chi2=best_f,
+        values=unpack(best.x),
+        cov=_covariance(best.jac, best.x, [p.log_scale for p in pars]),
+        chi2=2.0 * best.cost,
         n_points=len(problem.delta_t),
         n_eval=n_eval,
-        success=success,
-        message=message,
+        success=bool(best.status > 0),
+        message=best.message,
     )
 
 
-def _covariance(objective, x, lo, hi, pars):
-    """2 * pinv(FD Hessian), eigenvalue-floored, in natural units."""
-    d = len(x)
-    h = np.maximum(1e-4 * np.abs(x), 1e-6)
-    hess = np.empty((d, d))
-    f0 = objective(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        fpp = objective(x + ei)
-        fmm = objective(x - ei)
-        hess[i, i] = (fpp - 2.0 * f0 + fmm) / h[i] ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h[j]
-            fij = objective(x + ei + ej)
-            fi_j = objective(x + ei - ej)
-            f_ij = objective(x - ei + ej)
-            f__ = objective(x - ei - ej)
-            hess[i, j] = hess[j, i] = (fij - fi_j - f_ij + f__) / (4.0 * h[i] * h[j])
-    vals, vecs = np.linalg.eigh(hess)
-    floor = max(1e-12 * np.abs(vals).max(), 1e-300)
-    vals = np.maximum(vals, floor)
-    cov_x = 2.0 * (vecs / vals) @ vecs.T
-    # map internal (log10) coordinates to natural units
-    jac = np.array(
-        [10.0 ** x[i] * math.log(10.0) if p.log_scale else 1.0 for i, p in enumerate(pars)]
-    )
-    return cov_x * np.outer(jac, jac)
+def _covariance(jac, x, log_scale):
+    """Gauss-Newton covariance (J^T J)^-1, eigenvalue-floored, in natural units.
+
+    ``jac`` is the residual Jacobian in internal coordinates ``x``; the
+    flags in ``log_scale`` mark the coordinates that are log10 values.
+    """
+    vals, vecs = np.linalg.eigh(jac.T @ jac)
+    vals = np.maximum(vals, max(1e-12 * np.abs(vals).max(), 1e-300))
+    scale = np.array([10.0**v * math.log(10.0) if lg else 1.0 for v, lg in zip(x, log_scale)])
+    return (vecs / vals) @ vecs.T * np.outer(scale, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +291,8 @@ class GammaDecision:
         }
 
 
-def _profiled_level_chi2(u, w, corr, se, tau, omega_q, level):
-    r = (correlator_from_chi(level * u, level * w, tau, omega_q) - corr) / se
-    return float(r @ r)
+def _profiled_residuals(u, w, corr, se, tau, omega_q, level):
+    return (correlator_from_chi(level * u, level * w, tau, omega_q) - corr) / se
 
 
 def discriminate_gamma(
@@ -353,9 +315,12 @@ def discriminate_gamma(
     level is optimized with no further quadrature.  The cutoff frequency
     is scanned on a log grid spanning ``omega_e_bounds`` (default: two
     decades beyond the resolvable range on each side) and polished with
-    a bounded scalar minimizer.  Each candidate's ``n_eval`` counts the
-    full-curve chi sweeps made for it, covariance included, and its
-    ``success`` is set only if every scalar minimization converged.
+    a bounded scalar minimizer.  The covariance over (s0, omega_e) is the
+    Gauss-Newton (J^T J)^-1 of a central-difference residual Jacobian at
+    the optimum, two sweeps for the cutoff column and none for the level.
+    Each candidate's ``n_eval`` counts the full-curve chi sweeps made for
+    it, covariance included, and its ``success`` is set only if every
+    scalar minimization converged.
     """
     dt = np.asarray(delta_t, dtype=float)
     tv = np.asarray(tau, dtype=float)
@@ -393,8 +358,13 @@ def discriminate_gamma(
         if corr[big] > 0 and 2.0 * corr[big] < 1.0 and u[big] > 0:
             guess = -2.0 * math.log(2.0 * corr[big]) / u[big]
         span = 6.0
+
+        def chi2(t):
+            r = _profiled_residuals(u, w, corr, se, tv, omega_q, 10.0**t)
+            return float(r @ r)
+
         res = optimize.minimize_scalar(
-            lambda t: _profiled_level_chi2(u, w, corr, se, tv, omega_q, 10.0**t),
+            chi2,
             bounds=(math.log10(guess) - span, math.log10(guess) + span),
             method="bounded",
             options={"xatol": 1e-10},
@@ -434,27 +404,21 @@ def discriminate_gamma(
         u, w = unit_chis(gamma, we_fit)
         level_fit, chi2_fit = best_level(u, w)
 
-        # covariance over (s0, omega_e) from the full 2-d chi2 surface
-        pars = (
-            FitParam("s0", level_fit * 1e-6, level_fit * 1e6),
-            FitParam("omega_e", we_fit * 1e-4, we_fit * 1e4),
-        )
-        x_best = np.array([math.log10(level_fit), math.log10(we_fit)])
-
-        def chi2_xy(x, gamma=gamma):
-            u2, w2 = unit_chis(gamma, 10.0 ** x[1])
-            return _profiled_level_chi2(u2, w2, corr, se, tv, omega_q, 10.0 ** x[0])
-
-        cov = _covariance(
-            chi2_xy,
-            x_best,
-            np.array([math.log10(p.lower) for p in pars]),
-            np.array([math.log10(p.upper) for p in pars]),
-            pars,
-        )
+        # residual Jacobian over (log10 s0, log10 omega_e) by central
+        # differences: chi is linear in the level, so the level column
+        # reuses (u, w), and the cutoff column costs two sweeps
+        x_fit = np.array([math.log10(level_fit), math.log10(we_fit)])
+        h = _FD_STEP * np.maximum(1.0, np.abs(x_fit))
+        sweeps = [unit_chis(gamma, 10.0 ** (x_fit[1] + s)) for s in (h[1], -h[1])]
+        r = [
+            _profiled_residuals(u, w, corr, se, tv, omega_q, 10.0 ** (x_fit[0] + s))
+            for s in (h[0], -h[0])
+        ]
+        r += [_profiled_residuals(*chis, corr, se, tv, omega_q, level_fit) for chis in sweeps]
+        jac = np.column_stack([r[0] - r[1], r[2] - r[3]]) / (2.0 * h)
         fits[gamma] = FitResult(
             values={"s0": level_fit, "omega_e": we_fit},
-            cov=cov,
+            cov=_covariance(jac, x_fit, (True, True)),
             chi2=chi2_fit,
             n_points=len(dt),
             n_eval=n_sweeps,

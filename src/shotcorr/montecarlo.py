@@ -23,7 +23,6 @@ flips does not perturb the trajectories.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,21 +234,33 @@ def records_from_csv(path, tau: float, cycle_period: float) -> list[ShotRecord]:
     ]
 
 
-def synthesize_modes(
-    spectrum: SpectrumModel, grid: GridSpec, duration: float, rng
-) -> ModeSet:
-    """Draw one trajectory realization on the resolved grid.
+def _mode_rms(spectrum: SpectrumModel, grid: GridSpec, duration: float):
+    """Frequencies and rms amplitudes of the resolved grid's modes, DC first.
 
     Cell rms come from the two-sided convention
     <beta^2> = (1/pi) integral S d omega: amp_k^2 = S(omega_k) dw_k / pi
     at the cell's log midpoint.  Frequencies below the grid floor enter
-    as a DC mode with the floor's share of the variance.
+    as a DC mode with the floor's share of the variance.  Both arrays
+    are read-only, since every record of a protocol shares them.
     """
     lo, omega, widths = grid.cells(spectrum, duration)
     amp = np.sqrt(spectrum.evaluate(omega[1:]) * widths / math.pi)
     # below-grid variance: S is flat under the floor by construction
     dc_amp = math.sqrt(spectrum.evaluate(lo) * lo / math.pi)
     amp = np.concatenate(([dc_amp], amp))
+    omega.flags.writeable = amp.flags.writeable = False
+    return omega, amp
+
+
+def synthesize_modes(
+    spectrum: SpectrumModel, grid: GridSpec, duration: float, rng, rms=None
+) -> ModeSet:
+    """Draw one trajectory realization on the resolved grid.
+
+    The mode amplitudes are standard normal draws scaled by the cell rms
+    of ``_mode_rms``; ``rms`` is its result when the caller holds it.
+    """
+    omega, amp = rms if rms is not None else _mode_rms(spectrum, grid, duration)
     u = rng.standard_normal(len(omega))
     v = rng.standard_normal(len(omega))
     return ModeSet(omega, amp, u, v)
@@ -264,9 +275,16 @@ def _phase_table(omega: np.ndarray, cycle_period: float):
     arg = omega[:, None] * (np.arange(_BLOCK) * cycle_period)[None, :]
     m_cos = np.cos(arg)
     m_sin = np.sin(arg, out=arg)
-    # shared by concurrent records: no reader may write to it
+    # shared by every record of a protocol: no reader may write to it
     m_cos.flags.writeable = m_sin.flags.writeable = False
     return m_cos, m_sin
+
+
+def _protocol_share(spectrum, protocol, grid, independent_cycles):
+    """``(rms, table)`` for every record of a protocol; no table for independent cycles."""
+    rms = _mode_rms(spectrum, grid, protocol.duration)
+    table = None if independent_cycles else _phase_table(rms[0], protocol.cycle_period)
+    return rms, table
 
 
 def accumulated_phases(modes: ModeSet, protocol: Protocol, table=None) -> np.ndarray:
@@ -324,7 +342,7 @@ def run_record(
     seed: int,
     record_index: int = 0,
     independent_cycles: bool = False,
-    table=None,
+    shared=None,
 ) -> ShotRecord:
     """Simulate one record; deterministic in (seed, record_index).
 
@@ -332,13 +350,15 @@ def run_record(
     readout projection and the readout flips decoupled.  With
     ``independent_cycles`` every cycle draws its own trajectory, a
     diagnostics mode that deliberately destroys the delay dependence.
-    ``table`` is passed on to ``accumulated_phases``; it does not change
-    the outcomes.
+    ``shared`` is the protocol's mode rms and phase table as
+    ``run_protocol`` builds them once for all its records; it is built
+    here when None and does not change the outcomes.
     """
     ss = np.random.SeedSequence(seed, spawn_key=(record_index,))
     traj_ss, readout_ss, flip_ss = ss.spawn(3)
+    rms, table = shared or _protocol_share(spectrum, protocol, grid, independent_cycles)
     rng_traj = np.random.Generator(np.random.PCG64(traj_ss))
-    modes = synthesize_modes(spectrum, grid, protocol.duration, rng_traj)
+    modes = synthesize_modes(spectrum, grid, protocol.duration, rng_traj, rms)
     if independent_cycles:
         phases = accumulated_phases_independent(modes, protocol, rng_traj)
     else:
@@ -361,30 +381,21 @@ def run_protocol(
     n_records: int,
     seed: int,
     grid: GridSpec | None = None,
-    threads: int | None = None,
     independent_cycles: bool = False,
 ) -> list[ShotRecord]:
-    """Simulate ``n_records`` independent records, in submission order.
+    """Simulate ``n_records`` independent records, in order.
 
-    The phase table is built once here and read, never written, by every
-    record, so the worker threads share one copy.
+    The mode rms and the phase table are built once here and read, never
+    written, by every record.
     """
     if n_records < 1:
         raise ValueError("n_records must be positive")
     grid = grid if grid is not None else GridSpec()
-    table = None
-    if not independent_cycles:
-        omega = grid.cells(spectrum, protocol.duration)[1]
-        table = _phase_table(omega, protocol.cycle_period)
-    args = (spectrum, protocol, grid, seed)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_record, *args, i, independent_cycles, table)
-                for i in range(n_records)
-            ]
-            return [f.result() for f in futures]
-    return [run_record(*args, i, independent_cycles, table) for i in range(n_records)]
+    shared = _protocol_share(spectrum, protocol, grid, independent_cycles)
+    return [
+        run_record(spectrum, protocol, grid, seed, i, independent_cycles, shared)
+        for i in range(n_records)
+    ]
 
 
 def _blocking_stderr(x: np.ndarray) -> float:

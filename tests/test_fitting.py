@@ -280,6 +280,105 @@ class TestFit:
         for key in ("values", "errors", "chi2", "dof", "n_points", "success"):
             assert key in d
 
+    def test_bookkeeping_counts_model_evaluations(self, monkeypatch):
+        # n_eval counts every residual evaluation, Jacobian columns included
+        calls = []
+
+        def counted(problem, values, quad=None):
+            calls.append(values)
+            return original(problem, values, quad)
+
+        original = fitting.predict
+        monkeypatch.setattr(fitting, "predict", counted)
+        res = fit(white_problem(noise_seed=10), init={"level": 5.0e3}, n_starts=1, quad=QUICK)
+        assert res.n_eval > 0
+        assert res.n_eval == len(calls)
+
+
+def _internal_hessian(chi2, x, h):
+    """Central-difference Hessian of ``chi2`` at ``x`` with steps ``h``."""
+    d = len(x)
+    hess = np.empty((d, d))
+    f0 = chi2(x)
+    for i in range(d):
+        ei = np.eye(d)[i] * h[i]
+        hess[i, i] = (chi2(x + ei) - 2.0 * f0 + chi2(x - ei)) / h[i] ** 2
+        for j in range(i + 1, d):
+            ej = np.eye(d)[j] * h[j]
+            hess[i, j] = hess[j, i] = (
+                chi2(x + ei + ej) - chi2(x + ei - ej) - chi2(x - ei + ej) + chi2(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return hess
+
+
+def _hessian_covariance(prob, values, h=1.0e-3):
+    """2 * inv(H) of chi_squared over log10 coordinates, in natural units."""
+    names = list(values)
+    x = np.log10([values[n] for n in names])
+
+    def chi2(xv):
+        return chi_squared(prob, dict(zip(names, 10.0**xv)), quad=QUICK)
+
+    hess = _internal_hessian(chi2, x, np.full(len(x), h))
+    scale = np.log(10.0) * 10.0**x
+    return 2.0 * np.linalg.inv(hess) * np.outer(scale, scale)
+
+
+class TestCovariance:
+    """On noise-free data the Gauss-Newton covariance is 2 * inv(Hessian)."""
+
+    def test_fit_matches_hessian(self):
+        truth = lorentzian_family({"s0": 4.0e3, "omega_e": 2.0e6})
+        tau = 5.0e-4
+        dts = np.geomspace(1.0e-6, 1.0e-3, 5)
+        prob = FitProblem(
+            delta_t=dts,
+            tau=np.full(5, tau),
+            correlation=analytic_curve(truth, tau, dts, quad=QUICK),
+            stderr=np.full(5, 0.01),
+            build=lorentzian_family,
+            params=(FitParam("s0", 1.0e2, 1.0e5), FitParam("omega_e", 1.0e5, 1.0e8)),
+        )
+        init = {"s0": 4.0e3, "omega_e": 2.0e6}
+        res = fit(prob, init=init, n_starts=1, max_eval=50, quad=QUICK)
+        assert res.chi2 < 1.0e-10
+        ref = _hessian_covariance(prob, res.values)
+        assert np.allclose(res.cov, ref, rtol=0.02, atol=0.0)
+
+    def test_discriminate_gamma_matches_hessian(self):
+        from shotcorr.schedules import tau_constant_contrast
+        from shotcorr.spectra import coupling_from_g
+
+        wl, we = 2.0 * math.pi * 0.1, 2.0 * math.pi * 1.0e4
+        c = coupling_from_g(-0.44)
+        truth = OverhauserModel.from_rms(7.0e-3, wl, we, 1.0, c)
+        dts = np.array([5.0e-6, 1.0e-5, 2.0e-5, 1.0e-3])
+        taus = np.array([tau_constant_contrast(truth, dt, target=2.0) for dt in dts])
+        corr = np.array(
+            [
+                autocorrelation_analytic(truth, EvolutionPair(t, dt), quad=QUICK)
+                for t, dt in zip(taus, dts)
+            ]
+        )
+        se = np.full(len(dts), 5.0e-4)
+        decision = discriminate_gamma(
+            dts, taus, corr, se, omega_l=wl, coupling_c=c, gammas=(1.0,), quad=QUICK
+        )
+        res = decision.fits[1.0]
+        assert res.chi2 < 1.0e-6
+        # chi is linear in s0, so chi_squared of the full model is the
+        # profiled chi2 of the fit
+        prob = FitProblem(
+            delta_t=dts,
+            tau=taus,
+            correlation=corr,
+            stderr=se,
+            build=lambda v: OverhauserModel(v["s0"], wl, v["omega_e"], 1.0, c),
+            params=(FitParam("s0", 1.0e-8, 1.0), FitParam("omega_e", 1.0e3, 1.0e7)),
+        )
+        ref = _hessian_covariance(prob, res.values)
+        assert np.allclose(res.cov, ref, rtol=0.02, atol=0.0)
+
 
 class TestDiscriminateGamma:
     def test_plateau_only_data_indeterminate(self):

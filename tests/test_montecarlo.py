@@ -180,8 +180,8 @@ class TestDeterminism:
     def test_same_seed_same_records(self):
         m = sampling_zoo()[1]
         prot = Protocol(tau=5.0e-4, cycle_period=2.0e-3, n_cycles=64)
-        a = run_protocol(m, prot, 6, seed=42, grid=GridSpec(n_modes=512), threads=1)
-        b = run_protocol(m, prot, 6, seed=42, grid=GridSpec(n_modes=512), threads=4)
+        a = run_protocol(m, prot, 6, seed=42, grid=GridSpec(n_modes=512))
+        b = run_protocol(m, prot, 6, seed=42, grid=GridSpec(n_modes=512))
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.outcomes, rb.outcomes)
 
@@ -208,15 +208,12 @@ class TestSharedPhaseTable:
         qubit = QubitParams(omega_q=300.0, readout_flip_prob=flip)
         return Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=600, qubit=qubit)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("flip, independent", [(0.0, False), (0.2, False), (0.0, True)])
-    def test_records_equal_standalone_records(self, threads, flip, independent):
+    def test_records_equal_standalone_records(self, flip, independent):
         m = sampling_zoo()[1]
         prot = self.protocol(flip)
         grid = GridSpec(n_modes=512)
-        recs = run_protocol(
-            m, prot, 3, seed=21, grid=grid, threads=threads, independent_cycles=independent
-        )
+        recs = run_protocol(m, prot, 3, seed=21, grid=grid, independent_cycles=independent)
         for i, rec in enumerate(recs):
             alone = run_record(
                 m, prot, grid, seed=21, record_index=i, independent_cycles=independent
@@ -236,35 +233,44 @@ class TestSharedPhaseTable:
             assert shared.tobytes() == accumulated_phases(modes, prot).tobytes()
 
     @pytest.mark.parametrize(
-        "n_records, threads, independent, builds",
-        [(1, None, False, 1), (5, None, False, 1), (5, 2, False, 1), (5, None, True, 0)],
+        "n_records, independent, builds", [(1, False, 1), (5, False, 1), (5, True, 0)]
     )
-    def test_one_table_per_protocol(self, monkeypatch, n_records, threads, independent, builds):
+    def test_one_table_per_protocol(self, monkeypatch, n_records, independent, builds):
+        # the phase table and the mode rms, DC term included, are built
+        # once per protocol: one table, and one grid-wide and one floor
+        # evaluation of the spectrum, whatever the record count
         calls = []
+        sizes = []
         build = montecarlo._phase_table
+        evaluate = WhiteModel.evaluate
 
         def counted(omega, cycle_period):
             calls.append(cycle_period)
             return build(omega, cycle_period)
 
+        def counted_evaluate(self, omega):
+            sizes.append(np.size(omega))
+            return evaluate(self, omega)
+
         monkeypatch.setattr(montecarlo, "_phase_table", counted)
+        monkeypatch.setattr(WhiteModel, "evaluate", counted_evaluate)
         run_protocol(
             sampling_zoo()[0],
             Protocol(tau=2.0e-4, cycle_period=1.0e-3, n_cycles=64),
             n_records,
             seed=4,
             grid=GridSpec(n_modes=256),
-            threads=threads,
             independent_cycles=independent,
         )
         assert len(calls) == builds
+        assert sorted(sizes) == [1, 256]
 
 
 class TestAgainstAnalytic:
     def test_lorentzian_type(self):
         m = sampling_zoo()[1]
         prot = Protocol(tau=5.0e-4, cycle_period=2.0e-3, n_cycles=500)
-        recs = run_protocol(m, prot, 40, seed=11, threads=4)
+        recs = run_protocol(m, prot, 40, seed=11)
         curve = correlation_curve(recs, [1, 2, 5])
         for dt, corr, se in zip(curve.delta_t, curve.correlation, curve.stderr):
             ref = autocorrelation_analytic(m, EvolutionPair(5.0e-4, dt))
@@ -273,7 +279,7 @@ class TestAgainstAnalytic:
     def test_white(self):
         m = sampling_zoo()[0]
         prot = Protocol(tau=2.0e-4, cycle_period=1.0e-3, n_cycles=500)
-        recs = run_protocol(m, prot, 40, seed=12, threads=4)
+        recs = run_protocol(m, prot, 40, seed=12)
         curve = correlation_curve(recs, [1, 3])
         for dt, corr, se in zip(curve.delta_t, curve.correlation, curve.stderr):
             ref = autocorrelation_analytic(m, EvolutionPair(2.0e-4, dt))
@@ -289,10 +295,10 @@ class TestAgainstAnalytic:
             qubit=QubitParams(readout_flip_prob=0.25),
         )
         ideal = correlation_curve(
-            run_protocol(m, base, 30, seed=13, threads=4), [1]
+            run_protocol(m, base, 30, seed=13), [1]
         )
         raw = correlation_curve(
-            run_protocol(m, flipped, 30, seed=13, threads=4), [1]
+            run_protocol(m, flipped, 30, seed=13), [1]
         )
         scale = (1.0 - 2.0 * 0.25) ** 2
         combined = math.hypot(raw.stderr[0], scale * ideal.stderr[0])
@@ -306,7 +312,7 @@ class TestAgainstAnalytic:
             n_cycles=500,
             qubit=QubitParams(readout_flip_prob=0.25),
         )
-        recs = run_protocol(m, flipped, 30, seed=13, threads=4)
+        recs = run_protocol(m, flipped, 30, seed=13)
         raw = correlation_curve(recs, [1])
         corrected = correlation_curve(recs, [1], correct_epsilon=0.25)
         assert corrected.correlation[0] == pytest.approx(
@@ -319,7 +325,7 @@ class TestAgainstAnalytic:
     def test_stationarity_between_record_halves(self):
         m = sampling_zoo()[1]
         prot = Protocol(tau=5.0e-4, cycle_period=2.0e-3, n_cycles=500)
-        recs = run_protocol(m, prot, 32, seed=14, threads=4)
+        recs = run_protocol(m, prot, 32, seed=14)
         first = correlation_curve(recs[:16], [1])
         second = correlation_curve(recs[16:], [1])
         combined = math.hypot(first.stderr[0], second.stderr[0])
