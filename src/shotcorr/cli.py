@@ -107,6 +107,14 @@ def _section(config, name):
     return sec
 
 
+def _optional_section(config, name, path=None):
+    """``config[name]``, or {} when absent; ``path`` names it in the message."""
+    sec = config.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"config section '{path or name}' must be an object")
+    return sec
+
+
 def _field(sec, secname, key, kind=float, default=_REQUIRED):
     if key not in sec:
         if default is _REQUIRED:
@@ -193,9 +201,7 @@ def build_spectrum(config):
 
 
 def build_qubit(config):
-    sec = config.get("qubit", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("config section 'qubit' must be an object")
+    sec = _optional_section(config, "qubit")
     return QubitParams(
         omega_q=_field(sec, "qubit", "omega_q", float, 0.0),
         coupling_c=_field(sec, "qubit", "coupling_c", float, 1.0),
@@ -286,7 +292,7 @@ def _protocol_from_config(config):
         lags = [m for m in (1, 2, 3, 5, 8) if m < prot.n_cycles]
     else:
         lags = _number_list(lags, "protocol.lags", int)
-    grid_sec = config.get("grid", {})
+    grid_sec = _optional_section(config, "grid")
     grid = GridSpec(
         n_modes=_field(grid_sec, "grid", "n_modes", int, 4096),
         omega_min=_field(grid_sec, "grid", "omega_min", float, None),
@@ -307,33 +313,13 @@ def cmd_simulate(config, args):
     records = run_protocol(spectrum, prot, n_records, seed=args.seed, grid=grid)
     raw = correlation_curve(records, lags)
     header = ["delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"]
-    rows = []
+    columns = [raw.delta_t, raw.tau, raw.correlation, raw.stderr, raw.n_pairs]
     if eps > 0.0:
+        # the corrected estimates take the lead columns; the raw ones follow
         corrected = correlation_curve(records, lags, correct_epsilon=eps)
         header += ["correlation_raw", "stderr_raw"]
-        for i in range(len(lags)):
-            rows.append(
-                [
-                    corrected.delta_t[i],
-                    corrected.tau[i],
-                    corrected.correlation[i],
-                    corrected.stderr[i],
-                    corrected.n_pairs[i],
-                    raw.correlation[i],
-                    raw.stderr[i],
-                ]
-            )
-    else:
-        for i in range(len(lags)):
-            rows.append(
-                [
-                    raw.delta_t[i],
-                    raw.tau[i],
-                    raw.correlation[i],
-                    raw.stderr[i],
-                    raw.n_pairs[i],
-                ]
-            )
+        columns[2:4] = [corrected.correlation, corrected.stderr]
+        columns += [raw.correlation, raw.stderr]
     rec_path = _records_path(args.out)
     records_to_csv(records, rec_path)
     _write_sidecar(
@@ -346,7 +332,7 @@ def cmd_simulate(config, args):
             "seed": args.seed,
         },
     )
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, zip(*columns))
     notes = {"seed": args.seed, "records_csv": os.path.basename(rec_path)}
     if eps > 0.0:
         notes["fidelity"] = (
@@ -433,7 +419,7 @@ def cmd_fit(config, args):
             raise ConfigError(
                 "config field 'fit.free' must map parameter names to [lower, upper]"
             )
-        fixed = sec.get("fixed", {})
+        fixed = _optional_section(sec, "fixed", "fit.fixed")
         params = []
         for name, bounds in free.items():
             try:
@@ -476,8 +462,7 @@ def cmd_fit(config, args):
     atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _figure_model(config, secname, rms_default, gamma=1.0, omega_e_scale=1.0):
-    sec = config.get(secname, {})
+def _figure_model(sec, secname, rms_default, gamma=1.0, omega_e_scale=1.0):
     omega_l = _field(sec, secname, "omega_l", float, TWO_PI * 0.1)
     omega_e = _field(sec, secname, "omega_e", float, TWO_PI * 1.0e4) * omega_e_scale
     g = _field(sec, secname, "g_factor", float, -0.44)
@@ -489,9 +474,9 @@ def cmd_figure2(config, args):
     # correlator vs delay for a ladder of evolution times; no canonical
     # rms amplitude exists, so the default is an assumption recorded in
     # the sidecar
-    sec = config.get("figure2", {})
+    sec = _optional_section(config, "figure2")
     rms_default = 3.0e-5
-    model = _figure_model(config, "figure2", rms_default)
+    model = _figure_model(sec, "figure2", rms_default)
     taus = (
         _number_list(sec["tau"], "figure2.tau")
         if "tau" in sec
@@ -523,7 +508,7 @@ def cmd_figure2(config, args):
 def cmd_figure3a(config, args):
     # constant-contrast curves for four spectrum variants sharing the
     # gamma=1 schedule: gamma1, gamma2, doubled cutoff, and no cutoff
-    sec = config.get("figure3a", {})
+    sec = _optional_section(config, "figure3a")
     rms_default = 7.0e-3
     dts = (
         _grid_values(sec, "figure3a", "delta_t")
@@ -531,12 +516,12 @@ def cmd_figure3a(config, args):
         else np.geomspace(1.0e-5, 20.0, 40)
     )
     target = _field(sec, "figure3a", "target", float, 2.0)
-    base = _figure_model(config, "figure3a", rms_default, gamma=1.0)
+    base = _figure_model(sec, "figure3a", rms_default, gamma=1.0)
     sched = constant_contrast_schedule(base, dts, target=target)
     variants = {
         "gamma1": base,
-        "gamma2": _figure_model(config, "figure3a", rms_default, gamma=2.0),
-        "omega_e_x2": _figure_model(config, "figure3a", rms_default, omega_e_scale=2.0),
+        "gamma2": _figure_model(sec, "figure3a", rms_default, gamma=2.0),
+        "omega_e_x2": _figure_model(sec, "figure3a", rms_default, omega_e_scale=2.0),
         "no_cutoff": OverhauserModel(
             s0=base.s0,
             omega_l=base.omega_l,
@@ -564,7 +549,7 @@ def cmd_figure3a(config, args):
 
 def cmd_figure3b(config, args):
     # pair exponent along the 1/f schedule for slopes around 1
-    sec = config.get("figure3b", {})
+    sec = _optional_section(config, "figure3b")
     level = _field(sec, "figure3b", "level", float, 1.0e-7)
     variant = _field(sec, "figure3b", "variant", str, "exact")
     alphas = _number_list(sec.get("alpha", [0.9, 1.0, 1.1]), "figure3b.alpha")

@@ -260,7 +260,9 @@ def _covariance(jac, x, log_scale):
     vals, vecs = np.linalg.eigh(jac.T @ jac)
     vals = np.maximum(vals, max(1e-12 * np.abs(vals).max(), 1e-300))
     scale = np.array([10.0**v * math.log(10.0) if lg else 1.0 for v, lg in zip(x, log_scale)])
-    return (vecs / vals) @ vecs.T * np.outer(scale, scale)
+    # the two products behind each off-diagonal pair round differently
+    cov = (vecs / vals) @ vecs.T
+    return 0.5 * (cov + cov.T) * np.outer(scale, scale)
 
 
 # ---------------------------------------------------------------------------

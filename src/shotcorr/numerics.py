@@ -115,52 +115,80 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# the embedded Gauss-Legendre pair of integrate_spectral: (nodes, weights)
+_GAUSS8 = np.polynomial.legendre.leggauss(8)
+_GAUSS16 = np.polynomial.legendre.leggauss(16)
 
 
-def _gauss(order):
-    try:
-        return _gauss_cache[order]
-    except KeyError:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _gauss_cache[order] = (x, w)
-        return x, w
+def _panel_grid(spec, breakpoints, period, name):
+    """Log edges of the window with the kinks pinned, and sub-panels per gap.
 
-
-def _require_window(spec):
+    The counts (floats holding integers) cap every sub-panel at half of
+    ``period``; they are None when ``period`` is None or infinite, and
+    every gap then stays one panel.  ``name`` labels the positivity check.
+    """
     if spec.omega_min is None or spec.omega_max is None:
         raise ValueError("QuadratureSpec needs omega_min and omega_max set")
-    return float(spec.omega_min), float(spec.omega_max)
-
-
-def _log_edges(a, b, per_decade=8):
-    # geometric edges; a == 0 handled with one stub panel at the bottom
+    a, b = float(spec.omega_min), float(spec.omega_max)
+    # 8 geometric edges per decade; a == 0 gets one stub panel at the bottom
     lo = a if a > 0 else b * 1e-14
-    n = max(1, int(math.ceil(per_decade * math.log10(b / lo))))
-    edges = np.geomspace(lo, b, n + 1)
+    edges = np.geomspace(lo, b, max(1, int(math.ceil(8 * math.log10(b / lo)))) + 1)
     if a < lo:
         edges = np.concatenate(([a], edges))
     edges[0], edges[-1] = a, b
-    return edges
+    pts = [p for p in breakpoints if a < p < b]
+    if pts:
+        edges = np.unique(np.concatenate([edges, np.asarray(pts, dtype=float)]))
+    if period is None or not math.isfinite(period):
+        return edges, None
+    if period <= 0:
+        raise ValueError(f"{name} must be positive")
+    return edges, np.maximum(1.0, np.ceil(np.diff(edges) / (period / 2.0)))
+
+
+def _subdivide(edges, n_sub):
+    """Split gap i of ``edges`` into ``n_sub[i]`` equal panels; returns the edges.
+
+    Bit for bit what ``np.linspace(p, q, n + 1)`` gives per gap:
+    ``k * ((q - p) / n) + p``, with the last edge pinned (linspace's
+    special path for a step that underflows to zero is not reproduced).
+    """
+    n = np.asarray(n_sub, dtype=np.int64)
+    first = np.repeat(np.cumsum(n) - n, n)
+    k = (np.arange(len(first)) - first).astype(float)
+    out = np.empty(len(first) + 1)
+    out[:-1] = k * np.repeat(np.diff(edges) / n, n) + np.repeat(edges[:-1], n)
+    out[-1] = edges[-1]
+    return out
 
 
 # evaluation batch size; bounds peak memory at ~ _CHUNK * order doubles
 _CHUNK = 65536
 
 
-def _panel_eval(f, lo, hi, order):
-    """Gauss values of sum(f) on a batch of panels.  Returns per-panel sums."""
-    x, w = _gauss(order)
-    out = np.empty(len(lo))
+def _node_chunks(f, lo, hi, x):
+    """Integrand on Gauss nodes ``x`` of panels [lo, hi], a chunk at a time.
+
+    Yields ``(chunk, mid, half, vals)``: the panel slice, panel centres and
+    half-widths, and the values with one row per panel.
+    """
     for s in range(0, len(lo), _CHUNK):
-        e = s + _CHUNK
-        mid = 0.5 * (lo[s:e] + hi[s:e])
-        half = 0.5 * (hi[s:e] - lo[s:e])
+        chunk = slice(s, s + _CHUNK)
+        mid = 0.5 * (lo[chunk] + hi[chunk])
+        half = 0.5 * (hi[chunk] - lo[chunk])
         nodes = mid[:, None] + half[:, None] * x[None, :]
         vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand returned a non-finite value")
-        out[s:e] = half * (vals @ w)
+        yield chunk, mid, half, vals
+
+
+def _panel_eval(f, lo, hi, rule):
+    """Gauss values of sum(f) on a batch of panels.  Returns per-panel sums."""
+    x, w = rule
+    out = np.empty(len(lo))
+    for chunk, _, half, vals in _node_chunks(f, lo, hi, x):
+        out[chunk] = half * (vals @ w)
     return out
 
 
@@ -194,37 +222,18 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
         If the tolerance cannot be met within ``max_panels``; the partial
         value and estimate ride along on the exception.
     """
-    a, b = _require_window(spec)
-    edges = _log_edges(a, b)
-    pts = [p for p in breakpoints if a < p < b]
-    if pts:
-        edges = np.unique(np.concatenate([edges, np.asarray(pts, dtype=float)]))
+    edges, n_sub = _panel_grid(spec, breakpoints, osc_period_hint, "osc_period_hint")
+    if n_sub is not None:
+        total = n_sub.sum()
+        if total > spec.max_panels:
+            # share the budget; order-16 panels stay accurate to ~2 periods,
+            # refinement below picks up whatever this leaves behind
+            n_sub = np.maximum(1.0, np.floor(n_sub * (spec.max_panels / total)))
+        edges = _subdivide(edges, n_sub)
+    lo, hi = edges[:-1], edges[1:]
 
-    if osc_period_hint is not None and math.isfinite(osc_period_hint):
-        if osc_period_hint <= 0:
-            raise ValueError("osc_period_hint must be positive")
-        cap = osc_period_hint / 2.0
-    else:
-        cap = math.inf
-    widths = np.diff(edges)
-    n_sub = np.maximum(1, np.ceil(widths / cap)).astype(int) if math.isfinite(cap) else np.ones(len(widths), dtype=int)
-    total = int(n_sub.sum())
-    if total > spec.max_panels:
-        # share the budget; order-16 panels stay accurate to ~2 periods,
-        # refinement below picks up whatever this leaves behind
-        scale = spec.max_panels / total
-        n_sub = np.maximum(1, (n_sub * scale).astype(int))
-    lo_list = []
-    hi_list = []
-    for (p, q), n in zip(zip(edges[:-1], edges[1:]), n_sub):
-        sub = np.linspace(p, q, n + 1)
-        lo_list.append(sub[:-1])
-        hi_list.append(sub[1:])
-    lo = np.concatenate(lo_list)
-    hi = np.concatenate(hi_list)
-
-    coarse = _panel_eval(f, lo, hi, 8)
-    fine = _panel_eval(f, lo, hi, 16)
+    coarse = _panel_eval(f, lo, hi, _GAUSS8)
+    fine = _panel_eval(f, lo, hi, _GAUSS16)
     err = np.abs(fine - coarse)
 
     for _ in range(60):
@@ -248,8 +257,8 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
         new_hi = np.concatenate([mid, hi[worst]])
         keep = np.ones(len(lo), dtype=bool)
         keep[worst] = False
-        ncoarse = _panel_eval(f, new_lo, new_hi, 8)
-        nfine = _panel_eval(f, new_lo, new_hi, 16)
+        ncoarse = _panel_eval(f, new_lo, new_hi, _GAUSS8)
+        nfine = _panel_eval(f, new_lo, new_hi, _GAUSS16)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         coarse = np.concatenate([coarse[keep], ncoarse])
@@ -286,17 +295,7 @@ _odd_sign = (-1.0) ** ((_odd_n - 1) // 2)
 def _filon_pass(f, edges, t_cos):
     """One Filon sweep over fixed panels.  Exact in the cosine factor."""
     total = 0.0
-    n_panels = len(edges) - 1
-    for s in range(0, n_panels, _CHUNK):
-        e = min(s + _CHUNK, n_panels)
-        lo = edges[s:e]
-        hi = edges[s + 1 : e + 1]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * _filon_nodes[None, :]
-        vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned a non-finite value")
+    for _, mid, half, vals in _node_chunks(f, edges[:-1], edges[1:], _filon_nodes):
         coeff = vals @ _filon_proj.T  # (panels, order): Legendre coefficients
         theta = half * t_cos
         # moments: integral of P_n(u) cos(theta u) resp. sin(theta u) on [-1, 1]
@@ -343,31 +342,16 @@ def filon_cos_integral(
         measured.  Useful when the transform is a small correction to a
         larger assembled quantity.
     """
-    a, b = _require_window(spec)
     if t_cos < 0:
         raise ValueError("t_cos must be nonnegative")
-    edges = _log_edges(a, b)
-    pts = [p for p in breakpoints if a < p < b]
-    if pts:
-        edges = np.unique(np.concatenate([edges, np.asarray(pts, dtype=float)]))
-    if envelope_period is not None and math.isfinite(envelope_period):
-        if envelope_period <= 0:
-            raise ValueError("envelope_period must be positive")
-        cap = envelope_period / 2.0
-        refined = [edges[:1]]
-        for p, q in zip(edges[:-1], edges[1:]):
-            width = q - p
-            if width > cap:
-                n_sub = int(math.ceil(width / cap))
-                refined.append(np.linspace(p, q, n_sub + 1)[1:])
-            else:
-                refined.append(np.array([q]))
-        edges = np.concatenate(refined)
-        if len(edges) - 1 > spec.max_panels:
+    edges, n_sub = _panel_grid(spec, breakpoints, envelope_period, "envelope_period")
+    if n_sub is not None:
+        if n_sub.sum() > spec.max_panels:
             raise QuadratureError(
                 "envelope oscillation needs more than max_panels="
                 f"{spec.max_panels} panels"
             )
+        edges = _subdivide(edges, n_sub)
 
     prev = _filon_pass(f, edges, t_cos)
     for _ in range(24):

@@ -588,6 +588,34 @@ class TestListFields:
         assert field in err
 
 
+def _fixed(tmp_path, value):
+    sec = {"input": _alpha_curve(tmp_path), "mode": "fit", "family": "white"}
+    return {"fit": dict(sec, free={"level": [1e1, 1e5]}, fixed=value)}
+
+
+# (command, config builder, section): a section that may be left out must
+# still be an object when it is given
+_BAD_SECTIONS = [
+    ("simulate", lambda d, v: TestSimulateCommand().sim_config(grid=v), "grid"),
+    ("simulate", lambda d, v: TestSimulateCommand().sim_config(qubit=v), "qubit"),
+    ("figure2", lambda d, v: {"figure2": v}, "figure2"),
+    ("figure3a", lambda d, v: {"figure3a": v}, "figure3a"),
+    ("figure3b", lambda d, v: {"figure3b": v}, "figure3b"),
+    ("fit", _fixed, "fit.fixed"),
+]
+
+
+class TestOptionalSections:
+    @pytest.mark.parametrize(
+        "command, build, section", _BAD_SECTIONS, ids=[case[2] for case in _BAD_SECTIONS]
+    )
+    @pytest.mark.parametrize("value", [5, [1]], ids=["number", "list"])
+    def test_non_object_exits_with_message(self, tmp_path, capsys, command, build, section, value):
+        cfg = write_config(tmp_path / "c.json", build(tmp_path, value))
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        assert capsys.readouterr().err == f"error: config section '{section}' must be an object\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "s.json"

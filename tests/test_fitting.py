@@ -324,6 +324,28 @@ def _hessian_covariance(prob, values, h=1.0e-3):
     return 2.0 * np.linalg.inv(hess) * np.outer(scale, scale)
 
 
+def _constant_contrast_curve(noise_seed=None):
+    """A gamma = 1 constant-contrast curve: (dts, taus, corr, stderr, omega_l, c)."""
+    from shotcorr.schedules import tau_constant_contrast
+    from shotcorr.spectra import coupling_from_g
+
+    wl, we = 2.0 * math.pi * 0.1, 2.0 * math.pi * 1.0e4
+    c = coupling_from_g(-0.44)
+    truth = OverhauserModel.from_rms(7.0e-3, wl, we, 1.0, c)
+    dts = np.array([5.0e-6, 1.0e-5, 2.0e-5, 1.0e-3])
+    taus = np.array([tau_constant_contrast(truth, dt, target=2.0) for dt in dts])
+    corr = np.array(
+        [
+            autocorrelation_analytic(truth, EvolutionPair(t, dt), quad=QUICK)
+            for t, dt in zip(taus, dts)
+        ]
+    )
+    se = np.full(len(dts), 5.0e-4)
+    if noise_seed is not None:
+        corr = corr + np.random.default_rng(noise_seed).normal(0.0, se)
+    return dts, taus, corr, se, wl, c
+
+
 class TestCovariance:
     """On noise-free data the Gauss-Newton covariance is 2 * inv(Hessian)."""
 
@@ -344,23 +366,11 @@ class TestCovariance:
         assert res.chi2 < 1.0e-10
         ref = _hessian_covariance(prob, res.values)
         assert np.allclose(res.cov, ref, rtol=0.02, atol=0.0)
+        # unsymmetrized, this case's off-diagonals differ in the last bit
+        assert np.array_equal(res.cov, res.cov.T)
 
     def test_discriminate_gamma_matches_hessian(self):
-        from shotcorr.schedules import tau_constant_contrast
-        from shotcorr.spectra import coupling_from_g
-
-        wl, we = 2.0 * math.pi * 0.1, 2.0 * math.pi * 1.0e4
-        c = coupling_from_g(-0.44)
-        truth = OverhauserModel.from_rms(7.0e-3, wl, we, 1.0, c)
-        dts = np.array([5.0e-6, 1.0e-5, 2.0e-5, 1.0e-3])
-        taus = np.array([tau_constant_contrast(truth, dt, target=2.0) for dt in dts])
-        corr = np.array(
-            [
-                autocorrelation_analytic(truth, EvolutionPair(t, dt), quad=QUICK)
-                for t, dt in zip(taus, dts)
-            ]
-        )
-        se = np.full(len(dts), 5.0e-4)
+        dts, taus, corr, se, wl, c = _constant_contrast_curve()
         decision = discriminate_gamma(
             dts, taus, corr, se, omega_l=wl, coupling_c=c, gammas=(1.0,), quad=QUICK
         )
@@ -378,6 +388,13 @@ class TestCovariance:
         )
         ref = _hessian_covariance(prob, res.values)
         assert np.allclose(res.cov, ref, rtol=0.02, atol=0.0)
+
+    def test_discriminate_gamma_cov_exactly_symmetric(self):
+        # with this noise draw the unsymmetrized off-diagonals differ in the last bit
+        dts, taus, corr, se, wl, c = _constant_contrast_curve(noise_seed=0)
+        decision = discriminate_gamma(dts, taus, corr, se, omega_l=wl, coupling_c=c, quad=QUICK)
+        for res in decision.fits.values():
+            assert np.array_equal(res.cov, res.cov.T)
 
 
 class TestDiscriminateGamma:

@@ -17,6 +17,7 @@ from shotcorr.numerics import (
     lambert_w,
     lambert_w_m1,
 )
+from shotcorr.numerics import _subdivide
 
 
 def _spec(lo, hi, rel_tol=1e-8, **kw):
@@ -147,6 +148,44 @@ class TestFilonCosIntegral:
             scale_hint=5.0,
         )
         assert res.value == pytest.approx(ref, abs=1e-8)
+
+
+def _linspace_edges(edges, counts):
+    """Per-gap np.linspace, joined: the reference for _subdivide."""
+    parts = [np.linspace(p, q, n + 1)[:-1] for p, q, n in zip(edges[:-1], edges[1:], counts)]
+    return np.concatenate(parts + [edges[-1:]])
+
+
+class TestPanelGrid:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subdivide_matches_linspace(self, seed):
+        rng = np.random.default_rng(seed)
+        n_gaps = int(rng.integers(1, 200))
+        edges = np.concatenate(([0.0], np.sort(10.0 ** rng.uniform(-14, 14, n_gaps))))
+        edges = np.unique(edges)
+        counts = rng.integers(1, 40, len(edges) - 1)
+        counts[rng.integers(0, len(counts), 3)] = 1
+        counts[rng.integers(0, len(counts))] = int(rng.integers(10_001, 50_000))
+        out = _subdivide(edges, counts.astype(float))
+        assert np.array_equal(out, _linspace_edges(edges, counts))
+
+    @pytest.mark.parametrize(
+        "kernel, period, error, message",
+        [
+            ("spectral", 0.0, ValueError, "osc_period_hint must be positive"),
+            ("spectral", -1.0, ValueError, "osc_period_hint must be positive"),
+            ("filon", 0.0, ValueError, "envelope_period must be positive"),
+            ("filon", -2.0, ValueError, "envelope_period must be positive"),
+            ("filon", 1e-3, QuadratureError, "envelope oscillation needs more than max_panels=1000"),
+        ],
+    )
+    def test_grid_checks(self, kernel, period, error, message):
+        fn, spec = lambda w: np.exp(-w), _spec(0.0, 10.0, max_panels=1000)
+        with pytest.raises(error, match=message):
+            if kernel == "spectral":
+                integrate_spectral(fn, period, spec)
+            else:
+                filon_cos_integral(fn, 1.0, spec, envelope_period=period)
 
 
 class TestLambertW:
