@@ -443,9 +443,13 @@ def cmd_fit(config, args):
             params=tuple(params),
             qubit=build_qubit(config),
         )
+        init = sec.get("init")
+        if init is not None:
+            init = _optional_section(sec, "init", "fit.init")
+            init = {k: _field(init, "fit.init", k) for k in init}
         res = fit(
             problem,
-            init=sec.get("init"),
+            init=init,
             n_starts=_field(sec, "fit", "n_starts", int, 8),
             max_eval=_field(sec, "fit", "max_eval", int, 10000),
             seed=args.seed,

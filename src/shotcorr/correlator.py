@@ -144,27 +144,19 @@ def _window(spectrum):
 
 
 def _flat_tail(spectrum, lo, hi, times, quad, brk):
-    """Cosine transforms of S/omega^2 over [lo, hi] for several times.
+    """Cosine transforms of S/omega^2 over [lo, hi] at t = 0 and ``times``.
 
-    Returns ({t: value}, error_sum).  The t = 0 transform is computed
-    first and anchors the tolerance of the oscillatory ones, which are
-    bounded by it in magnitude.
+    Returns {t: value}.  One Filon call serves every time; the t = 0
+    transform bounds the oscillatory ones in magnitude and so anchors
+    their tolerance.
     """
 
     def f(w):
         return spectrum.evaluate(w) / (w * w)
 
-    window = quad.with_window(lo, hi)
-    j0 = filon_cos_integral(f, 0.0, window, breakpoints=brk)
-    vals = {0.0: j0.value}
-    err = j0.error
-    for t in times:
-        if t in vals:
-            continue
-        res = filon_cos_integral(f, t, window, breakpoints=brk, scale_hint=j0.value)
-        vals[t] = res.value
-        err += res.error
-    return vals, err
+    ts = list(dict.fromkeys((0.0, *times)))
+    res = filon_cos_integral(f, ts, quad.with_window(lo, hi), breakpoints=brk)
+    return dict(zip(ts, res.value.tolist()))
 
 
 def _quad(quad):
@@ -185,16 +177,16 @@ def phase_variance(spectrum: SpectrumModel, tau: float, quad=None) -> float:
     lo, hi = _window(spectrum)
     brk = spectrum.breakpoints()
     omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
-    res = filon_cos_integral(
+    (low,) = filon_cos_integral(
         _envelope(spectrum, tau),
-        0.0,
+        (0.0,),
         quad.with_window(lo, omega_b),
         breakpoints=brk,
         envelope_period=2.0 * math.pi / tau,
-    )
-    total = 4.0 / math.pi * res.value
+    ).value.tolist()
+    total = 4.0 / math.pi * low
     if omega_b < hi:
-        vals, _ = _flat_tail(spectrum, omega_b, hi, (tau,), quad, brk)
+        vals = _flat_tail(spectrum, omega_b, hi, (tau,), quad, brk)
         total += 2.0 / math.pi * (vals[0.0] - vals[tau])
     return total
 
@@ -207,15 +199,16 @@ def phase_cross_correlation(spectrum: SpectrumModel, pair: EvolutionPair, quad=N
     brk = spectrum.breakpoints()
     env = _envelope(spectrum, tau)
     omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
-    window = quad.with_window(lo, omega_b)
-    period = 2.0 * math.pi / tau
-    scale = filon_cos_integral(env, 0.0, window, breakpoints=brk, envelope_period=period).value
-    res = filon_cos_integral(
-        env, dt, window, breakpoints=brk, envelope_period=period, scale_hint=scale
-    )
-    total = 4.0 / math.pi * res.value
+    _, low = filon_cos_integral(
+        env,
+        (0.0, dt),
+        quad.with_window(lo, omega_b),
+        breakpoints=brk,
+        envelope_period=2.0 * math.pi / tau,
+    ).value.tolist()
+    total = 4.0 / math.pi * low
     if omega_b < hi:
-        vals, _ = _flat_tail(spectrum, omega_b, hi, (dt, dt + tau, abs(dt - tau)), quad, brk)
+        vals = _flat_tail(spectrum, omega_b, hi, (dt, dt + tau, abs(dt - tau)), quad, brk)
         total += (
             2.0 / math.pi * vals[dt]
             - 1.0 / math.pi * (vals[dt + tau] + vals[abs(dt - tau)])
@@ -273,19 +266,15 @@ def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[f
 
     if omega_a < omega_b:
         mid_spec = quad.with_window(omega_a, omega_b)
-        period = 2.0 * math.pi / t_slow
-        i0 = filon_cos_integral(
-            env, 0.0, mid_spec, breakpoints=brk, envelope_period=period
-        ).value
-        ic = filon_cos_integral(
-            env, dt, mid_spec, breakpoints=brk, envelope_period=period, scale_hint=abs(i0)
-        ).value
+        i0, ic = filon_cos_integral(
+            env, (0.0, dt), mid_spec, breakpoints=brk, envelope_period=2.0 * math.pi / t_slow
+        ).value.tolist()
         chi_m += 8.0 / math.pi * (i0 - ic)
         chi_p += 8.0 / math.pi * (i0 + ic)
 
     if omega_b < hi:
         times = (tau, dt, dt + tau, dt - tau)
-        vals, _ = _flat_tail(spectrum, omega_b, hi, times, quad, brk)
+        vals = _flat_tail(spectrum, omega_b, hi, times, quad, brk)
         j0, j_tau, j_dt = vals[0.0], vals[tau], vals[dt]
         j_sum, j_dif = vals[dt + tau], vals[dt - tau]
         chi_m += 4.0 / math.pi * (j0 - j_tau - j_dt + 0.5 * (j_sum + j_dif))

@@ -209,6 +209,8 @@ def fit(
     columns included; ``success`` and ``message`` are the solver's
     verdict on the winning start.
     """
+    if n_starts < 0 or (n_starts == 0 and init is None):
+        raise ValueError(f"n_starts must be at least 1, or 0 with init; got {n_starts}")
     pars = problem.params
     lo = np.array([_to_internal(p.lower, p) for p in pars])
     hi = np.array([_to_internal(p.upper, p) for p in pars])
@@ -223,7 +225,9 @@ def fit(
         return _residuals(problem, unpack(x), quad)
 
     sampler = qmc.Sobol(len(pars), scramble=True, seed=seed)
-    starts = lo + (hi - lo) * sampler.random(n_starts)
+    # the first n points of a power-of-two draw: what random(n) gives,
+    # without scipy's warning about unbalanced Sobol' samples
+    starts = lo + (hi - lo) * sampler.random_base2((n_starts - 1).bit_length())[:n_starts]
     if init is not None:
         missing = [p.name for p in pars if p.name not in init]
         if missing:
@@ -324,6 +328,8 @@ def discriminate_gamma(
     it, covariance included, and its ``success`` is set only if every
     scalar minimization converged.
     """
+    if len(gammas) == 0:
+        raise ValueError("gammas must name at least one cutoff shape")
     dt = np.asarray(delta_t, dtype=float)
     tv = np.asarray(tau, dtype=float)
     corr = np.asarray(correlation, dtype=float)

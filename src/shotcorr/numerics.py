@@ -11,10 +11,11 @@ poor fit for that combination, so two dedicated integrators are provided:
     embedded Gauss pair.
 
 ``filon_cos_integral``
-    computes integral of f(omega)*cos(omega*t) with the cosine handled
-    exactly per panel (Legendre expansion of f, spherical-Bessel moments),
-    so panel density follows the smoothness of f alone.  With t = 0 it
-    degenerates to plain panel quadrature of f.
+    computes integral of f(omega)*cos(omega*t) for a list of times with
+    the cosine handled exactly per panel (Legendre expansion of f,
+    spherical-Bessel moments), so panel density follows the smoothness of
+    f alone and one grid serves every time.  With t = 0 it degenerates to
+    plain panel quadrature of f.
 
 Also here: real Lambert W on both real branches, a gamma wrapper, and a
 bracketed root finder.  Everything validates its domain and reports an
@@ -94,12 +95,9 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
+    value: float | np.ndarray
     error: float
     n_panels: int
-
-    def __float__(self):
-        return self.value
 
 
 class QuadratureError(RuntimeError):
@@ -292,43 +290,47 @@ _even_sign = (-1.0) ** (_even_n // 2)
 _odd_sign = (-1.0) ** ((_odd_n - 1) // 2)
 
 
-def _filon_pass(f, edges, t_cos):
-    """One Filon sweep over fixed panels.  Exact in the cosine factor."""
-    total = 0.0
+def _filon_pass(f, edges, times):
+    """One Filon sweep over fixed panels, a total per time.  Exact in the cosine factor."""
+    totals = np.zeros(len(times))
     for _, mid, half, vals in _node_chunks(f, edges[:-1], edges[1:], _filon_nodes):
         coeff = vals @ _filon_proj.T  # (panels, order): Legendre coefficients
-        theta = half * t_cos
-        # moments: integral of P_n(u) cos(theta u) resp. sin(theta u) on [-1, 1]
-        even = 2.0 * _even_sign * spherical_jn(_even_n[None, :], theta[:, None])
-        odd = 2.0 * _odd_sign * spherical_jn(_odd_n[None, :], theta[:, None])
-        cos_part = (coeff[:, _even_n] * even).sum(axis=1)
-        sin_part = (coeff[:, _odd_n] * odd).sum(axis=1)
-        panel_vals = half * (np.cos(mid * t_cos) * cos_part - np.sin(mid * t_cos) * sin_part)
-        total += float(panel_vals.sum())
-    return total
+        c_even, c_odd = coeff[:, _even_n], coeff[:, _odd_n]
+        for i, t_cos in enumerate(times):
+            theta = half * t_cos
+            # moments: integral of P_n(u) cos(theta u) resp. sin(theta u) on [-1, 1]
+            even = 2.0 * _even_sign * spherical_jn(_even_n[None, :], theta[:, None])
+            odd = 2.0 * _odd_sign * spherical_jn(_odd_n[None, :], theta[:, None])
+            cos_part = (c_even * even).sum(axis=1)
+            sin_part = (c_odd * odd).sum(axis=1)
+            panel_vals = half * (np.cos(mid * t_cos) * cos_part - np.sin(mid * t_cos) * sin_part)
+            totals[i] += float(panel_vals.sum())
+    return totals
 
 
 def filon_cos_integral(
-    f,
-    t_cos,
-    spec: QuadratureSpec,
-    breakpoints=(),
-    envelope_period=None,
-    scale_hint=0.0,
+    f, times, spec: QuadratureSpec, breakpoints=(), envelope_period=None
 ) -> QuadratureResult:
-    """Integral of ``f(omega) * cos(omega * t_cos)`` over the quadrature window.
+    """Integrals of ``f(omega) * cos(omega * t)`` over the quadrature window, per time.
 
     The cosine is integrated exactly on each panel against a degree-11
-    Legendre fit of ``f``, so the panel grid only needs to resolve ``f``.
-    Convergence is checked by doubling the panel density.
+    Legendre fit of ``f``, so the panel grid only needs to resolve ``f``,
+    and one grid, one set of f values and Legendre coefficients serve
+    every time.  The panel density doubles until every time changes by at
+    most ``rel_tol * max|value| + abs_tol``; for f >= 0 with 0 among the
+    times, the t = 0 transform bounds the others and so anchors their
+    tolerance.  ``value`` is a float array in the order of ``times``
+    (also on a ``QuadratureError``), ``error`` the worst per-time change
+    over the last doubling, ``n_panels`` the size of the shared grid.
 
     Parameters
     ----------
     f : callable
         Vectorized smooth envelope (any oscillation of its own must be
         declared through ``envelope_period``).
-    t_cos : float
-        Time argument of the cosine; 0 gives the plain integral of f.
+    times : sequence of float
+        Time arguments of the cosine, each nonnegative; 0 gives the plain
+        integral of f.
     spec : QuadratureSpec
         Window, tolerances, panel budget.
     breakpoints : sequence of float
@@ -337,12 +339,9 @@ def filon_cos_integral(
     envelope_period : float, optional
         Width in omega of one period of the slow oscillation carried by f
         itself; panels are capped at half that width.
-    scale_hint : float
-        External magnitude against which the relative tolerance is also
-        measured.  Useful when the transform is a small correction to a
-        larger assembled quantity.
     """
-    if t_cos < 0:
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
         raise ValueError("t_cos must be nonnegative")
     edges, n_sub = _panel_grid(spec, breakpoints, envelope_period, "envelope_period")
     if n_sub is not None:
@@ -353,7 +352,7 @@ def filon_cos_integral(
             )
         edges = _subdivide(edges, n_sub)
 
-    prev = _filon_pass(f, edges, t_cos)
+    prev = _filon_pass(f, edges, times)
     for _ in range(24):
         if 2 * (len(edges) - 1) > spec.max_panels:
             raise QuadratureError(
@@ -364,14 +363,14 @@ def filon_cos_integral(
         dense = np.empty(2 * len(edges) - 1)
         dense[0::2] = edges
         dense[1::2] = 0.5 * (edges[:-1] + edges[1:])
-        cur = _filon_pass(f, dense, t_cos)
-        err = abs(cur - prev)
-        target = spec.rel_tol * max(abs(cur), scale_hint) + spec.abs_tol
-        if err <= target:
-            return QuadratureResult(cur, err, len(dense) - 1)
+        cur = _filon_pass(f, dense, times)
+        err = np.abs(cur - prev)
+        target = spec.rel_tol * np.abs(cur).max() + spec.abs_tol
+        if np.all(err <= target):
+            return QuadratureResult(cur, float(err.max()), len(dense) - 1)
         prev, edges = cur, dense
     raise QuadratureError(
-        "cosine transform did not converge", value=prev, error=abs(cur - prev)
+        "cosine transform did not converge", value=prev, error=float(np.abs(cur - prev).max())
     )
 
 

@@ -345,19 +345,11 @@ def beta_autocorrelation(
         raise ValueError("delta_t must be nonnegative")
     quad = quad or QuadratureSpec()
     lo, hi = _variance_window(spectrum, quad)
-    window = quad.with_window(lo, hi)
-    scale = 0.0
-    if delta_t > 0:
-        # anchor the tolerance to the variance so a strongly decayed
-        # autocovariance is not chased to meaningless relative precision
-        scale = filon_cos_integral(
-            spectrum.evaluate, 0.0, window, breakpoints=spectrum.breakpoints()
-        ).value
+    # the variance rides along at delta_t > 0 and anchors the tolerance, so
+    # a strongly decayed autocovariance is not chased to meaningless
+    # relative precision
+    times = (0.0,) if delta_t == 0 else (0.0, float(delta_t))
     res = filon_cos_integral(
-        spectrum.evaluate,
-        float(delta_t),
-        window,
-        breakpoints=spectrum.breakpoints(),
-        scale_hint=scale,
+        spectrum.evaluate, times, quad.with_window(lo, hi), breakpoints=spectrum.breakpoints()
     )
-    return res.value / math.pi
+    return float(res.value[-1]) / math.pi

@@ -483,6 +483,29 @@ class TestFitCommand:
         assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
         assert "fit.free.level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "init, field",
+        [(3, "fit.init"), ([1.0], "fit.init"), ({"level": "x"}, "fit.init.level"),
+         ({"level": None}, "fit.init.level")],
+        ids=["number", "list", "text", "null"],
+    )
+    def test_bad_init_exits_with_message(self, tmp_path, capsys, init, field):
+        sec = {"input": _alpha_curve(tmp_path), "mode": "fit", "family": "white"}
+        sec.update(free={"level": [1e1, 1e5]}, fixed={"omega_high": 1e6}, init=init)
+        cfg = write_config(tmp_path / "f.json", {"fit": sec})
+        assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"'{field}'" in err
+
+    def test_empty_gammas_exits_with_message(self, tmp_path, capsys):
+        sec = {"input": _alpha_curve(tmp_path), "mode": "discriminate", "omega_l": 1.0}
+        cfg = write_config(tmp_path / "f.json", {"fit": dict(sec, gammas=[])})
+        assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "gammas" in err
+
 
 class TestFigureBundles:
     def test_figure2_short_tau_stays_coherent(self, tmp_path):

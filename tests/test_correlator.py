@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from shotcorr import correlator
 from shotcorr.correlator import (
     EvolutionPair,
     QubitParams,
@@ -95,6 +96,21 @@ class TestPhaseVariance:
 
 
 class TestChiPair:
+    def test_one_filon_call_per_region(self, monkeypatch):
+        # tau = 1e-4 and dt = 1e-2 reach both the middle region and the
+        # five-cosine tail; each region is one multi-time Filon call
+        calls = []
+
+        def counted(f, times, spec, **kw):
+            calls.append(tuple(times))
+            return original(f, times, spec, **kw)
+
+        original = correlator.filon_cos_integral
+        monkeypatch.setattr(correlator, "filon_cos_integral", counted)
+        m = OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=1.0, coupling_c=2.0e4)
+        chi_pair(m, EvolutionPair(tau=1.0e-4, delta_t=1.0e-2))
+        assert calls == [(0.0, 1.0e-2), (0.0, 1.0e-4, 1.0e-2, 1.0e-2 + 1.0e-4, 1.0e-2 - 1.0e-4)]
+
     def test_delta_t_zero(self):
         for m in small_zoo():
             pair = EvolutionPair(tau=3.0e-4, delta_t=0.0)

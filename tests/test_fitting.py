@@ -1,6 +1,7 @@
 """Spectrum-parameter inference from correlation curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,18 @@ class TestFit:
             fit(prob, init={"wrong_name": 1.0e3}, n_starts=1, max_eval=10)
         with pytest.raises(ValueError):
             fit(prob, init={"level": 1.0e7}, n_starts=1, max_eval=10)
+
+    def test_sobol_starts_raise_no_warning(self):
+        # three starts are no power of two; the draw must stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(white_problem(noise_seed=10), n_starts=3, max_eval=150, quad=QUICK)
+        assert res.n_eval > 0
+
+    @pytest.mark.parametrize("n_starts", [-1, 0])
+    def test_impossible_n_starts_named(self, n_starts):
+        with pytest.raises(ValueError, match="n_starts"):
+            fit(white_problem(noise_seed=10), n_starts=n_starts)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):

@@ -105,14 +105,25 @@ class TestFilonCosIntegral:
         # integral of exp(-w) cos(t w) over (0, inf) = 1/(1+t^2)
         for t in (0.0, 0.3, 7.0, 240.0):
             res = filon_cos_integral(
-                lambda w: np.exp(-w), t, _spec(0.0, 60.0, rel_tol=1e-10)
+                lambda w: np.exp(-w), (t,), _spec(0.0, 60.0, rel_tol=1e-10)
             )
-            assert res.value == pytest.approx(1.0 / (1.0 + t * t), rel=1e-8, abs=1e-12)
+            assert res.value[0] == pytest.approx(1.0 / (1.0 + t * t), rel=1e-8, abs=1e-12)
+
+    def test_times_share_one_call(self):
+        # one call over several times, duplicates included, returns them in order
+        times = (7.0, 0.0, 0.3, 7.0)
+        res = filon_cos_integral(lambda w: np.exp(-w), times, _spec(0.0, 60.0, rel_tol=1e-10))
+        assert res.value.shape == (len(times),)
+        for t, v in zip(times, res.value):
+            assert v == pytest.approx(1.0 / (1.0 + t * t), rel=1e-8, abs=1e-12)
+        assert res.value[0] == res.value[3]
+        with pytest.raises(ValueError, match="t_cos must be nonnegative"):
+            filon_cos_integral(lambda w: np.exp(-w), (0.0, -1.0), _spec(0.0, 60.0))
 
     def test_zero_frequency_matches_plain_integral(self):
         fn = lambda w: 1.0 / (1.0 + w) ** 2
-        res = filon_cos_integral(fn, 0.0, _spec(0.0, 1e3, rel_tol=1e-10))
-        assert res.value == pytest.approx(1.0 - 1.0 / 1001.0, rel=1e-9)
+        res = filon_cos_integral(fn, (0.0,), _spec(0.0, 1e3, rel_tol=1e-10))
+        assert res.value[0] == pytest.approx(1.0 - 1.0 / 1001.0, rel=1e-9)
 
     def test_lorentzian_envelope_fast_oscillation(self):
         # truncated integral of cos(t w)/(1+w^2); reference from a dense
@@ -123,11 +134,10 @@ class TestFilonCosIntegral:
         ref = float(np.trapezoid(np.cos(t * w) / (1.0 + w * w), w))
         res = filon_cos_integral(
             lambda w: 1.0 / (1.0 + w**2),
-            t,
+            (0.0, t),
             _spec(0.0, upper, rel_tol=1e-9),
-            scale_hint=math.pi / 2.0,
         )
-        assert res.value == pytest.approx(ref, abs=5e-9)
+        assert res.value[1] == pytest.approx(ref, abs=5e-9)
 
     def test_envelope_period_controls_panels(self):
         # an envelope oscillating slower than the carrier still resolved
@@ -142,12 +152,11 @@ class TestFilonCosIntegral:
         )
         res = filon_cos_integral(
             fn,
-            90.0,
+            (0.0, 90.0),
             _spec(0.0, 80.0, rel_tol=1e-9),
             envelope_period=2.0 * math.pi / 1.4,
-            scale_hint=5.0,
         )
-        assert res.value == pytest.approx(ref, abs=1e-8)
+        assert res.value[1] == pytest.approx(ref, abs=1e-8)
 
 
 def _linspace_edges(edges, counts):
@@ -185,7 +194,7 @@ class TestPanelGrid:
             if kernel == "spectral":
                 integrate_spectral(fn, period, spec)
             else:
-                filon_cos_integral(fn, 1.0, spec, envelope_period=period)
+                filon_cos_integral(fn, (1.0,), spec, envelope_period=period)
 
 
 class TestLambertW:
