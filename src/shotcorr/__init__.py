@@ -34,6 +34,7 @@ from .spectra import (  # noqa: F401
 )
 from .correlator import (  # noqa: F401
     ApproxChiMinus,
+    ChiPlan,
     EvolutionPair,
     LinearizedCorrelation,
     QubitParams,

@@ -401,6 +401,8 @@ def cmd_fit(config, args):
             for key in ("omega_e_bounds", "gammas")
             if key in sec
         }
+        if "gammas" in kw and len(set(kw["gammas"])) < 2:
+            raise ConfigError("config field 'fit.gammas' must name at least two distinct values")
         decision = discriminate_gamma(
             curve.delta_t,
             curve.tau,

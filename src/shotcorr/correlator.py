@@ -18,6 +18,14 @@ once the phase variance is large).  The integrand splits at a frequency a
 few tens of oscillations of cos(omega*delta_t) above zero: below, panels
 resolve the oscillation directly; above, the cosine is handled exactly by
 the Filon kernel so huge delta_t costs nothing.
+
+``chi_pair`` is the authority for one pair.  ``ChiPlan`` serves a caller
+that needs the same design of pairs for many spectra: chi_plus and
+chi_minus are linear in S, and on fixed panels every quadrature sum of
+``chi_pair`` is a fixed weight on S at a fixed node, so each chi of the
+design is one weighted sum of S.  Points whose two-density error
+estimate fails, and spectra the plan was not built for, go through
+``chi_pair``.
 """
 
 from __future__ import annotations
@@ -28,10 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    QuadratureError,
     QuadratureSpec,
     filon_cos_integral,
+    filon_weights,
     find_root,
     gamma_fn,
+    gauss_weights,
     integrate_spectral,
 )
 from .spectra import OverhauserModel, SpectrumModel, beta_autocorrelation, variance
@@ -45,6 +56,7 @@ __all__ = [
     "chi_minus",
     "chi_plus",
     "chi_pair",
+    "ChiPlan",
     "autocorrelation_analytic",
     "correlator_from_chi",
     "t2_star",
@@ -280,6 +292,158 @@ def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[f
         chi_m += 4.0 / math.pi * (j0 - j_tau - j_dt + 0.5 * (j_sum + j_dif))
         chi_p += 4.0 / math.pi * (j0 - j_tau + j_dt - 0.5 * (j_sum + j_dif))
     return chi_m, chi_p
+
+
+def _sin2_over_w2(w, tau):
+    """sin^2(omega tau/2) / omega^2, the factor ``_envelope`` puts on S."""
+    return (tau / 2.0) ** 2 * _sinc(w * tau / 2.0) ** 2
+
+
+def _joined(parts):
+    """One node vector and its weight rows from a list of (nodes, weights)."""
+    return (
+        np.concatenate([nodes for nodes, _ in parts]),
+        np.concatenate([weights for _, weights in parts], axis=-1),
+    )
+
+
+class ChiPlan:
+    """(chi_minus, chi_plus) of a fixed design of pairs as weighted sums of S.
+
+    Built once for ``pairs``, a window [0, ``omega_max``] and the kinks in
+    ``breakpoints``; ``apply(spectrum)`` evaluates S on the plan's nodes
+    and returns the arrays (chi_minus, chi_plus) in the order of ``pairs``.
+
+    Rows.  Each chi is one row of weights, region by region as in
+    ``chi_pair`` with ``omega_max`` as the window top: Gauss-16 weights on
+    ``integrate_spectral``'s grid below the first split, Filon node
+    weights on the envelope S sin^2(omega tau/2)/omega^2 up to the second,
+    and the five-cosine tail on S/omega^2 above.  delta_t < tau uses the
+    swapped pair's chi_minus row and 4 phase-variance rows minus it for
+    chi_plus; delta_t = 0 gives chi_minus = 0 and chi_plus = 4 phase
+    variance, the phase-variance row built like ``phase_variance``.
+
+    Two densities.  Every row exists on the base grids and on one
+    bisection of them (the Filon regions start one doubling up, as
+    ``filon_cos_integral`` does), and ``apply`` evaluates S once per
+    density.  It returns the fine value; a point whose two values differ
+    by more than ``rel_tol * |chi| + abs_tol`` in either chi goes through
+    ``chi_pair``.
+
+    Fallback.  A spectrum whose window top exceeds ``omega_max``, or with
+    a kink (a breakpoint, or a finite ``hard_max`` below ``omega_max``)
+    that is not among the plan's breakpoints, goes through ``chi_pair``
+    whole; so does, for every spectrum, a pair whose grids would exceed
+    ``quad.max_panels``.  ``fallbacks`` counts the points sent to
+    ``chi_pair``.
+    """
+
+    def __init__(self, pairs, omega_max: float, breakpoints=(), quad=None):
+        self.pairs = tuple(pairs)
+        self.omega_max = float(omega_max)
+        self.breakpoints = tuple(sorted({float(p) for p in breakpoints}))
+        self.quad = _quad(quad)
+        self.fallbacks = 0
+        served, parts = [], ([], [])
+        for i, pair in enumerate(self.pairs):
+            try:
+                rows = [self._pair_rows(pair, level) for level in (0, 1)]
+            except QuadratureError:
+                continue
+            served.append(i)
+            for part, row in zip(parts, rows):
+                part.append(row)
+        self._served = np.array(served, dtype=int)
+        # per density: one node vector, one (2, n) weight array, and where
+        # each served pair's nodes start
+        self._densities = [
+            (*_joined(part), np.cumsum([0] + [len(nodes) for nodes, _ in part[:-1]]))
+            for part in parts
+            if part
+        ]
+
+    @classmethod
+    def covering(cls, pairs, spectra, quad=None) -> "ChiPlan":
+        """A plan whose window and breakpoints serve every one of ``spectra``."""
+        spectra = list(spectra)
+        omega_max = max(_window(s)[1] for s in spectra)
+        return cls(pairs, omega_max, {p for s in spectra for p in _kinks(s, omega_max)}, quad)
+
+    def _pair_rows(self, pair, level):
+        tau, dt = pair.tau, pair.delta_t
+        if dt == 0.0:
+            nodes, pv = self._pv_row(tau, level)
+            return nodes, np.stack([np.zeros_like(pv), 4.0 * pv])
+        if dt < tau:
+            nodes_m, rows = self._chi_rows(dt, tau, level)
+            nodes_v, pv = self._pv_row(tau, level)
+            minus = np.concatenate([rows[0], np.zeros_like(pv)])
+            plus = np.concatenate([-rows[0], 4.0 * pv])
+            return np.concatenate([nodes_m, nodes_v]), np.stack([minus, plus])
+        return self._chi_rows(tau, dt, level)
+
+    def _chi_rows(self, tau, dt, level):
+        """chi_pair's three regions for dt >= tau as (nodes, (2, n) weights)."""
+        quad, hi, brk = self.quad, self.omega_max, self.breakpoints
+        omega_a = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / dt)
+        omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
+        x, w = gauss_weights(2.0 * math.pi / dt, quad.with_window(0.0, omega_a), brk, level)
+        w = 16.0 / math.pi * w * _sin2_over_w2(x, tau)
+        parts = [(x, np.stack([w * np.sin(x * dt / 2.0) ** 2, w * np.cos(x * dt / 2.0) ** 2]))]
+        if omega_a < omega_b:
+            spec = quad.with_window(omega_a, omega_b)
+            x, (i0, ic) = filon_weights((0.0, dt), spec, brk, 2.0 * math.pi / tau, level + 1)
+            env = 8.0 / math.pi * _sin2_over_w2(x, tau)
+            parts.append((x, np.stack([env * (i0 - ic), env * (i0 + ic)])))
+        if omega_b < hi:
+            times = (0.0, tau, dt, dt + tau, dt - tau)
+            x, w = filon_weights(times, quad.with_window(omega_b, hi), brk, None, level + 1)
+            j0, j_tau, j_dt, j_sum, j_dif = 4.0 / math.pi * w / (x * x)
+            base, cross = j0 - j_tau, j_dt - 0.5 * (j_sum + j_dif)
+            parts.append((x, np.stack([base - cross, base + cross])))
+        return _joined(parts)
+
+    def _pv_row(self, tau, level):
+        """``phase_variance`` as (nodes, weights)."""
+        quad, hi, brk = self.quad, self.omega_max, self.breakpoints
+        omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
+        spec = quad.with_window(0.0, omega_b)
+        x, (i0,) = filon_weights((0.0,), spec, brk, 2.0 * math.pi / tau, level + 1)
+        parts = [(x, 4.0 / math.pi * i0 * _sin2_over_w2(x, tau))]
+        if omega_b < hi:
+            spec = quad.with_window(omega_b, hi)
+            x, (j0, j_tau) = filon_weights((0.0, tau), spec, brk, None, level + 1)
+            parts.append((x, 2.0 / math.pi * (j0 - j_tau) / (x * x)))
+        return _joined(parts)
+
+    def _serves(self, spectrum) -> bool:
+        if _window(spectrum)[1] > self.omega_max:
+            return False
+        return all(p in self.breakpoints for p in _kinks(spectrum, self.omega_max))
+
+    def apply(self, spectrum: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
+        """(chi_minus, chi_plus) arrays for ``spectrum``, in the order of ``pairs``."""
+        chi = np.full((2, len(self.pairs)), np.nan)
+        adaptive = np.ones(len(self.pairs), dtype=bool)
+        if self._densities and self._serves(spectrum):
+            coarse, fine = (
+                np.add.reduceat(weights * spectrum.evaluate(nodes), starts, axis=1)
+                for nodes, weights, starts in self._densities
+            )
+            quad = self.quad
+            within = np.abs(fine - coarse) <= quad.rel_tol * np.abs(fine) + quad.abs_tol
+            chi[:, self._served] = fine
+            adaptive[self._served] = ~within.all(axis=0)
+        for i in np.flatnonzero(adaptive):
+            chi[:, i] = chi_pair(spectrum, self.pairs[i], self.quad)
+        self.fallbacks += int(adaptive.sum())
+        return chi[0], chi[1]
+
+
+def _kinks(spectrum, omega_max):
+    """Where S is not smooth inside (0, omega_max): breakpoints and a hard top."""
+    pts = {*spectrum.breakpoints(), spectrum.hard_max}
+    return {float(p) for p in pts if 0.0 < p < omega_max}
 
 
 def chi_minus(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> float:

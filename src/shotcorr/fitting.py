@@ -14,7 +14,8 @@ Three entry points:
     fitting each candidate with the overall level and the cutoff
     frequency free.  The level enters every chi linearly, so it is
     profiled out with no extra quadrature; only the cutoff frequency
-    needs integral re-evaluation.  The covariance comes from the same
+    needs integral re-evaluation, which one ``ChiPlan`` per call turns
+    into a weighted sum per sweep.  The covariance comes from the same
     Gauss-Newton form as ``fit``'s.
 
 ``estimate_alpha_slope``
@@ -36,7 +37,7 @@ import numpy as np
 from scipy import optimize
 from scipy.stats import qmc
 
-from .correlator import EvolutionPair, QubitParams, chi_pair, correlator_from_chi
+from .correlator import ChiPlan, EvolutionPair, QubitParams, chi_pair, correlator_from_chi
 from .spectra import OverhauserModel, SpectrumModel
 
 __all__ = [
@@ -280,7 +281,8 @@ class GammaDecision:
 
     ``best_gamma`` minimizes chi-squared; ``indeterminate`` is set when
     the loser is within ``delta_chi2 < threshold`` of the winner, in
-    which case the data do not distinguish the shapes.
+    which case the data do not distinguish the shapes, and when there
+    was only one shape to fit (``delta_chi2`` is then infinite).
     """
 
     best_gamma: float
@@ -324,10 +326,19 @@ def discriminate_gamma(
     a bounded scalar minimizer.  The covariance over (s0, omega_e) is the
     Gauss-Newton (J^T J)^-1 of a central-difference residual Jacobian at
     the optimum, two sweeps for the cutoff column and none for the level.
-    Each candidate's ``n_eval`` counts the full-curve chi sweeps made for
-    it, covariance included, and its ``success`` is set only if every
-    scalar minimization converged.
+    Each distinct shape in ``gammas`` is fitted once.  Each candidate's
+    ``n_eval`` counts the full-curve chi sweeps made for it, covariance
+    included, and its ``success`` is set only if every scalar
+    minimization converged.
+
+    Every sweep is one ``ChiPlan.apply``: the call builds one plan for
+    the (tau, delta_t) design, its window sized for the widest spectrum
+    any candidate reaches (the top of ``omega_e_bounds`` plus one
+    Jacobian step), so each sweep costs two spectrum evaluations and a
+    weighted sum; ``chi_pair`` serves only the points the plan hands
+    back.
     """
+    gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
         raise ValueError("gammas must name at least one cutoff shape")
     dt = np.asarray(delta_t, dtype=float)
@@ -344,6 +355,14 @@ def discriminate_gamma(
     lo_e, hi_e = omega_e_bounds
     if not (hi_e > lo_e > omega_l):
         raise ValueError("omega_e_bounds must be above omega_l and increasing")
+    # the widest window any sweep reaches: the top of the bounds, plus
+    # the Jacobian's forward step in log10(omega_e)
+    we_top = hi_e * 10.0 ** (_FD_STEP * max(1.0, abs(math.log10(hi_e))))
+    plan = ChiPlan.covering(
+        [EvolutionPair(t, d) for t, d in zip(tv, dt)],
+        [OverhauserModel(1.0, omega_l, we_top, g, coupling_c) for g in gammas],
+        quad,
+    )
     # per-gamma bookkeeping: full-curve chi sweeps, and whether every
     # scalar minimization reported convergence
     n_sweeps, converged = 0, True
@@ -351,12 +370,7 @@ def discriminate_gamma(
     def unit_chis(gamma, omega_e):
         nonlocal n_sweeps
         n_sweeps += 1
-        model = OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
-        u = np.empty(len(dt))
-        w = np.empty(len(dt))
-        for i, (t, d) in enumerate(zip(tv, dt)):
-            u[i], w[i] = chi_pair(model, EvolutionPair(t, d), quad)
-        return u, w
+        return plan.apply(OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c))
 
     def best_level(u, w):
         nonlocal converged
@@ -440,7 +454,7 @@ def discriminate_gamma(
     return GammaDecision(
         best_gamma=best,
         delta_chi2=delta,
-        indeterminate=bool(delta < threshold),
+        indeterminate=bool(len(ordered) < 2 or delta < threshold),
         fits=fits,
     )
 

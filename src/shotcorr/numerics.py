@@ -17,6 +17,13 @@ poor fit for that combination, so two dedicated integrators are provided:
     f alone and one grid serves every time.  With t = 0 it degenerates to
     plain panel quadrature of f.
 
+Each integrator has a fixed-panel linear form, ``gauss_weights`` and
+``filon_weights``: nodes and weights on the integrator's own starting
+grid, bisected a given number of times, such that the weighted sum of
+f at the nodes is the integrator's value on that grid.  They let a
+caller that integrates many integrands on one window build the weights
+once and pay one dot product per integrand.
+
 Also here: real Lambert W on both real branches, a gamma wrapper, and a
 bracketed root finder.  Everything validates its domain and reports an
 honest error estimate or raises ``QuadratureError``.
@@ -37,6 +44,8 @@ __all__ = [
     "QuadratureError",
     "integrate_spectral",
     "filon_cos_integral",
+    "gauss_weights",
+    "filon_weights",
     "lambert_w",
     "lambert_w_m1",
     "gamma_fn",
@@ -160,6 +169,33 @@ def _subdivide(edges, n_sub):
     return out
 
 
+def _bisect(edges, times):
+    """``edges`` with every panel split in half ``times`` times."""
+    for _ in range(times):
+        dense = np.empty(2 * len(edges) - 1)
+        dense[0::2] = edges
+        dense[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        edges = dense
+    return edges
+
+
+def _fixed_grid(spec, breakpoints, period, name, bisections):
+    """The starting grid of either integrator, bisected; over budget raises.
+
+    The panel count is checked against ``spec.max_panels`` before any
+    edge is allocated.
+    """
+    edges, n_sub = _panel_grid(spec, breakpoints, period, name)
+    count = (n_sub.sum() if n_sub is not None else len(edges) - 1) * 2**bisections
+    if count > spec.max_panels:
+        raise QuadratureError(f"fixed grid needs more than max_panels={spec.max_panels} panels")
+    if n_sub is not None:
+        edges = _subdivide(edges, n_sub)
+    edges = _bisect(edges, bisections)
+    lo, hi = edges[:-1], edges[1:]
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
 # evaluation batch size; bounds peak memory at ~ _CHUNK * order doubles
 _CHUNK = 65536
 
@@ -273,6 +309,21 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
     )
 
 
+def gauss_weights(osc_period_hint, spec: QuadratureSpec, breakpoints, bisections):
+    """Gauss-16 nodes and weights on ``integrate_spectral``'s starting grid.
+
+    The grid is the one ``integrate_spectral`` starts from (log edges,
+    kinks pinned, sub-panels of at most half ``osc_period_hint``), every
+    panel bisected ``bisections`` times.  Returns ``(nodes, weights)``,
+    both flat, with ``weights @ f(nodes)`` the order-16 Gauss sum of f on
+    that grid.  Raises ``QuadratureError`` when the grid has more than
+    ``spec.max_panels`` panels.
+    """
+    x, w = _GAUSS16
+    mid, half = _fixed_grid(spec, breakpoints, osc_period_hint, "osc_period_hint", bisections)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
 # ---------------------------------------------------------------------------
 # Filon-type cosine transform
 # ---------------------------------------------------------------------------
@@ -290,6 +341,16 @@ _even_sign = (-1.0) ** (_even_n // 2)
 _odd_sign = (-1.0) ** ((_odd_n - 1) // 2)
 
 
+def _filon_moments(theta):
+    """Integrals of P_n(u) cos(theta u), n even, and P_n(u) sin(theta u), n odd, on [-1, 1].
+
+    ``theta`` holds one value per panel; returns two (panels, order/2) arrays.
+    """
+    even = 2.0 * _even_sign * spherical_jn(_even_n[None, :], theta[:, None])
+    odd = 2.0 * _odd_sign * spherical_jn(_odd_n[None, :], theta[:, None])
+    return even, odd
+
+
 def _filon_pass(f, edges, times):
     """One Filon sweep over fixed panels, a total per time.  Exact in the cosine factor."""
     totals = np.zeros(len(times))
@@ -297,10 +358,7 @@ def _filon_pass(f, edges, times):
         coeff = vals @ _filon_proj.T  # (panels, order): Legendre coefficients
         c_even, c_odd = coeff[:, _even_n], coeff[:, _odd_n]
         for i, t_cos in enumerate(times):
-            theta = half * t_cos
-            # moments: integral of P_n(u) cos(theta u) resp. sin(theta u) on [-1, 1]
-            even = 2.0 * _even_sign * spherical_jn(_even_n[None, :], theta[:, None])
-            odd = 2.0 * _odd_sign * spherical_jn(_odd_n[None, :], theta[:, None])
+            even, odd = _filon_moments(half * t_cos)
             cos_part = (c_even * even).sum(axis=1)
             sin_part = (c_odd * odd).sum(axis=1)
             panel_vals = half * (np.cos(mid * t_cos) * cos_part - np.sin(mid * t_cos) * sin_part)
@@ -360,9 +418,7 @@ def filon_cos_integral(
                 value=prev,
                 error=math.inf,
             )
-        dense = np.empty(2 * len(edges) - 1)
-        dense[0::2] = edges
-        dense[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        dense = _bisect(edges, 1)
         cur = _filon_pass(f, dense, times)
         err = np.abs(cur - prev)
         target = spec.rel_tol * np.abs(cur).max() + spec.abs_tol
@@ -372,6 +428,36 @@ def filon_cos_integral(
     raise QuadratureError(
         "cosine transform did not converge", value=prev, error=float(np.abs(cur - prev).max())
     )
+
+
+def filon_weights(times, spec: QuadratureSpec, breakpoints, envelope_period, bisections):
+    """Filon nodes and per-time weights on ``filon_cos_integral``'s grid.
+
+    The grid is the one ``filon_cos_integral`` starts from, every panel
+    bisected ``bisections`` times (its first converged value comes from
+    one bisection).  Returns ``(nodes, weights)``: a flat node array and a
+    ``(len(times), len(nodes))`` array whose row i dotted with f(nodes)
+    is the Filon value of the integral of f(omega) cos(omega times[i]) on
+    that grid.  On a panel with centre mid and half-width half, with
+    theta = half * t, the weight of node k is
+    half * (cos(mid t) * sum_even E_n(theta) proj[n, k]
+            - sin(mid t) * sum_odd O_n(theta) proj[n, k]),
+    E_n, O_n the moments and proj the Legendre projection that
+    ``_filon_pass`` uses.  Raises ``QuadratureError`` when the grid has
+    more than ``spec.max_panels`` panels.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("t_cos must be nonnegative")
+    mid, half = _fixed_grid(spec, breakpoints, envelope_period, "envelope_period", bisections)
+    nodes = (mid[:, None] + half[:, None] * _filon_nodes).ravel()
+    weights = np.empty((len(times), len(nodes)))
+    for i, t_cos in enumerate(times):
+        even, odd = _filon_moments(half * t_cos)
+        cos_part = np.cos(mid * t_cos)[:, None] * (even @ _filon_proj[_even_n])
+        sin_part = np.sin(mid * t_cos)[:, None] * (odd @ _filon_proj[_odd_n])
+        weights[i] = (half[:, None] * (cos_part - sin_part)).ravel()
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------

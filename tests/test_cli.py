@@ -506,6 +506,18 @@ class TestFitCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "gammas" in err
 
+    @pytest.mark.parametrize("gammas", [[2, 2], [1]], ids=["repeated", "single"])
+    def test_one_distinct_gamma_exits_with_message(self, tmp_path, capsys, gammas):
+        # one cutoff shape has nothing to be compared with (the result
+        # would carry an infinite delta_chi2, which JSON cannot hold)
+        sec = {"input": _alpha_curve(tmp_path), "mode": "discriminate", "omega_l": 1.0}
+        cfg = write_config(tmp_path / "f.json", {"fit": dict(sec, gammas=gammas)})
+        assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'fit.gammas'" in err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestFigureBundles:
     def test_figure2_short_tau_stays_coherent(self, tmp_path):

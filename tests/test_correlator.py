@@ -7,6 +7,7 @@ import pytest
 
 from shotcorr import correlator
 from shotcorr.correlator import (
+    ChiPlan,
     EvolutionPair,
     QubitParams,
     autocorrelation_analytic,
@@ -25,6 +26,7 @@ from shotcorr.numerics import QuadratureSpec, integrate_spectral
 from shotcorr.spectra import (
     OverhauserModel,
     PowerLawModel,
+    SpectrumModel,
     TabulatedModel,
     WhiteModel,
     beta_autocorrelation,
@@ -241,6 +243,94 @@ class TestChiPair:
         assert EvolutionPair(tau=1.0e-5, delta_t=1.0e-3).is_physical
         cm = chi_minus(small_zoo()[0], pair)
         assert math.isfinite(cm) and cm >= 0.0
+
+
+# delta_t > tau (the middle region and the five-cosine tail both reached),
+# delta_t < tau and delta_t = 0
+PLAN_PAIRS = (
+    EvolutionPair(tau=1.0e-4, delta_t=1.0e-2),
+    EvolutionPair(tau=2.0e-5, delta_t=3.0e-5),
+    EvolutionPair(tau=3.0e-4, delta_t=1.0e-4),
+    EvolutionPair(tau=3.0e-4, delta_t=0.0),
+)
+
+
+class _NarrowLine(SpectrumModel):
+    """A smooth but narrow Gaussian line at 1e4 rad/s, far finer than a plan's panels."""
+
+    def evaluate(self, omega):
+        return np.exp(-(((np.asarray(omega, dtype=float) - 1.0e4) / 100.0) ** 2))
+
+    @property
+    def knee(self):
+        return 1.0e4
+
+    def suggested_omega_max(self, floor=1e-18):
+        return 2.0e4
+
+
+class TestChiPlan:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=1.0, coupling_c=2.0e4),
+            OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=2.0, coupling_c=2.0e4),
+            OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=math.inf, gamma=1.0, coupling_c=2.0e4),
+            WhiteModel(level=2.0e3, omega_high=1.0e6),
+            PowerLawModel(amplitude=4.0e4, alpha=1.5, omega_low=1.0e2, omega_high=1.0e7),
+        ],
+        ids=["gamma1", "gamma2", "no_cutoff", "white", "power_law"],
+    )
+    def test_matches_chi_pair(self, model):
+        # a window twice the model's own and its kinks as plan edges (the
+        # power law's omega_low, and the hard top of the band models)
+        top = 2.0 * correlator._window(model)[1]
+        kinks = {*model.breakpoints(), model.hard_max} - {math.inf}
+        plan = ChiPlan(PLAN_PAIRS, top, kinks)
+        chi_m, chi_p = plan.apply(model)
+        assert plan.fallbacks == 0
+        for pair, cm, cp in zip(PLAN_PAIRS, chi_m, chi_p):
+            ref_m, ref_p = chi_pair(model, pair)
+            assert cm == pytest.approx(ref_m, rel=1e-8, abs=0.0)
+            assert cp == pytest.approx(ref_p, rel=1e-8, abs=0.0)
+        assert chi_m[-1] == 0.0
+
+    def test_covering_serves_every_spectrum(self):
+        models = [reference_model(g, omega_e=we) for g in (1.0, 2.0) for we in (WE, 10.0 * WE)]
+        plan = ChiPlan.covering(PLAN_PAIRS[:2], models)
+        for m in models:
+            chi_m, chi_p = plan.apply(m)
+            ref = np.array([chi_pair(m, pair) for pair in PLAN_PAIRS[:2]]).T
+            np.testing.assert_allclose(chi_m, ref[0], rtol=1e-8, atol=0.0)
+            np.testing.assert_allclose(chi_p, ref[1], rtol=1e-8, atol=0.0)
+        assert plan.fallbacks == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda top: TabulatedModel(np.array([[1.0e1, 3.0], [1.0e3, 2.0], [1.0e5, 1.0e-3]])),
+            lambda top: OverhauserModel(
+                s0=1.0e-4, omega_l=0.6, omega_e=6.0e6, gamma=1.0, coupling_c=2.0e4
+            ),
+            lambda top: _NarrowLine(),
+            # flat on both sides of omega_low, so only the rule on
+            # breakpoints can tell, and a hard top inside the window
+            lambda top: PowerLawModel(amplitude=1.0, alpha=0.0, omega_low=1.0e2, omega_high=top),
+            lambda top: WhiteModel(level=2.0e3, omega_high=1.0e6),
+        ],
+        ids=["tabulated", "window_exceeds", "too_sharp", "undeclared_kink", "hard_top_inside"],
+    )
+    def test_fallback_counted(self, make):
+        base = OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=1.0, coupling_c=2.0e4)
+        plan = ChiPlan.covering(PLAN_PAIRS, [base])
+        plan.apply(base)
+        assert plan.fallbacks == 0
+        model = make(plan.omega_max)
+        chi_m, chi_p = plan.apply(model)
+        # every point goes through chi_pair, values and all
+        assert plan.fallbacks == len(PLAN_PAIRS)
+        for pair, cm, cp in zip(PLAN_PAIRS, chi_m, chi_p):
+            assert (cm, cp) == chi_pair(model, pair)
 
 
 class TestCorrelator:

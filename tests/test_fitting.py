@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shotcorr import fitting
+from shotcorr import correlator, fitting
 from shotcorr.correlator import EvolutionPair, autocorrelation_analytic
 from shotcorr.fitting import (
     FitParam,
@@ -455,37 +455,86 @@ class TestDiscriminateGamma:
             assert key in d
 
 
-    def test_bookkeeping_counts_sweeps(self, monkeypatch):
-        # n_eval is the number of full-curve chi sweeps per candidate, so
-        # with n points it accounts for every chi_pair call the fit made
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        """Record the gamma of every ChiPlan.apply call (one per full-curve sweep)."""
         calls = []
+        original = correlator.ChiPlan.apply
 
-        def counted(spectrum, pair, quad=None):
+        def counted(plan, spectrum):
             calls.append(spectrum.gamma)
-            return original(spectrum, pair, quad)
+            return original(plan, spectrum)
 
-        original = fitting.chi_pair
-        monkeypatch.setattr(fitting, "chi_pair", counted)
+        monkeypatch.setattr(correlator.ChiPlan, "apply", counted)
+        return calls
+
+    @staticmethod
+    def _four_point_decision(gammas=(1.0, 2.0)):
         truth = OverhauserModel(
             s0=4.0e3, omega_l=2.0e3, omega_e=2.0e6, gamma=1.0, coupling_c=1.0
         )
         tau = 5.0e-4
         dts = np.geomspace(1.0e-2, 1.0, 4)
         corr = analytic_curve(truth, tau, dts, quad=QUICK)
-        decision = discriminate_gamma(
+        return discriminate_gamma(
             dts,
             np.full(len(dts), tau),
             corr,
             np.full(len(dts), 0.005),
             omega_l=2.0e3,
             coupling_c=1.0,
+            gammas=gammas,
             quad=QUICK,
         )
+
+    def test_bookkeeping_counts_sweeps(self, monkeypatch):
+        # n_eval is the number of full-curve chi sweeps per candidate, so
+        # it accounts for every plan application the fit made
+        calls = self._count_sweeps(monkeypatch)
+        decision = self._four_point_decision()
         for gamma, result in decision.fits.items():
             assert result.n_eval > 0
-            assert result.n_eval * len(dts) == calls.count(gamma)
+            assert result.n_eval == calls.count(gamma)
             assert result.success is True
-        assert sum(r.n_eval for r in decision.fits.values()) * len(dts) == len(calls)
+        assert sum(r.n_eval for r in decision.fits.values()) == len(calls)
+
+    def test_repeated_gamma_fitted_once(self, monkeypatch):
+        single = self._four_point_decision(gammas=(1.0,))
+        calls = self._count_sweeps(monkeypatch)
+        decision = self._four_point_decision(gammas=(1.0, 1.0))
+        assert list(decision.fits) == [1.0]
+        assert decision.fits[1.0].n_eval == single.fits[1.0].n_eval == len(calls)
+        # one shape compared with nothing decides nothing
+        assert decision.indeterminate is True
+        assert single.indeterminate is True
+
+    @pytest.mark.parametrize("design", ["contrast", "plateau"])
+    def test_plan_serves_every_sweep(self, monkeypatch, design):
+        # a change that quietly sends sweeps back to the adaptive chi_pair
+        # shows here as calls, where the benchmark would see only time
+        if design == "contrast":
+            dts, taus, corr, se, wl, c = _constant_contrast_curve()
+        else:
+            truth = OverhauserModel(
+                s0=4.0e3, omega_l=2.0e3, omega_e=2.0e6, gamma=1.0, coupling_c=1.0
+            )
+            dts = np.geomspace(1.0e-2, 1.0, 8)
+            taus = np.full(len(dts), 5.0e-4)
+            corr = analytic_curve(truth, 5.0e-4, dts, quad=QUICK)
+            corr = corr + np.random.default_rng(12).normal(0.0, 0.005, len(dts))
+            se, wl, c = np.full(len(dts), 0.005), 2.0e3, 1.0
+        calls = []
+
+        def counted(spectrum, pair, quad=None):
+            calls.append(pair)
+            return original(spectrum, pair, quad)
+
+        original = correlator.chi_pair
+        monkeypatch.setattr(correlator, "chi_pair", counted)
+        monkeypatch.setattr(fitting, "chi_pair", counted)
+        decision = discriminate_gamma(dts, taus, corr, se, omega_l=wl, coupling_c=c, quad=QUICK)
+        assert all(r.n_eval > 0 for r in decision.fits.values())
+        assert calls == []
 
 
 class TestAlphaSlope:

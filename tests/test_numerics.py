@@ -11,8 +11,10 @@ from shotcorr.numerics import (
     QuadratureError,
     QuadratureSpec,
     filon_cos_integral,
+    filon_weights,
     find_root,
     gamma_fn,
+    gauss_weights,
     integrate_spectral,
     lambert_w,
     lambert_w_m1,
@@ -186,6 +188,10 @@ class TestPanelGrid:
             ("filon", 0.0, ValueError, "envelope_period must be positive"),
             ("filon", -2.0, ValueError, "envelope_period must be positive"),
             ("filon", 1e-3, QuadratureError, "envelope oscillation needs more than max_panels=1000"),
+            ("gauss_weights", 0.0, ValueError, "osc_period_hint must be positive"),
+            ("gauss_weights", 0.04, QuadratureError, "fixed grid needs more than max_panels=1000"),
+            ("filon_weights", -2.0, ValueError, "envelope_period must be positive"),
+            ("filon_weights", 0.04, QuadratureError, "fixed grid needs more than max_panels=1000"),
         ],
     )
     def test_grid_checks(self, kernel, period, error, message):
@@ -193,8 +199,37 @@ class TestPanelGrid:
         with pytest.raises(error, match=message):
             if kernel == "spectral":
                 integrate_spectral(fn, period, spec)
-            else:
+            elif kernel == "filon":
                 filon_cos_integral(fn, (1.0,), spec, envelope_period=period)
+            elif kernel == "gauss_weights":
+                # about 600 panels fit the budget; one bisection does not
+                gauss_weights(period, spec, (), 1)
+            else:
+                filon_weights((1.0,), spec, (), period, 1)
+
+
+class TestFixedWeights:
+    @pytest.mark.parametrize("bisections", [0, 1, 2])
+    def test_filon_weights_closed_form(self, bisections):
+        # integral of exp(-w) cos(w t) over (0, 40) is 1/(1+t^2) up to e^-40
+        times = (0.0, 0.5, 3.0, 40.0)
+        nodes, w = filon_weights(times, _spec(0.0, 40.0), (), None, bisections)
+        assert w.shape == (len(times), len(nodes))
+        ref = [1.0 / (1.0 + t * t) for t in times]
+        np.testing.assert_allclose(w @ np.exp(-nodes), ref, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("bisections", [0, 1])
+    def test_gauss_weights_closed_form(self, bisections):
+        # integral of exp(-w) sin^2(3w/2) over (0, 40) is (1 - 1/10)/2
+        nodes, w = gauss_weights(2.0 * math.pi / 3.0, _spec(0.0, 40.0), (), bisections)
+        value = w @ (np.exp(-nodes) * np.sin(1.5 * nodes) ** 2)
+        assert value == pytest.approx(0.45, rel=1e-10)
+        assert len(nodes) % 16 == 0 and np.all(np.diff(nodes) > 0)
+
+    def test_breakpoints_pinned(self):
+        # a kink at 1.3 sits on a panel edge, so Gauss is exact to rounding
+        nodes, w = gauss_weights(None, _spec(0.0, 4.0), (1.3,), 0)
+        assert w @ np.abs(nodes - 1.3) == pytest.approx((1.3**2 + 2.7**2) / 2.0, rel=1e-13)
 
 
 class TestLambertW:
