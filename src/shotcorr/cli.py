@@ -16,6 +16,7 @@ with status 1 and one ``error:`` line.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -128,6 +129,19 @@ def _field(sec, secname, key, kind=float, default=_REQUIRED):
         ) from None
 
 
+def _count(val):
+    """A JSON count: an int, or a float with no fractional part (``1e2``).
+
+    Booleans, strings and non-integral numbers raise, so a bad count
+    never truncates silently.
+    """
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeError(f"{val!r} is not a number")
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"{val!r} is not an integer")
+    return int(val)
+
+
 def _number_list(val, name, kind=float):
     """Each element of a JSON list through ``kind``; failures name the field."""
     if not isinstance(val, list):
@@ -153,7 +167,7 @@ def _grid_values(sec, secname, key):
     if isinstance(val, dict):
         start = _field(val, f"{secname}.{key}", "start")
         stop = _field(val, f"{secname}.{key}", "stop")
-        num = _field(val, f"{secname}.{key}", "num", int)
+        num = _field(val, f"{secname}.{key}", "num", _count)
         spacing = val.get("spacing", "log")
         if spacing == "log":
             return np.geomspace(start, stop, num)
@@ -283,18 +297,18 @@ def _protocol_from_config(config):
     prot = Protocol(
         tau=_field(sec, "protocol", "tau"),
         cycle_period=_field(sec, "protocol", "cycle_period"),
-        n_cycles=_field(sec, "protocol", "n_cycles", int),
+        n_cycles=_field(sec, "protocol", "n_cycles", _count),
         qubit=qubit,
     )
-    n_records = _field(sec, "protocol", "n_records", int, 1)
+    n_records = _field(sec, "protocol", "n_records", _count, 1)
     lags = sec.get("lags")
     if lags is None:
         lags = [m for m in (1, 2, 3, 5, 8) if m < prot.n_cycles]
     else:
-        lags = _number_list(lags, "protocol.lags", int)
+        lags = _number_list(lags, "protocol.lags", _count)
     grid_sec = _optional_section(config, "grid")
     grid = GridSpec(
-        n_modes=_field(grid_sec, "grid", "n_modes", int, 4096),
+        n_modes=_field(grid_sec, "grid", "n_modes", _count, 4096),
         omega_min=_field(grid_sec, "grid", "omega_min", float, None),
         omega_max=_field(grid_sec, "grid", "omega_max", float, None),
     )
@@ -364,7 +378,7 @@ def cmd_correlate(config, args):
         shortest = min(len(r) for r in records)
         lags = [m for m in (1, 2, 3, 5, 8) if m < shortest]
     else:
-        lags = _number_list(lags, "correlate.lags", int)
+        lags = _number_list(lags, "correlate.lags", _count)
     eps = _field(sec, "correlate", "epsilon", float, 0.0)
     curve = correlation_curve(records, lags, correct_epsilon=eps or None)
     curve.to_csv(args.out)
@@ -452,8 +466,8 @@ def cmd_fit(config, args):
         res = fit(
             problem,
             init=init,
-            n_starts=_field(sec, "fit", "n_starts", int, 8),
-            max_eval=_field(sec, "fit", "max_eval", int, 10000),
+            n_starts=_field(sec, "fit", "n_starts", _count, 8),
+            max_eval=_field(sec, "fit", "max_eval", _count, 10000),
             seed=args.seed,
         )
         result = res.to_dict()
@@ -599,7 +613,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first call and reused after."""
     p = argparse.ArgumentParser(
         prog="shotcorr",
         description="Noise spectroscopy from shot-shot correlations of single-shot readout.",

@@ -25,6 +25,12 @@ Three entry points:
     chi_minus grows like delta_t**(alpha - 1).  A weighted log-log
     regression then gives alpha; a companion fit that is linear in
     ln(delta_t) flags the logarithmic growth of the alpha = 1 edge case.
+
+scipy is imported inside the two fitters that use it, not with this
+module: ``scipy.optimize`` (about 0.5 s to import) by ``fit`` and
+``discriminate_gamma``, ``scipy.stats.qmc`` (about 0.5 s more) by ``fit``
+alone.  The CLI imports this module for every command, and only the
+``fit`` command needs either.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 from .correlator import ChiPlan, EvolutionPair, QubitParams, chi_pair, correlator_from_chi
 from .spectra import OverhauserModel, SpectrumModel
@@ -70,6 +74,25 @@ class FitParam:
             raise ValueError(f"{self.name}: log-scale parameters need positive bounds")
 
 
+def _curve_arrays(delta_t, tau, correlation, stderr):
+    """The four columns of a measured curve as float arrays, checked.
+
+    They must be equal-length 1-d, correlation finite, and stderr,
+    delta_t and tau positive at every point; a zero stderr would make
+    every weighted residual infinite.  Raises ValueError naming the first
+    column that fails.
+    """
+    dt, tv, corr, se = (np.asarray(a, dtype=float) for a in (delta_t, tau, correlation, stderr))
+    if not (dt.shape == tv.shape == corr.shape == se.shape) or dt.ndim != 1:
+        raise ValueError("delta_t, tau, correlation, stderr must be equal-length 1-d")
+    for obj, name in ((se, "stderr"), (dt, "delta_t"), (tv, "tau")):
+        if not np.all(obj > 0):
+            raise ValueError(f"{name} must be positive")
+    if not np.all(np.isfinite(corr)):
+        raise ValueError("correlation must be finite")
+    return dt, tv, corr, se
+
+
 @dataclass(frozen=True, eq=False)
 class FitProblem:
     """A correlation curve plus the spectrum family to explain it.
@@ -88,21 +111,11 @@ class FitProblem:
     qubit: QubitParams = field(default_factory=QubitParams)
 
     def __post_init__(self):
-        dt = np.asarray(self.delta_t, dtype=float)
-        tau = np.asarray(self.tau, dtype=float)
-        corr = np.asarray(self.correlation, dtype=float)
-        se = np.asarray(self.stderr, dtype=float)
-        if not (dt.shape == tau.shape == corr.shape == se.shape) or dt.ndim != 1:
-            raise ValueError("delta_t, tau, correlation, stderr must be equal-length 1-d")
+        dt, tau, corr, se = _curve_arrays(self.delta_t, self.tau, self.correlation, self.stderr)
         if len(dt) <= len(self.params):
             raise ValueError("need more points than free parameters")
-        if not np.all(se > 0):
-            raise ValueError("stderr must be positive")
         if not self.params:
             raise ValueError("at least one free parameter required")
-        for obj, name in ((dt, "delta_t"), (tau, "tau")):
-            if not np.all(obj > 0):
-                raise ValueError(f"{name} must be positive")
         object.__setattr__(self, "delta_t", dt)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "correlation", corr)
@@ -212,6 +225,9 @@ def fit(
     """
     if n_starts < 0 or (n_starts == 0 and init is None):
         raise ValueError(f"n_starts must be at least 1, or 0 with init; got {n_starts}")
+    from scipy import optimize
+    from scipy.stats import qmc
+
     pars = problem.params
     lo = np.array([_to_internal(p.lower, p) for p in pars])
     hi = np.array([_to_internal(p.upper, p) for p in pars])
@@ -326,9 +342,11 @@ def discriminate_gamma(
     a bounded scalar minimizer.  The covariance over (s0, omega_e) is the
     Gauss-Newton (J^T J)^-1 of a central-difference residual Jacobian at
     the optimum, two sweeps for the cutoff column and none for the level.
-    Each distinct shape in ``gammas`` is fitted once.  Each candidate's
-    ``n_eval`` counts the full-curve chi sweeps made for it, covariance
-    included, and its ``success`` is set only if every scalar
+    The curve must pass the checks ``FitProblem`` makes (positive
+    stderr, delta_t and tau, finite correlation); a bad one raises
+    ValueError.  Each distinct shape in ``gammas`` is fitted once.  Each
+    candidate's ``n_eval`` counts the full-curve chi sweeps made for it,
+    covariance included, and its ``success`` is set only if every scalar
     minimization converged.
 
     Every sweep is one ``ChiPlan.apply``: the call builds one plan for
@@ -341,12 +359,7 @@ def discriminate_gamma(
     gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
         raise ValueError("gammas must name at least one cutoff shape")
-    dt = np.asarray(delta_t, dtype=float)
-    tv = np.asarray(tau, dtype=float)
-    corr = np.asarray(correlation, dtype=float)
-    se = np.asarray(stderr, dtype=float)
-    if not (dt.shape == tv.shape == corr.shape == se.shape) or dt.ndim != 1:
-        raise ValueError("delta_t, tau, correlation, stderr must be equal-length 1-d")
+    dt, tv, corr, se = _curve_arrays(delta_t, tau, correlation, stderr)
     if len(dt) < 4:
         raise ValueError("need at least 4 points to compare cutoff shapes")
     omega_q = (qubit if qubit is not None else QubitParams()).omega_q
@@ -355,6 +368,8 @@ def discriminate_gamma(
     lo_e, hi_e = omega_e_bounds
     if not (hi_e > lo_e > omega_l):
         raise ValueError("omega_e_bounds must be above omega_l and increasing")
+    from scipy import optimize
+
     # the widest window any sweep reaches: the top of the bounds, plus
     # the Jacobian's forward step in log10(omega_e)
     we_top = hi_e * 10.0 ** (_FD_STEP * max(1.0, abs(math.log10(hi_e))))

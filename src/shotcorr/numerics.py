@@ -27,6 +27,12 @@ once and pay one dot product per integrand.
 Also here: real Lambert W on both real branches, a gamma wrapper, and a
 bracketed root finder.  Everything validates its domain and reports an
 honest error estimate or raises ``QuadratureError``.
+
+scipy is imported where it is first used, not with this module:
+``spherical_jn`` inside the Filon moments and ``brentq`` inside
+``find_root``.  Importing ``scipy.optimize`` alone takes about half a
+second, and most commands never reach a root find, so a module-level
+import would charge every command start-up for it.
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import spherical_jn
 
 __all__ = [
     "QuadratureSpec",
@@ -346,6 +350,8 @@ def _filon_moments(theta):
 
     ``theta`` holds one value per panel; returns two (panels, order/2) arrays.
     """
+    from scipy.special import spherical_jn
+
     even = 2.0 * _even_sign * spherical_jn(_even_n[None, :], theta[:, None])
     odd = 2.0 * _odd_sign * spherical_jn(_odd_n[None, :], theta[:, None])
     return even, odd
@@ -566,4 +572,6 @@ def find_root(g, bracket, rel_tol: float = 1e-12) -> float:
             f"find_root: no sign change on bracket ({lo:g}, {hi:g}): "
             f"g(lo)={glo:g}, g(hi)={ghi:g}"
         )
+    from scipy.optimize import brentq
+
     return float(brentq(g, lo, hi, rtol=max(rel_tol, 4e-16), xtol=1e-300))

@@ -14,7 +14,8 @@ from shotcorr import cli, correlator
 from shotcorr.cli import main
 from shotcorr.correlator import EvolutionPair, autocorrelation_analytic
 from shotcorr.numerics import QuadratureError
-from shotcorr.spectra import WhiteModel
+from shotcorr.schedules import tau_constant_contrast
+from shotcorr.spectra import OverhauserModel, WhiteModel, coupling_from_g
 
 
 def run_cli(args):
@@ -29,6 +30,12 @@ def write_config(path, config):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _child_env():
+    """Environment for a fresh interpreter that imports this process's shotcorr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 OVERHAUSER_SPEC = {
@@ -518,6 +525,22 @@ class TestFitCommand:
         assert "'fit.gammas'" in err
         assert not (tmp_path / "x.json").exists()
 
+    def test_discriminate_picks_cutoff_shape(self, tmp_path):
+        cfg = _discriminate_config(tmp_path)
+        out = tmp_path / "result.json"
+        assert run_cli(["fit", "--config", cfg, "--out", out]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["best_gamma"] == 2.0 and result["indeterminate"] is False
+
+    def test_zero_stderr_discriminate_exits_with_message(self, tmp_path, capsys):
+        # it used to exit 0 with "delta_chi2": NaN and "chi2": Infinity in
+        # the result, which is not JSON, and the wrong shape picked
+        cfg = _discriminate_config(tmp_path, stderr=0.0)
+        assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: stderr must be positive\n"
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestFigureBundles:
     def test_figure2_short_tau_stays_coherent(self, tmp_path):
@@ -569,6 +592,21 @@ def _alpha_curve(tmp_path):
     path = tmp_path / "curve.csv"
     TestFitCommand().write_alpha_curve(path)
     return str(path)
+
+
+def _discriminate_config(tmp_path, stderr=5e-4):
+    """A noise-free gamma = 2 constant-contrast curve and its discriminate config."""
+    wl, c = 0.2 * math.pi, coupling_from_g(-0.44)
+    truth = OverhauserModel.from_rms(7e-3, wl, 2e4 * math.pi, 2.0, c)
+    lines = ["delta_t_s,tau_s,correlation,stderr,n_pairs"]
+    for dt in (5e-6, 1e-5, 2e-5, 1e-3):
+        tau = tau_constant_contrast(truth, dt, target=2.0)
+        corr = autocorrelation_analytic(truth, EvolutionPair(tau, dt))
+        lines.append(f"{dt:.12g},{tau:.12g},{corr:.12g},{stderr:.12g},100000")
+    curve = tmp_path / "contrast.csv"
+    curve.write_text("\n".join(lines) + "\n")
+    sec = {"input": str(curve), "mode": "discriminate", "omega_l": wl, "coupling_c": c}
+    return write_config(tmp_path / "disc.json", {"fit": sec})
 
 
 def _chi(tmp_path, value):
@@ -652,6 +690,17 @@ class TestOptionalSections:
 
 
 class TestEntryPoint:
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        def build_again(*args, **kwargs):
+            raise AssertionError("argument parser rebuilt")
+
+        cli._parser()
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", build_again)
+        cfg = write_config(tmp_path / "s.json", CONTRACT_CASES["schedule"](tmp_path))
+        for name in ("a.csv", "b.csv"):
+            assert run_cli(["schedule", "--config", cfg, "--out", tmp_path / name]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "s.json"
         cfg.write_text(
@@ -666,15 +715,11 @@ class TestEntryPoint:
             )
         )
         out = tmp_path / "sched.csv"
-        # the child imports the same shotcorr as this process, installed or not
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "shotcorr.cli", "schedule", "--config", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
@@ -763,3 +808,109 @@ class TestArtifactContract:
         cfg = write_config(tmp_path / "f.json", {"fit": {"input": str(curve), "mode": "alpha"}})
         err = self._fails_cleanly(capsys, ["fit", "--config", cfg, "--out", tmp_path / "x.json"])
         assert "malformed row 3" in err
+
+
+def _with(config, field, value):
+    """``config`` with the dotted ``field`` set to ``value``."""
+    *path, key = field.split(".")
+    sec = config
+    for name in path:
+        sec = sec[name]
+    sec[key] = value
+    return config
+
+
+# (command, count field, bad value): each count field must refuse a
+# value that int() would silently truncate or coerce
+_COUNT_BASES = {
+    "simulate": CONTRACT_CASES["simulate"],
+    "chi": lambda d: _chi(d, {"start": 1e-3, "stop": 1.0, "num": 3}),
+    "correlate": CONTRACT_CASES["correlate"],
+    "fit": lambda d: _fixed(d, {"omega_high": 1e6}),
+}
+_BAD_COUNTS = [
+    ("simulate", "protocol.n_cycles", 50.9),
+    ("simulate", "protocol.n_records", True),
+    ("simulate", "protocol.lags", [1.7, 2]),
+    ("simulate", "grid.n_modes", "256"),
+    ("chi", "chi.delta_t.num", 3.5),
+    ("correlate", "correlate.lags", [1, True]),
+    ("fit", "fit.n_starts", 2.5),
+    ("fit", "fit.max_eval", False),
+]
+
+
+class TestCountFields:
+    @pytest.mark.parametrize(
+        "command, field, value", _BAD_COUNTS, ids=[f"{f}={v!r}" for _, f, v in _BAD_COUNTS]
+    )
+    def test_non_integer_exits_with_message(self, tmp_path, capsys, command, field, value):
+        config = _with(_COUNT_BASES[command](tmp_path), field, value)
+        cfg = write_config(tmp_path / "c.json", config)
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"'{field}'" in err
+        assert not (tmp_path / "x.out").exists()
+
+    def test_integral_floats_count(self, tmp_path):
+        # 4e1 is a JSON float; as a count it is 40, with the same artifact
+        runs = {}
+        for name, counts in [("int", (40, 2, [1, 2], 256)), ("float", (4e1, 2.0, [1.0, 2], 2.56e2))]:
+            config = CONTRACT_CASES["simulate"](tmp_path)
+            for field, value in zip(
+                ("protocol.n_cycles", "protocol.n_records", "protocol.lags", "grid.n_modes"), counts
+            ):
+                _with(config, field, value)
+            out = tmp_path / f"{name}.csv"
+            cfg = write_config(tmp_path / f"{name}.json", config)
+            assert run_cli(["simulate", "--config", cfg, "--out", out, "--seed", 2]) == 0
+            runs[name] = (out.read_bytes(), (tmp_path / f"{name}.records.csv").read_bytes())
+        assert runs["int"] == runs["float"]
+
+
+# run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument
+# lists; prints their exit codes and the scipy modules loaded by the end
+_LOADED_AFTER = """
+import json, sys
+from shotcorr import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _scipy_loaded_by(calls):
+    argv = [sys.executable, "-c", _LOADED_AFTER, json.dumps([[str(a) for a in c] for c in calls])]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(calls)
+    return loaded
+
+
+class TestStartupImports:
+    """scipy loads at a command's first use of it, never with the package."""
+
+    def test_import_loads_no_scipy(self):
+        assert _scipy_loaded_by([]) == []
+
+    def test_simulate_then_correlate_load_no_scipy(self, tmp_path):
+        sim = write_config(tmp_path / "sim.json", CONTRACT_CASES["simulate"](tmp_path))
+        corr = write_config(
+            tmp_path / "corr.json",
+            {"correlate": {"records": str(tmp_path / "curve.records.csv"), "lags": [1, 2]}},
+        )
+        calls = [
+            ["simulate", "--config", sim, "--out", tmp_path / "curve.csv"],
+            ["correlate", "--config", corr, "--out", tmp_path / "again.csv"],
+        ]
+        assert _scipy_loaded_by(calls) == []
+
+    @pytest.mark.parametrize("command", ["chi", "discriminate"])
+    def test_no_scipy_stats_outside_fit_mode(self, tmp_path, command):
+        if command == "chi":
+            cfg = write_config(tmp_path / "c.json", CONTRACT_CASES["chi"](tmp_path))
+            call = ["chi", "--config", cfg, "--out", tmp_path / "chi.csv"]
+        else:
+            call = ["fit", "--config", _discriminate_config(tmp_path), "--out", tmp_path / "r.json"]
+        assert not [m for m in _scipy_loaded_by([call]) if m.startswith("scipy.stats")]

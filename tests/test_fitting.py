@@ -536,6 +536,29 @@ class TestDiscriminateGamma:
         assert all(r.n_eval > 0 for r in decision.fits.values())
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [("stderr", 0.0), ("stderr", -1e-3), ("delta_t", 0.0), ("tau", -1e-6), ("corr", math.nan)],
+        ids=["zero_stderr", "negative_stderr", "zero_delta_t", "negative_tau", "nan_correlation"],
+    )
+    def test_bad_curve_rejected_like_fit_problem(self, column, value):
+        # a zero stderr used to run on and return an infinite chi2 and a
+        # NaN delta_chi2; the curve checks are the ones FitProblem makes
+        dts, taus, corr, se, wl, c = _constant_contrast_curve()
+        curve = {"delta_t": dts, "tau": taus, "corr": corr, "stderr": se}
+        curve[column] = curve[column].copy()
+        curve[column][1] = value
+        name = "correlation" if column == "corr" else column
+
+        def build(values):
+            return WhiteModel(level=values["level"], omega_high=1.0e6)
+
+        with pytest.raises(ValueError, match=name) as from_problem:
+            FitProblem(*curve.values(), build=build, params=(FitParam("level", 1.0, 10.0),))
+        with pytest.raises(ValueError, match=name) as from_discriminate:
+            discriminate_gamma(*curve.values(), omega_l=wl, coupling_c=c, quad=QUICK)
+        assert str(from_discriminate.value) == str(from_problem.value)
+
 
 class TestAlphaSlope:
     @staticmethod
