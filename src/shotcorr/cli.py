@@ -94,8 +94,8 @@ def _convert_hz(obj, key=""):
     if not key.startswith("omega_") or obj is None or obj == "inf":
         return obj
     try:
-        return float(obj) * TWO_PI
-    except ValueError:
+        return _real(obj) * TWO_PI
+    except (TypeError, ValueError):
         raise ConfigError(f"config field '{key}' has invalid value {obj!r}") from None
 
 
@@ -116,7 +116,14 @@ def _optional_section(config, name, path=None):
     return sec
 
 
-def _field(sec, secname, key, kind=float, default=_REQUIRED):
+def _real(val):
+    """A JSON number as a float; booleans raise, so ``true`` never reads as 1.0."""
+    if isinstance(val, bool):
+        raise TypeError(f"{val!r} is not a number")
+    return float(val)
+
+
+def _field(sec, secname, key, kind=_real, default=_REQUIRED):
     if key not in sec:
         if default is _REQUIRED:
             raise ConfigError(f"config field '{secname}.{key}' is required")
@@ -142,7 +149,7 @@ def _count(val):
     return int(val)
 
 
-def _number_list(val, name, kind=float):
+def _number_list(val, name, kind=_real):
     """Each element of a JSON list through ``kind``; failures name the field."""
     if not isinstance(val, list):
         raise ConfigError(f"config field '{name}' must be a list, got {val!r}")
@@ -161,7 +168,7 @@ def _grid_values(sec, secname, key):
         raise ConfigError(f"config field '{secname}.{key}' is required")
     val = sec[key]
     if isinstance(val, (int, float)):
-        return np.array([float(val)])
+        return np.array([_field(sec, secname, key)])
     if isinstance(val, list):
         return np.asarray(_number_list(val, f"{secname}.{key}"))
     if isinstance(val, dict):
@@ -182,20 +189,20 @@ def build_spectrum(config):
     sec = _section(config, "spectrum")
     family = _field(sec, "spectrum", "family", str)
     if family == "overhauser":
-        coupling = sec.get("coupling_c")
-        if coupling is None:
-            g = _field(sec, "spectrum", "g_factor")
-            coupling = coupling_from_g(g)
+        if sec.get("coupling_c") is None:
+            coupling = coupling_from_g(_field(sec, "spectrum", "g_factor"))
+        else:
+            coupling = _field(sec, "spectrum", "coupling_c")
+        # None and "inf" disable the cutoff; _real("inf") is math.inf
         omega_e = sec.get("omega_e")
-        omega_e = math.inf if omega_e in (None, "inf") else float(omega_e)
         kw = dict(
             omega_l=_field(sec, "spectrum", "omega_l"),
-            omega_e=omega_e,
-            gamma=_field(sec, "spectrum", "gamma", float, 1.0),
-            coupling_c=float(coupling),
+            omega_e=math.inf if omega_e is None else _field(sec, "spectrum", "omega_e"),
+            gamma=_field(sec, "spectrum", "gamma", default=1.0),
+            coupling_c=coupling,
         )
         if "rms_field" in sec:
-            return OverhauserModel.from_rms(float(sec["rms_field"]), **kw)
+            return OverhauserModel.from_rms(_field(sec, "spectrum", "rms_field"), **kw)
         return OverhauserModel(s0=_field(sec, "spectrum", "s0"), **kw)
     if family == "white":
         return WhiteModel(
@@ -217,10 +224,10 @@ def build_spectrum(config):
 def build_qubit(config):
     sec = _optional_section(config, "qubit")
     return QubitParams(
-        omega_q=_field(sec, "qubit", "omega_q", float, 0.0),
-        coupling_c=_field(sec, "qubit", "coupling_c", float, 1.0),
-        readout_flip_prob=_field(sec, "qubit", "readout_flip_prob", float, 0.0),
-        dead_time=_field(sec, "qubit", "dead_time", float, 0.0),
+        omega_q=_field(sec, "qubit", "omega_q", default=0.0),
+        coupling_c=_field(sec, "qubit", "coupling_c", default=1.0),
+        readout_flip_prob=_field(sec, "qubit", "readout_flip_prob", default=0.0),
+        dead_time=_field(sec, "qubit", "dead_time", default=0.0),
     )
 
 
@@ -268,7 +275,7 @@ def cmd_schedule(config, args):
             raise ConfigError(
                 "config field 'schedule.kind' constant_contrast needs an overhauser spectrum"
             )
-        target = _field(sec, "schedule", "target", float, 2.0)
+        target = _field(sec, "schedule", "target", default=2.0)
         sched = constant_contrast_schedule(model, dts, target=target)
         notes = {"kind": kind, "target": target}
     elif kind == "oneoverf":
@@ -309,8 +316,8 @@ def _protocol_from_config(config):
     grid_sec = _optional_section(config, "grid")
     grid = GridSpec(
         n_modes=_field(grid_sec, "grid", "n_modes", _count, 4096),
-        omega_min=_field(grid_sec, "grid", "omega_min", float, None),
-        omega_max=_field(grid_sec, "grid", "omega_max", float, None),
+        omega_min=_field(grid_sec, "grid", "omega_min", default=None),
+        omega_max=_field(grid_sec, "grid", "omega_max", default=None),
     )
     return prot, n_records, lags, grid
 
@@ -358,28 +365,30 @@ def cmd_simulate(config, args):
 def cmd_correlate(config, args):
     sec = _section(config, "correlate")
     path = _field(sec, "correlate", "records", str)
-    tau = sec.get("tau")
-    cycle = sec.get("cycle_period")
-    if tau is None or cycle is None:
+    timing = {k: sec[k] for k in ("tau", "cycle_period") if sec.get(k) is not None}
+    if len(timing) < 2:
         # fall back to the sidecar written by cmd_simulate
         try:
             with open(str(path) + ".json") as fh:
-                side = json.load(fh)
-            tau = side["notes"]["tau"] if tau is None else tau
-            cycle = side["notes"]["cycle_period"] if cycle is None else cycle
-        except (OSError, KeyError, json.JSONDecodeError):
+                notes = json.load(fh)["notes"]
+            timing = {k: notes[k] for k in ("tau", "cycle_period")} | timing
+        except (OSError, KeyError, TypeError, json.JSONDecodeError):
             raise ConfigError(
                 "config fields 'correlate.tau' and 'correlate.cycle_period' are "
                 f"required (no readable sidecar at {path}.json)"
             ) from None
-    records = records_from_csv(path, tau=float(tau), cycle_period=float(cycle))
+    records = records_from_csv(
+        path,
+        tau=_field(timing, "correlate", "tau"),
+        cycle_period=_field(timing, "correlate", "cycle_period"),
+    )
     lags = sec.get("lags")
     if lags is None:
         shortest = min(len(r) for r in records)
         lags = [m for m in (1, 2, 3, 5, 8) if m < shortest]
     else:
         lags = _number_list(lags, "correlate.lags", _count)
-    eps = _field(sec, "correlate", "epsilon", float, 0.0)
+    eps = _field(sec, "correlate", "epsilon", default=0.0)
     curve = correlation_curve(records, lags, correct_epsilon=eps or None)
     curve.to_csv(args.out)
     _write_sidecar(args.out, config, {"n_records": len(records), "epsilon": eps})
@@ -423,7 +432,7 @@ def cmd_fit(config, args):
             curve.correlation,
             curve.stderr,
             omega_l=_field(sec, "fit", "omega_l"),
-            coupling_c=_field(sec, "fit", "coupling_c", float, 1.0),
+            coupling_c=_field(sec, "fit", "coupling_c", default=1.0),
             qubit=build_qubit(config),
             **kw,
         )
@@ -439,7 +448,7 @@ def cmd_fit(config, args):
         params = []
         for name, bounds in free.items():
             try:
-                lo, hi = (float(b) for b in bounds)
+                lo, hi = (_real(b) for b in bounds)
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"config field 'fit.free.{name}' must be a [lower, upper] pair"
@@ -483,10 +492,10 @@ def cmd_fit(config, args):
 
 
 def _figure_model(sec, secname, rms_default, gamma=1.0, omega_e_scale=1.0):
-    omega_l = _field(sec, secname, "omega_l", float, TWO_PI * 0.1)
-    omega_e = _field(sec, secname, "omega_e", float, TWO_PI * 1.0e4) * omega_e_scale
-    g = _field(sec, secname, "g_factor", float, -0.44)
-    rms = _field(sec, secname, "rms_field", float, rms_default)
+    omega_l = _field(sec, secname, "omega_l", default=TWO_PI * 0.1)
+    omega_e = _field(sec, secname, "omega_e", default=TWO_PI * 1.0e4) * omega_e_scale
+    g = _field(sec, secname, "g_factor", default=-0.44)
+    rms = _field(sec, secname, "rms_field", default=rms_default)
     return OverhauserModel.from_rms(rms, omega_l, omega_e, gamma, coupling_from_g(g))
 
 
@@ -519,7 +528,7 @@ def cmd_figure2(config, args):
         args.out,
         config,
         {
-            "rms_field": _field(sec, "figure2", "rms_field", float, rms_default),
+            "rms_field": _field(sec, "figure2", "rms_field", default=rms_default),
             "rms_field_is_assumption": "rms_field" not in sec,
         },
     )
@@ -535,7 +544,7 @@ def cmd_figure3a(config, args):
         if "delta_t" in sec
         else np.geomspace(1.0e-5, 20.0, 40)
     )
-    target = _field(sec, "figure3a", "target", float, 2.0)
+    target = _field(sec, "figure3a", "target", default=2.0)
     base = _figure_model(sec, "figure3a", rms_default, gamma=1.0)
     sched = constant_contrast_schedule(base, dts, target=target)
     variants = {
@@ -570,7 +579,7 @@ def cmd_figure3a(config, args):
 def cmd_figure3b(config, args):
     # pair exponent along the 1/f schedule for slopes around 1
     sec = _optional_section(config, "figure3b")
-    level = _field(sec, "figure3b", "level", float, 1.0e-7)
+    level = _field(sec, "figure3b", "level", default=1.0e-7)
     variant = _field(sec, "figure3b", "variant", str, "exact")
     alphas = _number_list(sec.get("alpha", [0.9, 1.0, 1.1]), "figure3b.alpha")
     dts = (
@@ -578,9 +587,9 @@ def cmd_figure3b(config, args):
         if "delta_t" in sec
         else np.geomspace(3.0e-3, 3.0, 16)
     )
-    amplitude = _field(sec, "figure3b", "amplitude", float, math.pi / level)
-    omega_low = _field(sec, "figure3b", "omega_low", float, 1.0e-5)
-    omega_high = _field(sec, "figure3b", "omega_high", float, 1.0e8)
+    amplitude = _field(sec, "figure3b", "amplitude", default=math.pi / level)
+    omega_low = _field(sec, "figure3b", "omega_low", default=1.0e-5)
+    omega_high = _field(sec, "figure3b", "omega_high", default=1.0e8)
     sched = oneoverf_schedule(level, dts, variant=variant)
     rows = []
     for alpha in alphas:

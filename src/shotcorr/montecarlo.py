@@ -48,9 +48,6 @@ __all__ = [
     "records_from_csv",
 ]
 
-# cycles per GEMV block in the phase accumulation
-_BLOCK = 256
-
 _RECORDS_HEADER = ("cycle_index", "t_center_s", "outcome")
 _CURVE_HEADER = ("delta_t_s", "tau_s", "correlation", "stderr", "n_pairs")
 
@@ -266,58 +263,61 @@ def synthesize_modes(
     return ModeSet(omega, amp, u, v)
 
 
-def _phase_table(omega: np.ndarray, cycle_period: float):
-    """cos and sin of omega_k times each in-block offset j * cycle_period.
+def _phase_table(omega: np.ndarray, protocol: Protocol):
+    """cos and sin of omega_k t at every window centre t = t0_s + j cycle_period.
 
-    Shape (modes, _BLOCK) each.  The table depends on the grid and the
-    cycle period alone, so every record of a protocol can share it.
+    Blocks of B cycles, B the least power of two with B^2 >= n_cycles:
+    ``(c0, s0, off)`` hold cos and sin of omega_k t0_s per block start s,
+    shape (n_blocks, modes) each, and [cos; sin] of omega_k j cycle_period
+    per in-block offset j, shape (2 modes, B).  They depend on the grid
+    and the protocol's timing alone, so every record of a protocol shares them.
     """
-    arg = omega[:, None] * (np.arange(_BLOCK) * cycle_period)[None, :]
-    m_cos = np.cos(arg)
-    m_sin = np.sin(arg, out=arg)
+    n, dt = protocol.n_cycles, protocol.cycle_period
+    block = 1 << math.isqrt(n - 1).bit_length()
+    arg = (np.arange(0, n, block) * dt + protocol.tau / 2.0)[:, None] * omega[None, :]
+    c0 = np.cos(arg)
+    s0 = np.sin(arg, out=arg)
+    arg = omega[:, None] * (np.arange(block) * dt)[None, :]
+    off = np.empty((2 * len(omega), block))
+    np.cos(arg, out=off[: len(omega)])
+    np.sin(arg, out=off[len(omega) :])
     # shared by every record of a protocol: no reader may write to it
-    m_cos.flags.writeable = m_sin.flags.writeable = False
-    return m_cos, m_sin
+    c0.flags.writeable = s0.flags.writeable = off.flags.writeable = False
+    return c0, s0, off
 
 
 def _protocol_share(spectrum, protocol, grid, independent_cycles):
     """``(rms, table)`` for every record of a protocol; no table for independent cycles."""
     rms = _mode_rms(spectrum, grid, protocol.duration)
-    table = None if independent_cycles else _phase_table(rms[0], protocol.cycle_period)
+    table = None if independent_cycles else _phase_table(rms[0], protocol)
     return rms, table
 
 
 def accumulated_phases(modes: ModeSet, protocol: Protocol, table=None) -> np.ndarray:
     """Phase integral of every cycle's evolution window, exactly per mode.
 
-    Blocked evaluation: the in-block time offsets repeat, so their
-    cosines come from one table and each block needs two matrix-vector
-    products plus one scalar-argument trig call per mode.  ``table`` is
-    that table for ``modes.omega`` and the protocol's cycle period, as
-    ``run_protocol`` shares it; it is built here when None.
+    cos(w (t0_s + off)) = cos(w t0_s) cos(w off) - sin(w t0_s) sin(w off),
+    likewise sin: the record's weighted block-start terms, one (n_blocks,
+    2 modes) matrix, times the (2 modes, B) offset table give every phase
+    in one matrix-matrix product.  ``table`` is ``_phase_table`` for
+    ``modes.omega`` and the protocol, as ``run_protocol`` shares it; it is
+    built here when None.
     """
     tau = protocol.tau
-    dt = protocol.cycle_period
-    n = protocol.n_cycles
     w = modes.omega
     gain = np.where(w > 0, 2.0 * np.sin(w * tau / 2.0) / np.where(w > 0, w, 1.0), tau)
     bu = modes.amp * gain * modes.u
     bv = modes.amp * gain * modes.v
 
-    m_cos, m_sin = table if table is not None else _phase_table(w, dt)
-
-    phases = np.empty(n)
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        t0 = s * dt + tau / 2.0
-        cb = np.cos(w * t0)
-        sb = np.sin(w * t0)
-        # cos(w (t0+off)) = cb*cos(w off) - sb*sin(w off), likewise sin
-        width = e - s
-        phases[s:e] = (bu * cb + bv * sb) @ m_cos[:, :width] + (bv * cb - bu * sb) @ m_sin[
-            :, :width
-        ]
-    return phases
+    c0, s0, off = table if table is not None else _phase_table(w, protocol)
+    weights = np.empty((len(c0), 2 * len(w)))
+    lo, hi = weights[:, : len(w)], weights[:, len(w) :]
+    tmp = np.empty_like(c0)
+    np.multiply(bu, c0, out=lo)
+    lo += np.multiply(bv, s0, out=tmp)
+    np.multiply(bv, c0, out=hi)
+    hi -= np.multiply(bu, s0, out=tmp)
+    return (weights @ off).ravel()[: protocol.n_cycles]
 
 
 def accumulated_phases_independent(modes: ModeSet, protocol: Protocol, rng) -> np.ndarray:

@@ -610,7 +610,7 @@ def _discriminate_config(tmp_path, stderr=5e-4):
 
 
 def _chi(tmp_path, value):
-    return {"spectrum": OVERHAUSER_SPEC, "chi": {"tau": 5e-4, "delta_t": value}}
+    return {"spectrum": dict(OVERHAUSER_SPEC), "chi": {"tau": 5e-4, "delta_t": value}}
 
 
 def _fit(mode, key):
@@ -867,6 +867,61 @@ class TestCountFields:
             assert run_cli(["simulate", "--config", cfg, "--out", out, "--seed", 2]) == 0
             runs[name] = (out.read_bytes(), (tmp_path / f"{name}.records.csv").read_bytes())
         assert runs["int"] == runs["float"]
+
+
+# (command, float field, bad value): float() would read a boolean as 0.0
+# or 1.0, and the correlate timing fields went through bare float()
+_FLOAT_BASES = {
+    "chi": lambda d: _chi(d, [1e-3]),
+    "simulate": CONTRACT_CASES["simulate"],
+    "correlate": CONTRACT_CASES["correlate"],
+}
+_BAD_FLOATS = [
+    ("chi", "chi.delta_t", True),
+    ("chi", "chi.delta_t", [True]),
+    ("chi", "chi.tau", False),
+    ("chi", "spectrum.omega_e", True),
+    ("simulate", "protocol.tau", True),
+    ("simulate", "grid.omega_min", True),
+    ("correlate", "correlate.tau", "abc"),
+    ("correlate", "correlate.cycle_period", True),
+]
+
+
+class TestFloatFields:
+    @pytest.mark.parametrize(
+        "command, field, value", _BAD_FLOATS, ids=[f"{f}={v!r}" for _, f, v in _BAD_FLOATS]
+    )
+    def test_non_number_exits_with_message(self, tmp_path, capsys, command, field, value):
+        config = _with(_FLOAT_BASES[command](tmp_path), field, value)
+        cfg = write_config(tmp_path / "c.json", config)
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"'{field}'" in err
+        assert not (tmp_path / "x.out").exists()
+
+    def test_sidecar_timing_converted_alike(self, tmp_path, capsys):
+        # tau and cycle_period left out of the config come from the records
+        # sidecar and pass the same converter
+        records = _records_file(tmp_path / "in.records.csv")
+        notes = {"tau": True, "cycle_period": 1e-3}
+        (tmp_path / "in.records.csv.json").write_text(json.dumps({"notes": notes}))
+        cfg = write_config(tmp_path / "c.json", {"correlate": {"records": str(records)}})
+        assert run_cli(["correlate", "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        assert capsys.readouterr().err == "error: config field 'correlate.tau' has invalid value True\n"
+
+    def test_numbers_and_inf_pass(self, tmp_path):
+        # an int, a float, the documented "inf" cutoff and null read as before
+        rows = []
+        for name, delta_t, omega_e in (("int", 1, "inf"), ("float", 1.0, None)):
+            spec = dict(OVERHAUSER_SPEC, omega_e=omega_e)
+            cfg = write_config(
+                tmp_path / f"{name}.json", {"spectrum": spec, "chi": {"tau": 5e-4, "delta_t": delta_t}}
+            )
+            assert run_cli(["chi", "--config", cfg, "--out", tmp_path / f"{name}.csv"]) == 0
+            rows.append((tmp_path / f"{name}.csv").read_bytes())
+        assert rows[0] == rows[1]
 
 
 # run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument

@@ -204,7 +204,7 @@ class TestSharedPhaseTable:
     """run_protocol builds the phase table once and every record reads it."""
 
     def protocol(self, flip=0.0):
-        # 600 cycles: two full 256-cycle blocks and a partial one
+        # 600 cycles: blocks of 32, the last one partial (600 = 18 * 32 + 24)
         qubit = QubitParams(omega_q=300.0, readout_flip_prob=flip)
         return Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=600, qubit=qubit)
 
@@ -224,9 +224,7 @@ class TestSharedPhaseTable:
         m = sampling_zoo()[1]
         prot = self.protocol()
         grid = GridSpec(n_modes=512)
-        table = montecarlo._phase_table(
-            grid.cells(m, prot.duration)[1], prot.cycle_period
-        )
+        table = montecarlo._phase_table(grid.cells(m, prot.duration)[1], prot)
         for seed in (1, 2):
             modes = synthesize_modes(m, grid, prot.duration, np.random.default_rng(seed))
             shared = accumulated_phases(modes, prot, table)
@@ -244,9 +242,9 @@ class TestSharedPhaseTable:
         build = montecarlo._phase_table
         evaluate = WhiteModel.evaluate
 
-        def counted(omega, cycle_period):
-            calls.append(cycle_period)
-            return build(omega, cycle_period)
+        def counted(omega, protocol):
+            calls.append(protocol)
+            return build(omega, protocol)
 
         def counted_evaluate(self, omega):
             sizes.append(np.size(omega))
@@ -264,6 +262,46 @@ class TestSharedPhaseTable:
         )
         assert len(calls) == builds
         assert sorted(sizes) == [1, 256]
+
+
+class TestPhaseTable:
+    """Two-level phase table: block starts times in-block offsets."""
+
+    # one block, an exact power of four, partial last blocks
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 600, 1000])
+    def test_matches_window_phase(self, n):
+        # both sides round each trig argument omega_k t to about eps omega_k t,
+        # so the scale is eps * sum_k |b_k| (1 + omega_k t_end); over 20 seeds
+        # and these n the difference reached 0.2 of it before the two-level
+        # table and 0.3 of it after
+        m = sampling_zoo()[1]
+        prot = Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=n)
+        grid = GridSpec(n_modes=512)
+        for seed in range(3):
+            modes = synthesize_modes(m, grid, prot.duration, np.random.default_rng(seed))
+            ref = modes.window_phase(np.arange(n) * prot.cycle_period, prot.tau)
+            w = modes.omega
+            b = modes.amp * np.hypot(modes.u, modes.v) * np.abs(
+                np.where(w > 0, 2.0 * np.sin(w * prot.tau / 2.0) / np.where(w > 0, w, 1.0), prot.tau)
+            )
+            scale = np.finfo(float).eps * np.sum(b * (1.0 + w * prot.duration))
+            assert np.max(np.abs(accumulated_phases(modes, prot) - ref)) < scale
+
+    def test_table_grows_as_root_of_cycles(self):
+        # blocks of the least power of two B with B^2 >= n: the table holds
+        # (n_blocks + B) rows of 2 * modes doubles, never modes x 256 or n
+        omega = GridSpec(n_modes=256).cells(sampling_zoo()[1], 1.0)[1]
+        nbytes = {}
+        for n, block in ((1000, 32), (16000, 128)):
+            prot = Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=n)
+            c0, s0, off = montecarlo._phase_table(omega, prot)
+            n_blocks = -(-n // block)
+            assert c0.shape == s0.shape == (n_blocks, len(omega))
+            assert off.shape == (2 * len(omega), block)
+            nbytes[n] = c0.nbytes + s0.nbytes + off.nbytes
+        assert nbytes[1000] < 2 * len(omega) * 256 * 8 / 2
+        # 16 times the cycles: about 4 times the table, not 16
+        assert nbytes[16000] < 4.5 * nbytes[1000]
 
 
 class TestAgainstAnalytic:
