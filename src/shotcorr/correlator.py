@@ -12,25 +12,35 @@ with Omega the residual qubit splitting.  chi_minus is the spectroscopy
 signal: its low-frequency filter rises as omega^2, so slow noise drops
 out of the difference while staying in the sum.
 
-Numerically, chi_plus and chi_minus are integrated in product form (never
-as differences of large phase variances, which cancels catastrophically
-once the phase variance is large).  The integrand splits at a frequency a
-few tens of oscillations of cos(omega*delta_t) above zero: below, panels
-resolve the oscillation directly; above, the cosine is handled exactly by
-the Filon kernel so huge delta_t costs nothing.
+Numerically, each filtered integral of S is written once, as a table of
+frequency regions (``_Region``): a band, a kernel (direct Gauss panels,
+or Filon with the cosine exact), an integrand linear in S, and a
+``combine`` from the region's values to its share of the outputs.  Band
+edges sit a few tens of oscillations of cos(omega t) above zero.
+chi_minus and chi_plus at delta_t >= tau take three regions, in product
+form (never a difference of large phase variances, which cancels
+catastrophically once the phase variance is large):
 
-``chi_pair`` is the authority for one pair.  ``ChiPlan`` serves a caller
-that needs the same design of pairs for many spectra: chi_plus and
-chi_minus are linear in S, and on fixed panels every quadrature sum of
-``chi_pair`` is a fixed weight on S at a fixed node, so each chi of the
-design is one weighted sum of S.  Points whose two-density error
-estimate fails, and spectra the plan was not built for, go through
-``chi_pair``.
+* below the delta_t edge, the two products directly on Gauss panels;
+* up to the tau edge, the sin^2(omega tau/2) envelope on Filon, so a
+  huge delta_t costs nothing;
+* above both, five plain cosines of S/omega^2 on Filon, tied in
+  magnitude to the t = 0 transform so the sum never digs into
+  cancellation.
+
+``chi_pair``, ``phase_variance`` and ``phase_cross_correlation``
+integrate the regions with the adaptive kernels; ``chi_pair`` is the
+authority for one pair.  ``ChiPlan`` serves a design of pairs for many
+spectra: on fixed panels each region is fixed weights on S at fixed
+nodes, so each chi is one weighted sum of S.  Points whose two-density
+error estimate fails, and spectra the plan was not built for, go
+through ``chi_pair``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,15 +144,6 @@ def _sinc(x):
     return np.sinc(x / math.pi)
 
 
-def _envelope(spectrum, tau):
-    """S(omega) sin^2(omega tau/2) / omega^2 in overflow-safe form."""
-
-    def env(w):
-        return spectrum.evaluate(w) * (tau / 2.0) ** 2 * _sinc(w * tau / 2.0) ** 2
-
-    return env
-
-
 def _window(spectrum):
     """Integration window [0, hi] for the filtered integrals.
 
@@ -155,20 +156,114 @@ def _window(spectrum):
     return 0.0, min(spectrum.hard_max, spectrum.suggested_omega_max(1e-20))
 
 
-def _flat_tail(spectrum, lo, hi, times, quad, brk):
-    """Cosine transforms of S/omega^2 over [lo, hi] at t = 0 and ``times``.
+@dataclass(frozen=True)
+class _Region:
+    """A band [lo, hi] of a filtered integral of S and how to integrate it.
 
-    Returns {t: value}.  One Filon call serves every time; the t = 0
-    transform bounds the oscillatory ones in magnitude and so anchors
-    their tolerance.
+    Each of ``integrands``, g(s, omega), is linear in the spectrum values
+    s.  ``times`` None: direct Gauss panels of at most half ``period``, one
+    value per integrand.  Else Filon on the one integrand, ``period`` its
+    own oscillation (or None), one value per time.  ``combine`` maps the
+    values to the region's share of each output.
     """
 
-    def f(w):
-        return spectrum.evaluate(w) / (w * w)
+    lo: float
+    hi: float
+    integrands: tuple
+    period: float | None
+    times: tuple | None
+    combine: Callable
 
-    ts = list(dict.fromkeys((0.0, *times)))
-    res = filon_cos_integral(f, ts, quad.with_window(lo, hi), breakpoints=brk)
-    return dict(zip(ts, res.value.tolist()))
+
+def _envelope(tau):
+    """g(s, omega) = s sin^2(omega tau/2) / omega^2 in overflow-safe form."""
+    return lambda s, w: s * (tau / 2.0) ** 2 * _sinc(w * tau / 2.0) ** 2
+
+
+def _over_w2(s, w):
+    return s / (w * w)
+
+
+def _pv_regions(tau, hi):
+    """``phase_variance``: the envelope at t = 0, then (1 - cos(omega tau))/2 on S/omega^2."""
+    omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
+
+    def low(i0):
+        return (4.0 / math.pi * i0,)
+
+    def tail(j0, j_tau):
+        return (2.0 / math.pi * (j0 - j_tau),)
+
+    return [
+        _Region(0.0, omega_b, (_envelope(tau),), 2.0 * math.pi / tau, (0.0,), low),
+        _Region(omega_b, hi, (_over_w2,), None, (0.0, tau), tail),
+    ]
+
+
+def _cross_regions(tau, dt, hi):
+    """``phase_cross_correlation``: the envelope at t = dt, then three cosines on S/omega^2."""
+    omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
+
+    def low(i0, i_dt):
+        return (4.0 / math.pi * i_dt,)
+
+    def tail(j0, j_dt, j_sum, j_dif):
+        return (2.0 / math.pi * j_dt - 1.0 / math.pi * (j_sum + j_dif),)
+
+    return [
+        _Region(0.0, omega_b, (_envelope(tau),), 2.0 * math.pi / tau, (0.0, dt), low),
+        _Region(omega_b, hi, (_over_w2,), None, (0.0, dt, dt + tau, abs(dt - tau)), tail),
+    ]
+
+
+def _chi_regions(tau, dt, hi):
+    """``chi_pair`` for dt >= tau, the three regions of the module docstring."""
+    omega_a = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / dt)
+    omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
+    env = _envelope(tau)
+
+    def low(i_minus, i_plus):
+        return 16.0 / math.pi * i_minus, 16.0 / math.pi * i_plus
+
+    def mid(i0, i_dt):
+        return 8.0 / math.pi * (i0 - i_dt), 8.0 / math.pi * (i0 + i_dt)
+
+    def tail(j0, j_tau, j_dt, j_sum, j_dif):
+        return (
+            4.0 / math.pi * (j0 - j_tau - j_dt + 0.5 * (j_sum + j_dif)),
+            4.0 / math.pi * (j0 - j_tau + j_dt - 0.5 * (j_sum + j_dif)),
+        )
+
+    products = (
+        lambda s, w: env(s, w) * np.sin(w * dt / 2.0) ** 2,
+        lambda s, w: env(s, w) * np.cos(w * dt / 2.0) ** 2,
+    )
+    return [
+        _Region(0.0, omega_a, products, 2.0 * math.pi / dt, None, low),
+        _Region(omega_a, omega_b, (env,), 2.0 * math.pi / tau, (0.0, dt), mid),
+        _Region(omega_b, hi, (_over_w2,), None, (0.0, tau, dt, dt + tau, dt - tau), tail),
+    ]
+
+
+def _integrate(regions, spectrum, quad):
+    """Each output of ``regions`` for ``spectrum``, by the adaptive kernels."""
+    brk = spectrum.breakpoints()
+    total = None
+    for r in (r for r in regions if r.lo < r.hi):
+        spec = quad.with_window(r.lo, r.hi)
+        fs = [lambda w, g=g: g(spectrum.evaluate(w), w) for g in r.integrands]
+        if r.times is None:
+            values = [integrate_spectral(f, r.period, spec, brk).value for f in fs]
+        else:
+            # a time listed twice (dt = tau or 2 tau) is integrated once
+            times = tuple(dict.fromkeys(r.times))
+            (f,) = fs
+            res = filon_cos_integral(f, times, spec, breakpoints=brk, envelope_period=r.period)
+            by_time = dict(zip(times, res.value.tolist()))
+            values = [by_time[t] for t in r.times]
+        share = r.combine(*values)
+        total = share if total is None else tuple(a + b for a, b in zip(total, share))
+    return total
 
 
 def _quad(quad):
@@ -178,54 +273,17 @@ def _quad(quad):
 def phase_variance(spectrum: SpectrumModel, tau: float, quad=None) -> float:
     """Variance of the phase accumulated over one evolution window.
 
-    (4/pi) * integral S(omega) sin^2(omega tau/2) / omega^2.  Below a few
-    filter oscillations the envelope is integrated directly; above, the
-    sin^2 is expanded and its cosine handled exactly, so the cost never
-    scales with tau times the window top.
+    (4/pi) * integral S(omega) sin^2(omega tau/2) / omega^2.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    quad = _quad(quad)
-    lo, hi = _window(spectrum)
-    brk = spectrum.breakpoints()
-    omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
-    (low,) = filon_cos_integral(
-        _envelope(spectrum, tau),
-        (0.0,),
-        quad.with_window(lo, omega_b),
-        breakpoints=brk,
-        envelope_period=2.0 * math.pi / tau,
-    ).value.tolist()
-    total = 4.0 / math.pi * low
-    if omega_b < hi:
-        vals = _flat_tail(spectrum, omega_b, hi, (tau,), quad, brk)
-        total += 2.0 / math.pi * (vals[0.0] - vals[tau])
-    return total
+    return _integrate(_pv_regions(tau, _window(spectrum)[1]), spectrum, _quad(quad))[0]
 
 
 def phase_cross_correlation(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> float:
     """Covariance of the two phases, (1/pi) * integral S * F / omega^2."""
-    quad = _quad(quad)
-    tau, dt = pair.tau, pair.delta_t
-    lo, hi = _window(spectrum)
-    brk = spectrum.breakpoints()
-    env = _envelope(spectrum, tau)
-    omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
-    _, low = filon_cos_integral(
-        env,
-        (0.0, dt),
-        quad.with_window(lo, omega_b),
-        breakpoints=brk,
-        envelope_period=2.0 * math.pi / tau,
-    ).value.tolist()
-    total = 4.0 / math.pi * low
-    if omega_b < hi:
-        vals = _flat_tail(spectrum, omega_b, hi, (dt, dt + tau, abs(dt - tau)), quad, brk)
-        total += (
-            2.0 / math.pi * vals[dt]
-            - 1.0 / math.pi * (vals[dt + tau] + vals[abs(dt - tau)])
-        )
-    return total
+    regions = _cross_regions(pair.tau, pair.delta_t, _window(spectrum)[1])
+    return _integrate(regions, spectrum, _quad(quad))[0]
 
 
 def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[float, float]:
@@ -233,22 +291,9 @@ def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[f
 
     chi_minus = (16/pi) integral S sin^2(omega tau/2) sin^2(omega dt/2) / omega^2
     chi_plus  = same with cos^2(omega dt/2).
-
-    Three frequency regions keep this both stable and cheap:
-
-    * up to a few oscillations of the slower trig factor, the product
-      integrand is integrated directly (nonnegative, no cancellation);
-    * up to a few oscillations of the faster factor, the slow factor
-      stays in the envelope and the fast cosine is handled exactly;
-    * above both, the product expands into five plain cosines of
-      S/omega^2, each handled exactly, with all magnitudes tied to the
-      t = 0 transform so the assembly never digs into cancellation.
     """
     quad = _quad(quad)
     tau, dt = pair.tau, pair.delta_t
-    lo, hi = _window(spectrum)
-    brk = spectrum.breakpoints()
-
     if dt == 0.0:
         return 0.0, 4.0 * phase_variance(spectrum, tau, quad)
     if dt < tau:
@@ -258,45 +303,7 @@ def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[f
         swapped = EvolutionPair(dt, tau)
         chi_m = chi_pair(spectrum, swapped, quad)[0]
         return chi_m, 4.0 * phase_variance(spectrum, tau, quad) - chi_m
-
-    t_fast, t_slow = dt, tau
-    omega_a = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / t_fast)
-    omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / t_slow)
-    env = _envelope(spectrum, tau)
-
-    def f_minus(w):
-        return env(w) * np.sin(w * dt / 2.0) ** 2
-
-    def f_plus(w):
-        return env(w) * np.cos(w * dt / 2.0) ** 2
-
-    low_spec = quad.with_window(lo, omega_a)
-    low_brk = [p for p in brk if lo < p < omega_a]
-    hint = 2.0 * math.pi / t_fast
-    chi_m = 16.0 / math.pi * integrate_spectral(f_minus, hint, low_spec, breakpoints=low_brk).value
-    chi_p = 16.0 / math.pi * integrate_spectral(f_plus, hint, low_spec, breakpoints=low_brk).value
-
-    if omega_a < omega_b:
-        mid_spec = quad.with_window(omega_a, omega_b)
-        i0, ic = filon_cos_integral(
-            env, (0.0, dt), mid_spec, breakpoints=brk, envelope_period=2.0 * math.pi / t_slow
-        ).value.tolist()
-        chi_m += 8.0 / math.pi * (i0 - ic)
-        chi_p += 8.0 / math.pi * (i0 + ic)
-
-    if omega_b < hi:
-        times = (tau, dt, dt + tau, dt - tau)
-        vals = _flat_tail(spectrum, omega_b, hi, times, quad, brk)
-        j0, j_tau, j_dt = vals[0.0], vals[tau], vals[dt]
-        j_sum, j_dif = vals[dt + tau], vals[dt - tau]
-        chi_m += 4.0 / math.pi * (j0 - j_tau - j_dt + 0.5 * (j_sum + j_dif))
-        chi_p += 4.0 / math.pi * (j0 - j_tau + j_dt - 0.5 * (j_sum + j_dif))
-    return chi_m, chi_p
-
-
-def _sin2_over_w2(w, tau):
-    """sin^2(omega tau/2) / omega^2, the factor ``_envelope`` puts on S."""
-    return (tau / 2.0) ** 2 * _sinc(w * tau / 2.0) ** 2
+    return _integrate(_chi_regions(tau, dt, _window(spectrum)[1]), spectrum, quad)
 
 
 def _joined(parts):
@@ -314,14 +321,14 @@ class ChiPlan:
     ``breakpoints``; ``apply(spectrum)`` evaluates S on the plan's nodes
     and returns the arrays (chi_minus, chi_plus) in the order of ``pairs``.
 
-    Rows.  Each chi is one row of weights, region by region as in
-    ``chi_pair`` with ``omega_max`` as the window top: Gauss-16 weights on
-    ``integrate_spectral``'s grid below the first split, Filon node
-    weights on the envelope S sin^2(omega tau/2)/omega^2 up to the second,
-    and the five-cosine tail on S/omega^2 above.  delta_t < tau uses the
-    swapped pair's chi_minus row and 4 phase-variance rows minus it for
-    chi_plus; delta_t = 0 gives chi_minus = 0 and chi_plus = 4 phase
-    variance, the phase-variance row built like ``phase_variance``.
+    Rows.  A pair's rows come from the same region table as ``chi_pair``,
+    with ``omega_max`` as the window top.  Each region's kernel becomes
+    fixed node weights (``gauss_weights`` for direct panels,
+    ``filon_weights`` per time for Filon), times its integrand at unit
+    spectrum, and the region's ``combine`` maps those weight rows to its
+    share of each output.  delta_t < tau uses the swapped pair's
+    chi_minus row and 4 phase-variance rows minus it for chi_plus;
+    delta_t = 0 gives chi_minus = 0 and chi_plus = 4 phase variance.
 
     Two densities.  Every row exists on the base grids and on one
     bisection of them (the Filon regions start one doubling up, as
@@ -370,50 +377,30 @@ class ChiPlan:
         return cls(pairs, omega_max, {p for s in spectra for p in _kinks(s, omega_max)}, quad)
 
     def _pair_rows(self, pair, level):
-        tau, dt = pair.tau, pair.delta_t
+        tau, dt, hi = pair.tau, pair.delta_t, self.omega_max
         if dt == 0.0:
-            nodes, pv = self._pv_row(tau, level)
+            nodes, (pv,) = self._rows(_pv_regions(tau, hi), level)
             return nodes, np.stack([np.zeros_like(pv), 4.0 * pv])
         if dt < tau:
-            nodes_m, rows = self._chi_rows(dt, tau, level)
-            nodes_v, pv = self._pv_row(tau, level)
-            minus = np.concatenate([rows[0], np.zeros_like(pv)])
-            plus = np.concatenate([-rows[0], 4.0 * pv])
-            return np.concatenate([nodes_m, nodes_v]), np.stack([minus, plus])
-        return self._chi_rows(tau, dt, level)
+            nodes_m, (minus, _) = self._rows(_chi_regions(dt, tau, hi), level)
+            nodes_v, (pv,) = self._rows(_pv_regions(tau, hi), level)
+            rows = [np.concatenate([minus, np.zeros_like(pv)]), np.concatenate([-minus, 4.0 * pv])]
+            return np.concatenate([nodes_m, nodes_v]), np.stack(rows)
+        return self._rows(_chi_regions(tau, dt, hi), level)
 
-    def _chi_rows(self, tau, dt, level):
-        """chi_pair's three regions for dt >= tau as (nodes, (2, n) weights)."""
-        quad, hi, brk = self.quad, self.omega_max, self.breakpoints
-        omega_a = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / dt)
-        omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
-        x, w = gauss_weights(2.0 * math.pi / dt, quad.with_window(0.0, omega_a), brk, level)
-        w = 16.0 / math.pi * w * _sin2_over_w2(x, tau)
-        parts = [(x, np.stack([w * np.sin(x * dt / 2.0) ** 2, w * np.cos(x * dt / 2.0) ** 2]))]
-        if omega_a < omega_b:
-            spec = quad.with_window(omega_a, omega_b)
-            x, (i0, ic) = filon_weights((0.0, dt), spec, brk, 2.0 * math.pi / tau, level + 1)
-            env = 8.0 / math.pi * _sin2_over_w2(x, tau)
-            parts.append((x, np.stack([env * (i0 - ic), env * (i0 + ic)])))
-        if omega_b < hi:
-            times = (0.0, tau, dt, dt + tau, dt - tau)
-            x, w = filon_weights(times, quad.with_window(omega_b, hi), brk, None, level + 1)
-            j0, j_tau, j_dt, j_sum, j_dif = 4.0 / math.pi * w / (x * x)
-            base, cross = j0 - j_tau, j_dt - 0.5 * (j_sum + j_dif)
-            parts.append((x, np.stack([base - cross, base + cross])))
-        return _joined(parts)
-
-    def _pv_row(self, tau, level):
-        """``phase_variance`` as (nodes, weights)."""
-        quad, hi, brk = self.quad, self.omega_max, self.breakpoints
-        omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
-        spec = quad.with_window(0.0, omega_b)
-        x, (i0,) = filon_weights((0.0,), spec, brk, 2.0 * math.pi / tau, level + 1)
-        parts = [(x, 4.0 / math.pi * i0 * _sin2_over_w2(x, tau))]
-        if omega_b < hi:
-            spec = quad.with_window(omega_b, hi)
-            x, (j0, j_tau) = filon_weights((0.0, tau), spec, brk, None, level + 1)
-            parts.append((x, 2.0 / math.pi * (j0 - j_tau) / (x * x)))
+    def _rows(self, regions, level):
+        """``regions`` as (nodes, weights), one weight row per output."""
+        parts = []
+        for r in (r for r in regions if r.lo < r.hi):
+            spec = self.quad.with_window(r.lo, r.hi)
+            if r.times is None:
+                x, w = gauss_weights(r.period, spec, self.breakpoints, level)
+                values = [w * g(1.0, x) for g in r.integrands]
+            else:
+                (g,) = r.integrands
+                x, w = filon_weights(r.times, spec, self.breakpoints, r.period, level + 1)
+                values = w * g(1.0, x)
+            parts.append((x, np.stack(r.combine(*values))))
         return _joined(parts)
 
     def _serves(self, spectrum) -> bool:

@@ -108,6 +108,11 @@ class GridSpec:
         return lo, omega, np.diff(edges)
 
 
+def _window_gain(w, tau):
+    """Phase per unit mode amplitude over a window: 2 sin(omega tau / 2) / omega, tau at 0."""
+    return np.where(w > 0, 2.0 * np.sin(w * tau / 2.0) / np.where(w > 0, w, 1.0), tau)
+
+
 @dataclass(frozen=True, eq=False)
 class ModeSet:
     """One realization of the harmonic synthesis.
@@ -133,7 +138,7 @@ class ModeSet:
         """Exact integral of beta over [t_start, t_start + tau] per mode sum."""
         t_start = np.atleast_1d(np.asarray(t_start, dtype=float))
         w = self.omega[:, None]
-        gain = np.where(w > 0, 2.0 * np.sin(w * tau / 2.0) / np.where(w > 0, w, 1.0), tau)
+        gain = _window_gain(w, tau)
         center = t_start[None, :] + tau / 2.0
         out = (self.amp * self.u) @ (gain * np.cos(w * center)) + (self.amp * self.v) @ (
             gain * np.sin(w * center)
@@ -303,9 +308,8 @@ def accumulated_phases(modes: ModeSet, protocol: Protocol, table=None) -> np.nda
     ``modes.omega`` and the protocol, as ``run_protocol`` shares it; it is
     built here when None.
     """
-    tau = protocol.tau
     w = modes.omega
-    gain = np.where(w > 0, 2.0 * np.sin(w * tau / 2.0) / np.where(w > 0, w, 1.0), tau)
+    gain = _window_gain(w, protocol.tau)
     bu = modes.amp * gain * modes.u
     bv = modes.amp * gain * modes.v
 
@@ -328,9 +332,7 @@ def accumulated_phases_independent(modes: ModeSet, protocol: Protocol, rng) -> n
     cycle-to-cycle correlation, so one scaled draw per cycle reproduces
     the per-cycle-independent process without rebuilding trajectories.
     """
-    tau = protocol.tau
-    w = modes.omega
-    gain = np.where(w > 0, 2.0 * np.sin(w * tau / 2.0) / np.where(w > 0, w, 1.0), tau)
+    gain = _window_gain(modes.omega, protocol.tau)
     sigma = float(np.sqrt(np.sum((modes.amp * gain) ** 2)))
     return sigma * rng.standard_normal(protocol.n_cycles)
 
@@ -423,9 +425,13 @@ def estimate_autocorrelation(
     back to blocking on the product series.  ``correct_epsilon`` divides
     out a known readout flip probability.
     """
-    lags = np.asarray(lags, dtype=int)
+    lags = np.asarray(lags)
     if lags.ndim != 1 or len(lags) == 0:
         raise ValueError("lags must be a nonempty 1-d sequence")
+    bad = [m for m in lags.tolist() if not float(m).is_integer()]
+    if bad:
+        raise ValueError(f"lags must be whole numbers of cycles, got {bad}")
+    lags = lags.astype(int)
     if np.any(lags < 1):
         raise ValueError("lags must be >= 1")
     if not records:
@@ -485,11 +491,14 @@ def correlation_curve(
     records: list[ShotRecord], lags, correct_epsilon: float | None = None
 ) -> CorrelationCurve:
     """Package the lag estimates of a batch of same-protocol records."""
+    if not records:
+        raise ValueError("no records given")
     tau = records[0].tau
     dt = records[0].cycle_period
     for rec in records:
         if rec.tau != tau or rec.cycle_period != dt:
             raise ValueError("records mix different protocols")
-    lags = np.asarray(lags, dtype=int)
     corr, stderr, n_pairs = estimate_autocorrelation(records, lags, correct_epsilon)
+    # whole numbers: estimate_autocorrelation refuses any other lag
+    lags = np.asarray(lags, dtype=int)
     return CorrelationCurve(lags * dt, np.full(len(lags), tau), corr, stderr, n_pairs)

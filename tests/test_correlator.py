@@ -246,11 +246,15 @@ class TestChiPair:
 
 
 # delta_t > tau (the middle region and the five-cosine tail both reached),
-# delta_t < tau and delta_t = 0
+# delta_t < tau, delta_t = tau (no middle region, and the tail's
+# delta_t - tau repeats t = 0), delta_t = 2 tau (delta_t - tau repeats tau)
+# and delta_t = 0
 PLAN_PAIRS = (
     EvolutionPair(tau=1.0e-4, delta_t=1.0e-2),
     EvolutionPair(tau=2.0e-5, delta_t=3.0e-5),
     EvolutionPair(tau=3.0e-4, delta_t=1.0e-4),
+    EvolutionPair(tau=1.0e-4, delta_t=1.0e-4),
+    EvolutionPair(tau=1.0e-4, delta_t=2.0e-4),
     EvolutionPair(tau=3.0e-4, delta_t=0.0),
 )
 

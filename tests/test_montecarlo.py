@@ -448,6 +448,25 @@ class TestEstimator:
         with pytest.raises(ValueError):
             correlation_curve([a, b], [1])
 
+    @pytest.mark.parametrize("estimate", [correlation_curve, estimate_autocorrelation])
+    @pytest.mark.parametrize(
+        "n_records, lags, message",
+        [(1, [1, 2.9], r"2\.9"), (0, [1], "no records given")],
+        ids=["fractional_lag", "no_records"],
+    )
+    def test_bad_input_named(self, estimate, n_records, lags, message):
+        # a lag of 2.9 cycles must not be truncated to 2, and an empty
+        # batch must not reach an index
+        records = [self._fabricated(np.ones(50))] * n_records
+        with pytest.raises(ValueError, match=message):
+            estimate(records, lags)
+
+    def test_whole_float_lags_accepted(self):
+        rec = self._fabricated(np.ones(50))
+        curve = correlation_curve([rec], [1.0, 7.0])
+        assert np.array_equal(curve.delta_t, correlation_curve([rec], [1, 7]).delta_t)
+        assert np.array_equal(curve.n_pairs, [49, 43])
+
     def test_blocking_detects_correlated_noise(self):
         # noise much slower than the cycle leaves the outcome bias nearly
         # frozen over ~100 cycles, so lag-1 products are serially
