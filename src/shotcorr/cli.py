@@ -117,8 +117,8 @@ def _optional_section(config, name, path=None):
 
 
 def _real(val):
-    """A JSON number as a float; booleans raise, so ``true`` never reads as 1.0."""
-    if isinstance(val, bool):
+    """A JSON number as a float; booleans and NaN raise, so ``true`` never reads as 1.0."""
+    if isinstance(val, bool) or math.isnan(float(val)):
         raise TypeError(f"{val!r} is not a number")
     return float(val)
 

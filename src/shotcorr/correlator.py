@@ -28,13 +28,14 @@ catastrophically once the phase variance is large):
   magnitude to the t = 0 transform so the sum never digs into
   cancellation.
 
-``chi_pair``, ``phase_variance`` and ``phase_cross_correlation``
-integrate the regions with the adaptive kernels; ``chi_pair`` is the
-authority for one pair.  ``ChiPlan`` serves a design of pairs for many
-spectra: on fixed panels each region is fixed weights on S at fixed
-nodes, so each chi is one weighted sum of S.  Points whose two-density
-error estimate fails, and spectra the plan was not built for, go
-through ``chi_pair``.
+Both kernels climb the same levels of fixed weights on S at fixed
+nodes (see ``numerics``).  ``chi_pair``, ``phase_variance`` and
+``phase_cross_correlation`` integrate the regions adaptively, doubling
+until two levels agree; ``chi_pair`` is the authority for one pair.
+``ChiPlan`` serves a design of pairs for many spectra with the weights
+of two fixed levels, so each chi is one weighted sum of S per level.
+Points whose two levels disagree, and spectra the plan was not built
+for, go through ``chi_pair``.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ import numpy as np
 from .numerics import (
     QuadratureError,
     QuadratureSpec,
+    _level_weights,
     filon_cos_integral,
-    filon_weights,
     find_root,
     gamma_fn,
-    gauss_weights,
     integrate_spectral,
 )
 from .spectra import OverhauserModel, SpectrumModel, beta_autocorrelation, variance
@@ -82,6 +82,13 @@ __all__ = [
 _SPLIT_PERIODS = 16
 
 
+def _require_finite(obj, *names):
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class EvolutionPair:
     """One (tau, delta_t) point: free-evolution time and shot separation.
@@ -95,6 +102,7 @@ class EvolutionPair:
     delta_t: float
 
     def __post_init__(self):
+        _require_finite(self, "tau", "delta_t")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.delta_t < 0:
@@ -123,6 +131,7 @@ class QubitParams:
     dead_time: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "omega_q", "coupling_c", "readout_flip_prob", "dead_time")
         if not 0 <= self.readout_flip_prob < 0.5:
             raise ValueError("readout_flip_prob must lie in [0, 0.5)")
         if self.dead_time < 0:
@@ -216,28 +225,32 @@ def _cross_regions(tau, dt, hi):
     ]
 
 
-def _chi_regions(tau, dt, hi):
-    """``chi_pair`` for dt >= tau, the three regions of the module docstring."""
+def _chi_regions(tau, dt, hi, plus=True):
+    """``chi_pair`` for dt >= tau, the three regions of the module docstring.
+
+    With ``plus`` False they give (chi_minus,) alone, the low band
+    integrating the sin^2 product only: the swapped pair of dt < tau.
+    """
     omega_a = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / dt)
     omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
     env = _envelope(tau)
 
-    def low(i_minus, i_plus):
-        return 16.0 / math.pi * i_minus, 16.0 / math.pi * i_plus
+    def low(*i):
+        return tuple(16.0 / math.pi * v for v in i)
 
     def mid(i0, i_dt):
-        return 8.0 / math.pi * (i0 - i_dt), 8.0 / math.pi * (i0 + i_dt)
+        minus = 8.0 / math.pi * (i0 - i_dt)
+        return (minus, 8.0 / math.pi * (i0 + i_dt)) if plus else (minus,)
 
     def tail(j0, j_tau, j_dt, j_sum, j_dif):
-        return (
-            4.0 / math.pi * (j0 - j_tau - j_dt + 0.5 * (j_sum + j_dif)),
-            4.0 / math.pi * (j0 - j_tau + j_dt - 0.5 * (j_sum + j_dif)),
-        )
+        half_sum = 0.5 * (j_sum + j_dif)
+        minus = 4.0 / math.pi * (j0 - j_tau - j_dt + half_sum)
+        return (minus, 4.0 / math.pi * (j0 - j_tau + j_dt - half_sum)) if plus else (minus,)
 
     products = (
         lambda s, w: env(s, w) * np.sin(w * dt / 2.0) ** 2,
         lambda s, w: env(s, w) * np.cos(w * dt / 2.0) ** 2,
-    )
+    )[: 2 if plus else 1]
     return [
         _Region(0.0, omega_a, products, 2.0 * math.pi / dt, None, low),
         _Region(omega_a, omega_b, (env,), 2.0 * math.pi / tau, (0.0, dt), mid),
@@ -293,17 +306,16 @@ def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[f
     chi_plus  = same with cos^2(omega dt/2).
     """
     quad = _quad(quad)
-    tau, dt = pair.tau, pair.delta_t
+    tau, dt, hi = pair.tau, pair.delta_t, _window(spectrum)[1]
     if dt == 0.0:
         return 0.0, 4.0 * phase_variance(spectrum, tau, quad)
     if dt < tau:
         # chi_minus is symmetric in (tau, dt); recover chi_plus from the
         # phase-variance identity, which is subtraction-safe here since
         # chi_minus stays well under 4 pv when the separation is short
-        swapped = EvolutionPair(dt, tau)
-        chi_m = chi_pair(spectrum, swapped, quad)[0]
+        (chi_m,) = _integrate(_chi_regions(dt, tau, hi, plus=False), spectrum, quad)
         return chi_m, 4.0 * phase_variance(spectrum, tau, quad) - chi_m
-    return _integrate(_chi_regions(tau, dt, _window(spectrum)[1]), spectrum, quad)
+    return _integrate(_chi_regions(tau, dt, hi), spectrum, quad)
 
 
 def _joined(parts):
@@ -322,19 +334,18 @@ class ChiPlan:
     and returns the arrays (chi_minus, chi_plus) in the order of ``pairs``.
 
     Rows.  A pair's rows come from the same region table as ``chi_pair``,
-    with ``omega_max`` as the window top.  Each region's kernel becomes
-    fixed node weights (``gauss_weights`` for direct panels,
-    ``filon_weights`` per time for Filon), times its integrand at unit
+    with ``omega_max`` as the window top.  Each region becomes the node
+    weights of its kernel at a level, times its integrand at unit
     spectrum, and the region's ``combine`` maps those weight rows to its
     share of each output.  delta_t < tau uses the swapped pair's
     chi_minus row and 4 phase-variance rows minus it for chi_plus;
     delta_t = 0 gives chi_minus = 0 and chi_plus = 4 phase variance.
 
-    Two densities.  Every row exists on the base grids and on one
-    bisection of them (the Filon regions start one doubling up, as
-    ``filon_cos_integral`` does), and ``apply`` evaluates S once per
-    density.  It returns the fine value; a point whose two values differ
-    by more than ``rel_tol * |chi| + abs_tol`` in either chi goes through
+    Two levels.  Every row exists at levels 1 and 2 of the kernels: the
+    level whose value ``chi_pair`` returns when its first check passes,
+    and one bisection up.  ``apply`` evaluates S once per level and
+    returns the level-2 value; a point whose two values differ by more
+    than ``rel_tol * |chi| + abs_tol`` in either chi goes through
     ``chi_pair``.
 
     Fallback.  A spectrum whose window top exceeds ``omega_max``, or with
@@ -354,16 +365,16 @@ class ChiPlan:
         served, parts = [], ([], [])
         for i, pair in enumerate(self.pairs):
             try:
-                rows = [self._pair_rows(pair, level) for level in (0, 1)]
+                rows = [self._pair_rows(pair, level) for level in (1, 2)]
             except QuadratureError:
                 continue
             served.append(i)
             for part, row in zip(parts, rows):
                 part.append(row)
         self._served = np.array(served, dtype=int)
-        # per density: one node vector, one (2, n) weight array, and where
+        # per level: one node vector, one (2, n) weight array, and where
         # each served pair's nodes start
-        self._densities = [
+        self._levels = [
             (*_joined(part), np.cumsum([0] + [len(nodes) for nodes, _ in part[:-1]]))
             for part in parts
             if part
@@ -382,7 +393,7 @@ class ChiPlan:
             nodes, (pv,) = self._rows(_pv_regions(tau, hi), level)
             return nodes, np.stack([np.zeros_like(pv), 4.0 * pv])
         if dt < tau:
-            nodes_m, (minus, _) = self._rows(_chi_regions(dt, tau, hi), level)
+            nodes_m, (minus,) = self._rows(_chi_regions(dt, tau, hi, plus=False), level)
             nodes_v, (pv,) = self._rows(_pv_regions(tau, hi), level)
             rows = [np.concatenate([minus, np.zeros_like(pv)]), np.concatenate([-minus, 4.0 * pv])]
             return np.concatenate([nodes_m, nodes_v]), np.stack(rows)
@@ -393,13 +404,8 @@ class ChiPlan:
         parts = []
         for r in (r for r in regions if r.lo < r.hi):
             spec = self.quad.with_window(r.lo, r.hi)
-            if r.times is None:
-                x, w = gauss_weights(r.period, spec, self.breakpoints, level)
-                values = [w * g(1.0, x) for g in r.integrands]
-            else:
-                (g,) = r.integrands
-                x, w = filon_weights(r.times, spec, self.breakpoints, r.period, level + 1)
-                values = w * g(1.0, x)
+            x, w = _level_weights(spec, self.breakpoints, r.period, level, r.times)
+            values = [row for g in r.integrands for row in w * g(1.0, x)]
             parts.append((x, np.stack(r.combine(*values))))
         return _joined(parts)
 
@@ -412,10 +418,10 @@ class ChiPlan:
         """(chi_minus, chi_plus) arrays for ``spectrum``, in the order of ``pairs``."""
         chi = np.full((2, len(self.pairs)), np.nan)
         adaptive = np.ones(len(self.pairs), dtype=bool)
-        if self._densities and self._serves(spectrum):
+        if self._levels and self._serves(spectrum):
             coarse, fine = (
                 np.add.reduceat(weights * spectrum.evaluate(nodes), starts, axis=1)
-                for nodes, weights, starts in self._densities
+                for nodes, weights, starts in self._levels
             )
             quad = self.quad
             within = np.abs(fine - coarse) <= quad.rel_tol * np.abs(fine) + quad.abs_tol

@@ -3,33 +3,28 @@
 Spectral integrals here run over many decades of angular frequency and
 carry trigonometric filter factors that oscillate on scales set by the
 evolution time and the shot separation.  Generic global adaptivity is a
-poor fit for that combination, so two dedicated integrators are provided:
+poor fit for that combination, so two dedicated integrators work on a
+logarithmic panel grid with the kinks of f pinned.  ``integrate_spectral``
+takes Gauss panels, subdivided so the fastest oscillation stays
+resolved.  ``filon_cos_integral`` takes the integral of
+f(omega)*cos(omega*t) for a list of times with the cosine exact per
+panel (Legendre expansion of f, spherical-Bessel moments), so panel
+density follows the smoothness of f alone and one grid serves every
+time; at t = 0 it is plain panel quadrature of f.
 
-``integrate_spectral``
-    panel quadrature on a logarithmic grid, subdivided so the fastest
-    oscillation stays resolved, with adaptive bisection driven by an
-    embedded Gauss pair.
-
-``filon_cos_integral``
-    computes integral of f(omega)*cos(omega*t) for a list of times with
-    the cosine handled exactly per panel (Legendre expansion of f,
-    spherical-Bessel moments), so panel density follows the smoothness of
-    f alone and one grid serves every time.  With t = 0 it degenerates to
-    plain panel quadrature of f.
-
-Each integrator has a fixed-panel linear form, ``gauss_weights`` and
-``filon_weights``: nodes and weights on the integrator's own starting
-grid, bisected a given number of times, such that the weighted sum of
-f at the nodes is the integrator's value on that grid.  They let a
-caller that integrates many integrands on one window build the weights
-once and pay one dot product per integrand.
+Both are one loop over levels of fixed weights: a level is nodes and
+weights on the starting grid bisected some number of times, its value
+the weighted sum of f at the nodes, and the density doubles until two
+levels agree.  ``gauss_weights`` and ``filon_weights`` give one level's
+weights, so a caller that integrates many integrands on one window
+builds them once and pays one dot product per integrand.
 
 Also here: real Lambert W on both real branches, a gamma wrapper, and a
 bracketed root finder.  Everything validates its domain and reports an
 honest error estimate or raises ``QuadratureError``.
 
 scipy is imported where it is first used, not with this module:
-``spherical_jn`` inside the Filon moments and ``brentq`` inside
+``spherical_jn`` inside the Filon weights and ``brentq`` inside
 ``find_root``.  Importing ``scipy.optimize`` alone takes about half a
 second, and most commands never reach a root find, so a module-level
 import would charge every command start-up for it.
@@ -37,8 +32,9 @@ import would charge every command start-up for it.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,13 +93,7 @@ class QuadratureSpec:
             raise ValueError("omega_max must exceed omega_min")
 
     def with_window(self, omega_min, omega_max) -> "QuadratureSpec":
-        return QuadratureSpec(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            max_panels=self.max_panels,
-            omega_min=omega_min,
-            omega_max=omega_max,
-        )
+        return replace(self, omega_min=omega_min, omega_max=omega_max)
 
 
 @dataclass(frozen=True)
@@ -130,18 +120,36 @@ class QuadratureError(RuntimeError):
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
 _GAUSS16 = np.polynomial.legendre.leggauss(16)
 
+_FILON_ORDER = 12
+_filon_nodes, _filon_weights = np.polynomial.legendre.leggauss(_FILON_ORDER)
+# row n of _filon_proj maps node values to the Legendre coefficient e_n
+_filon_proj = np.empty((_FILON_ORDER, _FILON_ORDER))
+for _n in range(_FILON_ORDER):
+    _pn = np.polynomial.legendre.Legendre.basis(_n)(_filon_nodes)
+    _filon_proj[_n] = (2 * _n + 1) / 2.0 * _filon_weights * _pn
+_even_n = np.arange(0, _FILON_ORDER, 2)
+_odd_n = np.arange(1, _FILON_ORDER, 2)
+_even_sign = (-1.0) ** (_even_n // 2)
+_odd_sign = (-1.0) ** ((_odd_n - 1) // 2)
 
-def _panel_grid(spec, breakpoints, period, name):
-    """Log edges of the window with the kinks pinned, and sub-panels per gap.
+# evaluation batch size in panels times weight rows (or one starting
+# panel, where that is more); bounds peak memory at ~ _CHUNK * order doubles
+_CHUNK = 65536
 
-    The counts (floats holding integers) cap every sub-panel at half of
-    ``period``; they are None when ``period`` is None or infinite, and
-    every gap then stays one panel.  ``name`` labels the positivity check.
+
+def _start_grid(spec, breakpoints, period, times):
+    """Edges of the starting grid of ``integrate_spectral`` (``times`` None) or ``filon_cos_integral``.
+
+    Log edges, 8 per decade, kinks pinned, gaps split to half ``period``.
+    Over ``spec.max_panels`` panels the Gauss grid is thinned gap by gap
+    (order-16 panels stay accurate to about two periods); Filon raises.
     """
     if spec.omega_min is None or spec.omega_max is None:
         raise ValueError("QuadratureSpec needs omega_min and omega_max set")
+    if times is not None and np.any(np.asarray(times) < 0):
+        raise ValueError("t_cos must be nonnegative")
     a, b = float(spec.omega_min), float(spec.omega_max)
-    # 8 geometric edges per decade; a == 0 gets one stub panel at the bottom
+    # a == 0 gets one stub panel at the bottom
     lo = a if a > 0 else b * 1e-14
     edges = np.geomspace(lo, b, max(1, int(math.ceil(8 * math.log10(b / lo)))) + 1)
     if a < lo:
@@ -151,10 +159,18 @@ def _panel_grid(spec, breakpoints, period, name):
     if pts:
         edges = np.unique(np.concatenate([edges, np.asarray(pts, dtype=float)]))
     if period is None or not math.isfinite(period):
-        return edges, None
+        return edges
     if period <= 0:
-        raise ValueError(f"{name} must be positive")
-    return edges, np.maximum(1.0, np.ceil(np.diff(edges) / (period / 2.0)))
+        raise ValueError(f"{'osc_period_hint' if times is None else 'envelope_period'} must be positive")
+    n_sub = np.maximum(1.0, np.ceil(np.diff(edges) / (period / 2.0)))
+    total = n_sub.sum()
+    if total > spec.max_panels:
+        if times is not None:
+            raise QuadratureError(
+                f"envelope oscillation needs more than max_panels={spec.max_panels} panels"
+            )
+        n_sub = np.maximum(1.0, np.floor(n_sub * (spec.max_panels / total)))
+    return _subdivide(edges, n_sub)
 
 
 def _subdivide(edges, n_sub):
@@ -183,55 +199,120 @@ def _bisect(edges, times):
     return edges
 
 
-def _fixed_grid(spec, breakpoints, period, name, bisections):
-    """The starting grid of either integrator, bisected; over budget raises.
+def _filon_panels(times, mid, half):
+    """Filon nodes and one weight row per time on panels ``mid`` +- ``half``.
 
-    The panel count is checked against ``spec.max_panels`` before any
-    edge is allocated.
+    With theta = half * t, the weight of node k is
+    half * (cos(mid t) * sum_even E_n(theta) proj[n, k]
+            - sin(mid t) * sum_odd O_n(theta) proj[n, k]),
+    E_n and O_n the integrals of P_n(u) cos(theta u), n even, and
+    P_n(u) sin(theta u), n odd, on [-1, 1], proj the Legendre
+    projection: the integral of f(omega) cos(omega t) against the
+    degree-11 Legendre fit of f.
     """
-    edges, n_sub = _panel_grid(spec, breakpoints, period, name)
-    count = (n_sub.sum() if n_sub is not None else len(edges) - 1) * 2**bisections
-    if count > spec.max_panels:
+    from scipy.special import spherical_jn
+
+    times = np.asarray(times, dtype=float)
+    nodes = (mid[:, None] + half[:, None] * _filon_nodes).ravel()
+    # the moments of every time in one call per parity: (times, panels, order/2)
+    theta = (times[:, None] * half).reshape(-1, 1)
+    even = (2.0 * _even_sign * spherical_jn(_even_n, theta)).reshape(len(times), len(mid), -1)
+    odd = (2.0 * _odd_sign * spherical_jn(_odd_n, theta)).reshape(len(times), len(mid), -1)
+    phase = (times[:, None] * mid)[:, :, None]
+    cos_part = np.cos(phase) * (even @ _filon_proj[_even_n])
+    sin_part = np.sin(phase) * (odd @ _filon_proj[_odd_n])
+    return nodes, (half[:, None] * (cos_part - sin_part)).reshape(len(times), -1)
+
+
+def _level(level, times):
+    """Level ``level`` of an adaptive integrator as (bisections, weigh).
+
+    ``times`` None is ``integrate_spectral``: level 0 is G8 on its
+    starting grid, level k >= 1 G16 on that grid bisected k - 1 times.
+    Otherwise ``filon_cos_integral`` at ``times``: level k is Filon on
+    its starting grid bisected k times.  ``weigh(edges)`` gives the flat
+    nodes and the (rows, nodes) weights on the starting panels ``edges``.
+    """
+    if times is not None:
+        bisections = level
+    else:
+        bisections, (x, w) = max(level - 1, 0), (_GAUSS16 if level else _GAUSS8)
+
+    def weigh(edges):
+        fine = _bisect(edges, bisections)
+        mid, half = 0.5 * (fine[:-1] + fine[1:]), 0.5 * (fine[1:] - fine[:-1])
+        if times is not None:
+            return _filon_panels(times, mid, half)
+        return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).reshape(1, -1)
+
+    return bisections, weigh
+
+
+def _chunk(f, weigh, edges):
+    """Sums of weights * f(nodes) on each starting panel of ``edges``, shape (rows, panels)."""
+    nodes, weights = weigh(edges)
+    vals = np.asarray(f(nodes), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand returned a non-finite value")
+    n = len(edges) - 1
+    return np.einsum("rpk,pk->rp", weights.reshape(len(weights), n, -1), vals.reshape(n, -1))
+
+
+def _doubling(f, edges, spec, times=None):
+    """The adaptive loop of both integrators: the levels of ``_level`` until two agree.
+
+    A level is weights * f(nodes) summed on each panel of the starting
+    grid ``edges``, in chunks, its value the total per weight row.  The
+    error of a level is the summed change of its panels (Gauss, ``times``
+    None) or the largest change of a time's value (Filon).  A bisected
+    level over ``spec.max_panels`` panels raises instead, with the last
+    value and error (inf before the first comparison).
+    """
+    n_start, rows = len(edges) - 1, 1 if times is None else len(times)
+    prev, error = None, math.inf
+    for level in itertools.count():
+        bisections, weigh = _level(level, times)
+        if bisections and n_start << bisections > spec.max_panels:
+            break
+        step = max(1, (_CHUNK // rows) >> bisections)
+        cur = np.hstack([_chunk(f, weigh, edges[s : s + step + 1]) for s in range(0, n_start, step)])
+        totals = cur.sum(axis=1)
+        value = float(totals[0]) if times is None else totals
+        if prev is not None:
+            error = float(np.abs(cur - prev).sum() if times is None else np.abs(value - prev_value).max())
+            if error <= spec.rel_tol * np.abs(totals).max() + spec.abs_tol:
+                return QuadratureResult(value, error, n_start << bisections)
+        prev, prev_value = cur, value
+    message = f"cosine transform did not converge within max_panels={spec.max_panels}"
+    if times is None:
+        message = (
+            "integral did not converge within max_panels="
+            f"{spec.max_panels} (value={prev_value:.6e}, error={error:.2e})"
+        )
+    raise QuadratureError(message, value=prev_value, error=error)
+
+
+def _level_weights(spec, breakpoints, period, level, times=None):
+    """(nodes, weights) of ``_level(level, times)`` on the whole starting grid.
+
+    ``weights @ f(nodes)`` is the level's value; past ``spec.max_panels``
+    panels raises ``QuadratureError``.
+    """
+    edges = _start_grid(spec, breakpoints, period, times)
+    bisections, weigh = _level(level, times)
+    if (len(edges) - 1) << bisections > spec.max_panels:
         raise QuadratureError(f"fixed grid needs more than max_panels={spec.max_panels} panels")
-    if n_sub is not None:
-        edges = _subdivide(edges, n_sub)
-    edges = _bisect(edges, bisections)
-    lo, hi = edges[:-1], edges[1:]
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-
-# evaluation batch size; bounds peak memory at ~ _CHUNK * order doubles
-_CHUNK = 65536
-
-
-def _node_chunks(f, lo, hi, x):
-    """Integrand on Gauss nodes ``x`` of panels [lo, hi], a chunk at a time.
-
-    Yields ``(chunk, mid, half, vals)``: the panel slice, panel centres and
-    half-widths, and the values with one row per panel.
-    """
-    for s in range(0, len(lo), _CHUNK):
-        chunk = slice(s, s + _CHUNK)
-        mid = 0.5 * (lo[chunk] + hi[chunk])
-        half = 0.5 * (hi[chunk] - lo[chunk])
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned a non-finite value")
-        yield chunk, mid, half, vals
-
-
-def _panel_eval(f, lo, hi, rule):
-    """Gauss values of sum(f) on a batch of panels.  Returns per-panel sums."""
-    x, w = rule
-    out = np.empty(len(lo))
-    for chunk, _, half, vals in _node_chunks(f, lo, hi, x):
-        out[chunk] = half * (vals @ w)
-    return out
+    return weigh(edges)
 
 
 def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=()) -> QuadratureResult:
     """Adaptive panel quadrature of ``f`` over ``[omega_min, omega_max]``.
+
+    Level 0 is G8 on the starting grid, level 1 G16, and each further
+    level G16 with every panel bisected once more, each as fixed weights
+    on f at fixed nodes (``gauss_weights``).  The levels go on until two
+    agree: the error is the sum over starting panels of the change in
+    that panel's value, at the first check the embedded G8/G16 estimate.
 
     Parameters
     ----------
@@ -251,8 +332,7 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
     Returns
     -------
     QuadratureResult
-        value, error estimate (from an embedded order-8/16 Gauss pair,
-        refined by bisection until below tolerance), panel count.
+        value, error estimate as above, panel count of the last level.
 
     Raises
     ------
@@ -260,57 +340,7 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
         If the tolerance cannot be met within ``max_panels``; the partial
         value and estimate ride along on the exception.
     """
-    edges, n_sub = _panel_grid(spec, breakpoints, osc_period_hint, "osc_period_hint")
-    if n_sub is not None:
-        total = n_sub.sum()
-        if total > spec.max_panels:
-            # share the budget; order-16 panels stay accurate to ~2 periods,
-            # refinement below picks up whatever this leaves behind
-            n_sub = np.maximum(1.0, np.floor(n_sub * (spec.max_panels / total)))
-        edges = _subdivide(edges, n_sub)
-    lo, hi = edges[:-1], edges[1:]
-
-    coarse = _panel_eval(f, lo, hi, _GAUSS8)
-    fine = _panel_eval(f, lo, hi, _GAUSS16)
-    err = np.abs(fine - coarse)
-
-    for _ in range(60):
-        value = float(fine.sum())
-        total_err = float(err.sum())
-        target = spec.rel_tol * abs(value) + spec.abs_tol
-        if total_err <= target:
-            return QuadratureResult(value, total_err, len(lo))
-        if len(lo) >= spec.max_panels:
-            break
-        # split the panels carrying the bulk of the error
-        room = spec.max_panels - len(lo)
-        threshold = max(target / max(len(lo), 1), total_err / (4.0 * len(lo)))
-        worst = np.nonzero(err > threshold)[0]
-        if len(worst) == 0:
-            worst = np.array([int(np.argmax(err))])
-        if len(worst) > room:
-            worst = worst[np.argsort(err[worst])[::-1][:room]]
-        mid = 0.5 * (lo[worst] + hi[worst])
-        new_lo = np.concatenate([lo[worst], mid])
-        new_hi = np.concatenate([mid, hi[worst]])
-        keep = np.ones(len(lo), dtype=bool)
-        keep[worst] = False
-        ncoarse = _panel_eval(f, new_lo, new_hi, _GAUSS8)
-        nfine = _panel_eval(f, new_lo, new_hi, _GAUSS16)
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        coarse = np.concatenate([coarse[keep], ncoarse])
-        fine = np.concatenate([fine[keep], nfine])
-        err = np.concatenate([err[keep], np.abs(nfine - ncoarse)])
-
-    value = float(fine.sum())
-    total_err = float(err.sum())
-    raise QuadratureError(
-        "integral did not converge within max_panels="
-        f"{spec.max_panels} (value={value:.6e}, error={total_err:.2e})",
-        value=value,
-        error=total_err,
-    )
+    return _doubling(f, _start_grid(spec, breakpoints, osc_period_hint, None), spec)
 
 
 def gauss_weights(osc_period_hint, spec: QuadratureSpec, breakpoints, bisections):
@@ -318,58 +348,14 @@ def gauss_weights(osc_period_hint, spec: QuadratureSpec, breakpoints, bisections
 
     The grid is the one ``integrate_spectral`` starts from (log edges,
     kinks pinned, sub-panels of at most half ``osc_period_hint``), every
-    panel bisected ``bisections`` times.  Returns ``(nodes, weights)``,
-    both flat, with ``weights @ f(nodes)`` the order-16 Gauss sum of f on
-    that grid.  Raises ``QuadratureError`` when the grid has more than
+    panel bisected ``bisections`` times, the integrator's level
+    ``bisections + 1``.  Returns ``(nodes, weights)``, both flat, with
+    ``weights @ f(nodes)`` the order-16 Gauss sum of f on that grid.
+    Raises ``QuadratureError`` when the grid has more than
     ``spec.max_panels`` panels.
     """
-    x, w = _GAUSS16
-    mid, half = _fixed_grid(spec, breakpoints, osc_period_hint, "osc_period_hint", bisections)
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-
-
-# ---------------------------------------------------------------------------
-# Filon-type cosine transform
-# ---------------------------------------------------------------------------
-
-_FILON_ORDER = 12
-_filon_nodes, _filon_weights = np.polynomial.legendre.leggauss(_FILON_ORDER)
-# row n of _filon_proj maps node values to the Legendre coefficient e_n
-_filon_proj = np.empty((_FILON_ORDER, _FILON_ORDER))
-for _n in range(_FILON_ORDER):
-    _pn = np.polynomial.legendre.Legendre.basis(_n)(_filon_nodes)
-    _filon_proj[_n] = (2 * _n + 1) / 2.0 * _filon_weights * _pn
-_even_n = np.arange(0, _FILON_ORDER, 2)
-_odd_n = np.arange(1, _FILON_ORDER, 2)
-_even_sign = (-1.0) ** (_even_n // 2)
-_odd_sign = (-1.0) ** ((_odd_n - 1) // 2)
-
-
-def _filon_moments(theta):
-    """Integrals of P_n(u) cos(theta u), n even, and P_n(u) sin(theta u), n odd, on [-1, 1].
-
-    ``theta`` holds one value per panel; returns two (panels, order/2) arrays.
-    """
-    from scipy.special import spherical_jn
-
-    even = 2.0 * _even_sign * spherical_jn(_even_n[None, :], theta[:, None])
-    odd = 2.0 * _odd_sign * spherical_jn(_odd_n[None, :], theta[:, None])
-    return even, odd
-
-
-def _filon_pass(f, edges, times):
-    """One Filon sweep over fixed panels, a total per time.  Exact in the cosine factor."""
-    totals = np.zeros(len(times))
-    for _, mid, half, vals in _node_chunks(f, edges[:-1], edges[1:], _filon_nodes):
-        coeff = vals @ _filon_proj.T  # (panels, order): Legendre coefficients
-        c_even, c_odd = coeff[:, _even_n], coeff[:, _odd_n]
-        for i, t_cos in enumerate(times):
-            even, odd = _filon_moments(half * t_cos)
-            cos_part = (c_even * even).sum(axis=1)
-            sin_part = (c_odd * odd).sum(axis=1)
-            panel_vals = half * (np.cos(mid * t_cos) * cos_part - np.sin(mid * t_cos) * sin_part)
-            totals[i] += float(panel_vals.sum())
-    return totals
+    nodes, weights = _level_weights(spec, breakpoints, osc_period_hint, bisections + 1)
+    return nodes, weights[0]
 
 
 def filon_cos_integral(
@@ -379,13 +365,15 @@ def filon_cos_integral(
 
     The cosine is integrated exactly on each panel against a degree-11
     Legendre fit of ``f``, so the panel grid only needs to resolve ``f``,
-    and one grid, one set of f values and Legendre coefficients serve
-    every time.  The panel density doubles until every time changes by at
-    most ``rel_tol * max|value| + abs_tol``; for f >= 0 with 0 among the
-    times, the t = 0 transform bounds the others and so anchors their
-    tolerance.  ``value`` is a float array in the order of ``times``
-    (also on a ``QuadratureError``), ``error`` the worst per-time change
-    over the last doubling, ``n_panels`` the size of the shared grid.
+    and one grid and one set of f values serve every time.  Level k is
+    the starting grid bisected k times, as fixed weights on f at fixed
+    nodes (``filon_weights``); the levels double until every time
+    changes by at most ``rel_tol * max|value| + abs_tol``.  For f >= 0
+    with 0 among the times, the t = 0 transform bounds the others and so
+    anchors their tolerance.  ``value`` is a float array in the order of
+    ``times`` (also on a ``QuadratureError``), ``error`` the worst
+    per-time change over the last doubling, ``n_panels`` the size of the
+    shared grid.
 
     Parameters
     ----------
@@ -404,66 +392,22 @@ def filon_cos_integral(
         Width in omega of one period of the slow oscillation carried by f
         itself; panels are capped at half that width.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("t_cos must be nonnegative")
-    edges, n_sub = _panel_grid(spec, breakpoints, envelope_period, "envelope_period")
-    if n_sub is not None:
-        if n_sub.sum() > spec.max_panels:
-            raise QuadratureError(
-                "envelope oscillation needs more than max_panels="
-                f"{spec.max_panels} panels"
-            )
-        edges = _subdivide(edges, n_sub)
-
-    prev = _filon_pass(f, edges, times)
-    for _ in range(24):
-        if 2 * (len(edges) - 1) > spec.max_panels:
-            raise QuadratureError(
-                f"cosine transform did not converge within max_panels={spec.max_panels}",
-                value=prev,
-                error=math.inf,
-            )
-        dense = _bisect(edges, 1)
-        cur = _filon_pass(f, dense, times)
-        err = np.abs(cur - prev)
-        target = spec.rel_tol * np.abs(cur).max() + spec.abs_tol
-        if np.all(err <= target):
-            return QuadratureResult(cur, float(err.max()), len(dense) - 1)
-        prev, edges = cur, dense
-    raise QuadratureError(
-        "cosine transform did not converge", value=prev, error=float(np.abs(cur - prev).max())
-    )
+    return _doubling(f, _start_grid(spec, breakpoints, envelope_period, times), spec, times)
 
 
 def filon_weights(times, spec: QuadratureSpec, breakpoints, envelope_period, bisections):
     """Filon nodes and per-time weights on ``filon_cos_integral``'s grid.
 
     The grid is the one ``filon_cos_integral`` starts from, every panel
-    bisected ``bisections`` times (its first converged value comes from
-    one bisection).  Returns ``(nodes, weights)``: a flat node array and a
-    ``(len(times), len(nodes))`` array whose row i dotted with f(nodes)
-    is the Filon value of the integral of f(omega) cos(omega times[i]) on
-    that grid.  On a panel with centre mid and half-width half, with
-    theta = half * t, the weight of node k is
-    half * (cos(mid t) * sum_even E_n(theta) proj[n, k]
-            - sin(mid t) * sum_odd O_n(theta) proj[n, k]),
-    E_n, O_n the moments and proj the Legendre projection that
-    ``_filon_pass`` uses.  Raises ``QuadratureError`` when the grid has
-    more than ``spec.max_panels`` panels.
+    bisected ``bisections`` times: the integrator's level ``bisections``
+    (its first converged value comes from one bisection).  Returns
+    ``(nodes, weights)``: a flat node array and a ``(len(times),
+    len(nodes))`` array whose row i dotted with f(nodes) is the Filon
+    value of the integral of f(omega) cos(omega times[i]) on that grid.
+    Raises ``QuadratureError`` when the grid has more than
+    ``spec.max_panels`` panels.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("t_cos must be nonnegative")
-    mid, half = _fixed_grid(spec, breakpoints, envelope_period, "envelope_period", bisections)
-    nodes = (mid[:, None] + half[:, None] * _filon_nodes).ravel()
-    weights = np.empty((len(times), len(nodes)))
-    for i, t_cos in enumerate(times):
-        even, odd = _filon_moments(half * t_cos)
-        cos_part = np.cos(mid * t_cos)[:, None] * (even @ _filon_proj[_even_n])
-        sin_part = np.sin(mid * t_cos)[:, None] * (odd @ _filon_proj[_odd_n])
-        weights[i] = (half[:, None] * (cos_part - sin_part)).ravel()
-    return nodes, weights
+    return _level_weights(spec, breakpoints, envelope_period, bisections, times)
 
 
 # ---------------------------------------------------------------------------

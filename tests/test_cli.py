@@ -888,6 +888,16 @@ _BAD_FLOATS = [
 ]
 
 
+# (field, non-finite value, the one stderr line): NaN is no number, and a
+# non-finite evolution time or qubit setting is refused before any quadrature
+_NON_FINITE = [
+    ("chi.delta_t", [math.nan, 1e-3], "config field 'chi.delta_t' has invalid element nan"),
+    ("chi.tau", math.inf, "tau must be finite, got inf"),
+    ("qubit.omega_q", math.nan, "config field 'qubit.omega_q' has invalid value nan"),
+    ("qubit.omega_q", math.inf, "omega_q must be finite, got inf"),
+]
+
+
 class TestFloatFields:
     @pytest.mark.parametrize(
         "command, field, value", _BAD_FLOATS, ids=[f"{f}={v!r}" for _, f, v in _BAD_FLOATS]
@@ -911,17 +921,36 @@ class TestFloatFields:
         assert run_cli(["correlate", "--config", cfg, "--out", tmp_path / "x.out"]) == 1
         assert capsys.readouterr().err == "error: config field 'correlate.tau' has invalid value True\n"
 
+    @pytest.mark.parametrize(
+        "field, value, message", _NON_FINITE, ids=[f"{f}={v!r}" for f, v, _ in _NON_FINITE]
+    )
+    def test_non_finite_exits_with_one_line(self, tmp_path, field, value, message):
+        # in a fresh interpreter, so a numpy warning would show on stderr
+        config = _with(dict(_chi(tmp_path, [1e-3]), qubit={}), field, value)
+        cfg = write_config(tmp_path / "c.json", config)
+        argv = ["chi", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "shotcorr.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_numbers_and_inf_pass(self, tmp_path):
-        # an int, a float, the documented "inf" cutoff and null read as before
+        # an int, a float, the documented "inf" cutoff (also as JSON
+        # Infinity) and null read as before
         rows = []
-        for name, delta_t, omega_e in (("int", 1, "inf"), ("float", 1.0, None)):
+        cases = (("int", 1, "inf"), ("float", 1.0, None), ("infinity", 1.0, math.inf))
+        for name, delta_t, omega_e in cases:
             spec = dict(OVERHAUSER_SPEC, omega_e=omega_e)
             cfg = write_config(
                 tmp_path / f"{name}.json", {"spectrum": spec, "chi": {"tau": 5e-4, "delta_t": delta_t}}
             )
             assert run_cli(["chi", "--config", cfg, "--out", tmp_path / f"{name}.csv"]) == 0
             rows.append((tmp_path / f"{name}.csv").read_bytes())
-        assert rows[0] == rows[1]
+        assert rows[0] == rows[1] == rows[2]
 
 
 # run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument

@@ -553,3 +553,24 @@ class TestQubitParams:
             QubitParams(readout_flip_prob=0.5)
         with pytest.raises(ValueError):
             QubitParams(dead_time=-1.0)
+
+    @pytest.mark.parametrize("field", ["omega_q", "coupling_c", "readout_flip_prob", "dead_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            QubitParams(**{field: value})
+
+
+class TestEvolutionPair:
+    @pytest.mark.parametrize(
+        "tau, delta_t, field",
+        [
+            (math.inf, 1e-3, "tau"),
+            (math.nan, 1e-3, "tau"),
+            (1e-3, math.nan, "delta_t"),
+            (1e-3, math.inf, "delta_t"),
+        ],
+    )
+    def test_non_finite_refused(self, tau, delta_t, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EvolutionPair(tau, delta_t)

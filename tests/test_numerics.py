@@ -101,6 +101,28 @@ class TestIntegrateSpectral:
         assert exc.value.value is not None
         assert exc.value.error is not None and exc.value.error > 0.0
 
+    def test_refinement_reaches_closed_form(self):
+        # a Lorentzian of half-width 0.02 at 37.3, inside one starting panel
+        # about 10 wide: G8 and G16 disagree there, so the panels double
+        w0, g = 37.3, 0.02
+        fn = lambda w: 1.0 / (1.0 + ((w - w0) / g) ** 2)
+        exact = g * (math.atan((100.0 - w0) / g) + math.atan(w0 / g))
+        spec = _spec(0.0, 100.0, rel_tol=1e-8)
+        start = integrate_spectral(lambda w: np.ones_like(w), None, spec).n_panels
+        res = integrate_spectral(fn, None, spec)
+        assert res.n_panels >= 4 * start
+        assert abs(res.value - exact) <= 1e-8 * exact
+        assert abs(res.value - exact) <= res.error
+
+    def test_equals_fixed_weights_on_converged_grid(self):
+        # converged at the first check: the G16 sum on the starting grid
+        fn = lambda w: np.exp(-w) * np.sin(1.5 * w) ** 2
+        hint, spec = 2.0 * math.pi / 3.0, _spec(0.0, 40.0, rel_tol=1e-8)
+        res = integrate_spectral(fn, hint, spec)
+        nodes, w = gauss_weights(hint, spec, (), 0)
+        assert res.n_panels * 16 == len(nodes)
+        assert res.value == pytest.approx(w @ fn(nodes), rel=1e-14)
+
 
 class TestFilonCosIntegral:
     def test_exponential_envelope(self):
@@ -159,6 +181,14 @@ class TestFilonCosIntegral:
             envelope_period=2.0 * math.pi / 1.4,
         )
         assert res.value[1] == pytest.approx(ref, abs=1e-8)
+
+    def test_equals_fixed_weights_on_converged_grid(self):
+        # the first converged value is Filon on the starting grid bisected once
+        times, spec = (0.0, 0.5, 3.0), _spec(0.0, 40.0, rel_tol=1e-9)
+        res = filon_cos_integral(lambda w: np.exp(-w), times, spec)
+        nodes, w = filon_weights(times, spec, (), None, 1)
+        assert res.n_panels * 12 == len(nodes)
+        np.testing.assert_allclose(res.value, w @ np.exp(-nodes), rtol=1e-14, atol=0.0)
 
 
 def _linspace_edges(edges, counts):
