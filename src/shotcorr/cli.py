@@ -71,6 +71,10 @@ TWO_PI = 2.0 * math.pi
 # sentinel default of _field: the field is required
 _REQUIRED = object()
 
+# the spellings of spectrum.omega_e that disable the cutoff: null, "inf"
+# and JSON Infinity, the one non-finite value a config float may take
+_NO_CUTOFF = (None, "inf", math.inf)
+
 
 class ConfigError(ValueError):
     pass
@@ -85,13 +89,14 @@ def _convert_hz(obj, key=""):
     """Multiply every value under a key named ``omega_*`` by 2 pi, recursively.
 
     Lists convert element by element and grid objects at their start and
-    stop.  None and the string "inf" pass through unchanged.
+    stop.  None, the string "inf" and Infinity pass through unchanged, for
+    ``spectrum.omega_e`` to read as no cutoff and any other field to refuse.
     """
     if isinstance(obj, dict):
         return {k: _convert_hz(v, key if k in ("start", "stop") else k) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_convert_hz(v, key) for v in obj]
-    if not key.startswith("omega_") or obj is None or obj == "inf":
+    if not key.startswith("omega_") or obj in _NO_CUTOFF:
         return obj
     try:
         return _real(obj) * TWO_PI
@@ -117,9 +122,9 @@ def _optional_section(config, name, path=None):
 
 
 def _real(val):
-    """A JSON number as a float; booleans and NaN raise, so ``true`` never reads as 1.0."""
-    if isinstance(val, bool) or math.isnan(float(val)):
-        raise TypeError(f"{val!r} is not a number")
+    """A finite JSON number as a float; booleans, NaN and +-inf raise (``true`` is no 1.0)."""
+    if isinstance(val, bool) or not math.isfinite(float(val)):
+        raise TypeError(f"{val!r} is not a finite number")
     return float(val)
 
 
@@ -193,11 +198,10 @@ def build_spectrum(config):
             coupling = coupling_from_g(_field(sec, "spectrum", "g_factor"))
         else:
             coupling = _field(sec, "spectrum", "coupling_c")
-        # None and "inf" disable the cutoff; _real("inf") is math.inf
-        omega_e = sec.get("omega_e")
+        no_cutoff = sec.get("omega_e") in _NO_CUTOFF
         kw = dict(
             omega_l=_field(sec, "spectrum", "omega_l"),
-            omega_e=math.inf if omega_e is None else _field(sec, "spectrum", "omega_e"),
+            omega_e=math.inf if no_cutoff else _field(sec, "spectrum", "omega_e"),
             gamma=_field(sec, "spectrum", "gamma", default=1.0),
             coupling_c=coupling,
         )
@@ -298,6 +302,14 @@ def cmd_schedule(config, args):
     _write_sidecar(args.out, config, notes)
 
 
+def _lags(sec, secname, shortest):
+    """``sec["lags"]`` as counts, or by default those of 1, 2, 3, 5, 8 below ``shortest``."""
+    lags = sec.get("lags")
+    if lags is None:
+        return [m for m in (1, 2, 3, 5, 8) if m < shortest]
+    return _number_list(lags, f"{secname}.lags", _count)
+
+
 def _protocol_from_config(config):
     sec = _section(config, "protocol")
     qubit = build_qubit(config)
@@ -308,11 +320,7 @@ def _protocol_from_config(config):
         qubit=qubit,
     )
     n_records = _field(sec, "protocol", "n_records", _count, 1)
-    lags = sec.get("lags")
-    if lags is None:
-        lags = [m for m in (1, 2, 3, 5, 8) if m < prot.n_cycles]
-    else:
-        lags = _number_list(lags, "protocol.lags", _count)
+    lags = _lags(sec, "protocol", prot.n_cycles)
     grid_sec = _optional_section(config, "grid")
     grid = GridSpec(
         n_modes=_field(grid_sec, "grid", "n_modes", _count, 4096),
@@ -336,10 +344,11 @@ def cmd_simulate(config, args):
     header = ["delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"]
     columns = [raw.delta_t, raw.tau, raw.correlation, raw.stderr, raw.n_pairs]
     if eps > 0.0:
-        # the corrected estimates take the lead columns; the raw ones follow
-        corrected = correlation_curve(records, lags, correct_epsilon=eps)
+        # the corrected estimates take the lead columns, divided by
+        # (1 - 2 eps)^2 as correlation_curve's correction does; the raw ones follow
+        gain = (1.0 - 2.0 * eps) ** 2
         header += ["correlation_raw", "stderr_raw"]
-        columns[2:4] = [corrected.correlation, corrected.stderr]
+        columns[2:4] = [raw.correlation / gain, raw.stderr / gain]
         columns += [raw.correlation, raw.stderr]
     rec_path = _records_path(args.out)
     records_to_csv(records, rec_path)
@@ -382,12 +391,7 @@ def cmd_correlate(config, args):
         tau=_field(timing, "correlate", "tau"),
         cycle_period=_field(timing, "correlate", "cycle_period"),
     )
-    lags = sec.get("lags")
-    if lags is None:
-        shortest = min(len(r) for r in records)
-        lags = [m for m in (1, 2, 3, 5, 8) if m < shortest]
-    else:
-        lags = _number_list(lags, "correlate.lags", _count)
+    lags = _lags(sec, "correlate", min(len(r) for r in records))
     eps = _field(sec, "correlate", "epsilon", default=0.0)
     curve = correlation_curve(records, lags, correct_epsilon=eps or None)
     curve.to_csv(args.out)

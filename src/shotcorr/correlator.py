@@ -49,11 +49,12 @@ import numpy as np
 from .numerics import (
     QuadratureError,
     QuadratureSpec,
-    _level_weights,
     filon_cos_integral,
     find_root,
     gamma_fn,
     integrate_spectral,
+    level_weights,
+    require_finite,
 )
 from .spectra import OverhauserModel, SpectrumModel, beta_autocorrelation, variance
 
@@ -82,13 +83,6 @@ __all__ = [
 _SPLIT_PERIODS = 16
 
 
-def _require_finite(obj, *names):
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class EvolutionPair:
     """One (tau, delta_t) point: free-evolution time and shot separation.
@@ -102,7 +96,7 @@ class EvolutionPair:
     delta_t: float
 
     def __post_init__(self):
-        _require_finite(self, "tau", "delta_t")
+        require_finite(self, "tau", "delta_t")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.delta_t < 0:
@@ -131,7 +125,7 @@ class QubitParams:
     dead_time: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "omega_q", "coupling_c", "readout_flip_prob", "dead_time")
+        require_finite(self, "omega_q", "coupling_c", "readout_flip_prob", "dead_time")
         if not 0 <= self.readout_flip_prob < 0.5:
             raise ValueError("readout_flip_prob must lie in [0, 0.5)")
         if self.dead_time < 0:
@@ -404,7 +398,7 @@ class ChiPlan:
         parts = []
         for r in (r for r in regions if r.lo < r.hi):
             spec = self.quad.with_window(r.lo, r.hi)
-            x, w = _level_weights(spec, self.breakpoints, r.period, level, r.times)
+            x, w = level_weights(spec, self.breakpoints, r.period, level, r.times)
             values = [row for g in r.integrands for row in w * g(1.0, x)]
             parts.append((x, np.stack(r.combine(*values))))
         return _joined(parts)

@@ -12,11 +12,11 @@ Three entry points:
 ``discriminate_gamma``
     decides between cutoff shape exponents (exponential vs Gaussian) by
     fitting each candidate with the overall level and the cutoff
-    frequency free.  The level enters every chi linearly, so it is
-    profiled out with no extra quadrature; only the cutoff frequency
-    needs integral re-evaluation, which one ``ChiPlan`` per call turns
-    into a weighted sum per sweep.  The covariance comes from the same
-    Gauss-Newton form as ``fit``'s.
+    frequency free.  The level enters every chi linearly, so a cutoff
+    scan profiles it out with no extra quadrature; only the cutoff
+    frequency needs integral re-evaluation, which one ``ChiPlan`` per
+    call turns into a weighted sum per sweep.  The scan's best point
+    starts the solver ``fit`` uses, and ``fit``'s covariance follows.
 
 ``estimate_alpha_slope``
     reads the power-law exponent straight off the decay of the
@@ -42,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .correlator import ChiPlan, EvolutionPair, QubitParams, chi_pair, correlator_from_chi
+from .numerics import require_finite
 from .spectra import OverhauserModel, SpectrumModel
 
 __all__ = [
@@ -68,6 +69,7 @@ class FitParam:
     log_scale: bool = True
 
     def __post_init__(self):
+        require_finite(self, "lower", "upper")
         if not self.upper > self.lower:
             raise ValueError(f"{self.name}: upper bound must exceed lower")
         if self.log_scale and not self.lower > 0:
@@ -336,25 +338,30 @@ def discriminate_gamma(
 
     The spectrum level s0 scales every chi linearly, so for a candidate
     cutoff frequency the integrals are computed once at s0 = 1 and the
-    level is optimized with no further quadrature.  The cutoff frequency
-    is scanned on a log grid spanning ``omega_e_bounds`` (default: two
-    decades beyond the resolvable range on each side) and polished with
-    a bounded scalar minimizer.  The covariance over (s0, omega_e) is the
-    Gauss-Newton (J^T J)^-1 of a central-difference residual Jacobian at
-    the optimum, two sweeps for the cutoff column and none for the level.
-    The curve must pass the checks ``FitProblem`` makes (positive
-    stderr, delta_t and tau, finite correlation); a bad one raises
-    ValueError.  Each distinct shape in ``gammas`` is fitted once.  Each
-    candidate's ``n_eval`` counts the full-curve chi sweeps made for it,
-    covariance included, and its ``success`` is set only if every scalar
-    minimization converged.
+    level is optimized with no further quadrature.  A 25-point log scan
+    of the cutoff over ``omega_e_bounds`` (default: two decades beyond
+    the resolvable range on each side), the level profiled out at each
+    point, picks the start.  ``fit``'s trust-region-reflective solver
+    then polishes (log10 s0, log10 omega_e) inside ``omega_e_bounds`` and
+    the best scan point's six decades of level either side of its
+    guess, with a central-difference Jacobian; ``chi2`` is twice its
+    final cost and the covariance the Gauss-Newton (J^T J)^-1 of its
+    final Jacobian.  A level-only step reuses the last sweep, so each
+    Jacobian costs two sweeps for the cutoff column and none for the
+    level.  The curve must pass the checks ``FitProblem`` makes
+    (positive stderr, delta_t and tau, finite correlation); a bad one
+    raises ValueError.  Each distinct shape in ``gammas`` is fitted
+    once.  Each candidate's ``n_eval`` counts the full-curve chi sweeps
+    made for it; its ``success`` is set only if every scan minimization
+    converged and the solver reports convergence.
 
     Every sweep is one ``ChiPlan.apply``: the call builds one plan for
     the (tau, delta_t) design, its window sized for the widest spectrum
-    any candidate reaches (the top of ``omega_e_bounds`` plus one
-    Jacobian step), so each sweep costs two spectrum evaluations and a
-    weighted sum; ``chi_pair`` serves only the points the plan hands
-    back.
+    any candidate reaches, so each sweep costs two spectrum evaluations
+    and a weighted sum; ``chi_pair`` serves only the points the plan
+    hands back.  The solver keeps log10(omega_e) inside the bounds, but
+    10**log10(hi) can round past hi, so the window reaches one Jacobian
+    step above the top of ``omega_e_bounds``.
     """
     gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
@@ -370,8 +377,6 @@ def discriminate_gamma(
         raise ValueError("omega_e_bounds must be above omega_l and increasing")
     from scipy import optimize
 
-    # the widest window any sweep reaches: the top of the bounds, plus
-    # the Jacobian's forward step in log10(omega_e)
     we_top = hi_e * 10.0 ** (_FD_STEP * max(1.0, abs(math.log10(hi_e))))
     plan = ChiPlan.covering(
         [EvolutionPair(t, d) for t, d in zip(tv, dt)],
@@ -379,87 +384,62 @@ def discriminate_gamma(
         quad,
     )
     # per-gamma bookkeeping: full-curve chi sweeps, and whether every
-    # scalar minimization reported convergence
-    n_sweeps, converged = 0, True
+    # scan minimization converged; ``last`` holds the last sweep
+    n_sweeps, converged, last = 0, True, {}
 
     def unit_chis(gamma, omega_e):
         nonlocal n_sweeps
-        n_sweeps += 1
-        return plan.apply(OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c))
+        if (gamma, omega_e) not in last:
+            n_sweeps += 1
+            last.clear()
+            last[gamma, omega_e] = plan.apply(
+                OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
+            )
+        return last[gamma, omega_e]
 
     def best_level(u, w):
         nonlocal converged
-        # 1-d profile over log10(level); chi is linear in the level
+        # 1-d profile over log10(level), six decades either side of the
+        # level that explains the largest chi on its own
         guess = 1.0
         big = np.argmax(u)
         if corr[big] > 0 and 2.0 * corr[big] < 1.0 and u[big] > 0:
             guess = -2.0 * math.log(2.0 * corr[big]) / u[big]
-        span = 6.0
+        span = (math.log10(guess) - 6.0, math.log10(guess) + 6.0)
 
         def chi2(t):
             r = _profiled_residuals(u, w, corr, se, tv, omega_q, 10.0**t)
             return float(r @ r)
 
         res = optimize.minimize_scalar(
-            chi2,
-            bounds=(math.log10(guess) - span, math.log10(guess) + span),
-            method="bounded",
-            options={"xatol": 1e-10},
+            chi2, bounds=span, method="bounded", options={"xatol": 1e-10}
         )
         converged &= bool(res.success)
-        return 10.0**res.x, float(res.fun)
+        return float(res.fun), res.x, span
 
     fits = {}
     for gamma in gammas:
         n_sweeps, converged = 0, True
-        grid = np.geomspace(lo_e, hi_e, 25)
-        scan = []
-        for we in grid:
-            u, w = unit_chis(gamma, we)
-            level, f = best_level(u, w)
-            scan.append((f, we, level))
-        scan.sort(key=lambda t: t[0])
-        _, we_best, _ = scan[0]
-        idx = int(np.argmin(np.abs(grid - we_best)))
-        lo_ref = grid[max(idx - 1, 0)]
-        hi_ref = grid[min(idx + 1, len(grid) - 1)]
-        if hi_ref <= lo_ref:
-            lo_ref, hi_ref = lo_e, hi_e
+        # the 25-point scan's best point, level profiled out, is the start
+        scan = [(best_level(*unit_chis(gamma, we)), we) for we in np.geomspace(lo_e, hi_e, 25)]
+        (_, t0, (t_lo, t_hi)), we0 = min(scan, key=lambda s: s[0][0])
 
-        def refine_obj(logwe, gamma=gamma):
-            u, w = unit_chis(gamma, 10.0**logwe)
-            return best_level(u, w)[1]
+        def residuals(x, gamma=gamma):
+            u, w = unit_chis(gamma, 10.0 ** x[1])
+            return _profiled_residuals(u, w, corr, se, tv, omega_q, 10.0 ** x[0])
 
-        res = optimize.minimize_scalar(
-            refine_obj,
-            bounds=(math.log10(lo_ref), math.log10(hi_ref)),
-            method="bounded",
-            options={"xatol": 1e-6},
+        x0 = (t0, math.log10(we0))
+        box = ([t_lo, math.log10(lo_e)], [t_hi, math.log10(hi_e)])
+        res = optimize.least_squares(
+            residuals, x0, jac="3-point", bounds=box, method="trf", diff_step=_FD_STEP
         )
-        converged &= bool(res.success)
-        we_fit = 10.0**res.x
-        u, w = unit_chis(gamma, we_fit)
-        level_fit, chi2_fit = best_level(u, w)
-
-        # residual Jacobian over (log10 s0, log10 omega_e) by central
-        # differences: chi is linear in the level, so the level column
-        # reuses (u, w), and the cutoff column costs two sweeps
-        x_fit = np.array([math.log10(level_fit), math.log10(we_fit)])
-        h = _FD_STEP * np.maximum(1.0, np.abs(x_fit))
-        sweeps = [unit_chis(gamma, 10.0 ** (x_fit[1] + s)) for s in (h[1], -h[1])]
-        r = [
-            _profiled_residuals(u, w, corr, se, tv, omega_q, 10.0 ** (x_fit[0] + s))
-            for s in (h[0], -h[0])
-        ]
-        r += [_profiled_residuals(*chis, corr, se, tv, omega_q, level_fit) for chis in sweeps]
-        jac = np.column_stack([r[0] - r[1], r[2] - r[3]]) / (2.0 * h)
         fits[gamma] = FitResult(
-            values={"s0": level_fit, "omega_e": we_fit},
-            cov=_covariance(jac, x_fit, (True, True)),
-            chi2=chi2_fit,
+            values={"s0": 10.0 ** res.x[0], "omega_e": 10.0 ** res.x[1]},
+            cov=_covariance(res.jac, res.x, (True, True)),
+            chi2=2.0 * res.cost,
             n_points=len(dt),
             n_eval=n_sweeps,
-            success=converged,
+            success=converged and bool(res.status > 0),
             message=f"profiled fit, gamma={gamma:g}",
         )
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import csvio
 from .correlator import QubitParams, correct_fidelity
+from .numerics import require_finite
 from .spectra import SpectrumModel
 
 __all__ = [
@@ -69,6 +70,8 @@ class GridSpec:
     omega_max: float | None = None
 
     def __post_init__(self):
+        given = [k for k in ("omega_min", "omega_max") if getattr(self, k) is not None]
+        require_finite(self, *given)
         if self.n_modes < 256:
             raise ValueError("n_modes must be at least 256")
         if self.omega_min is not None and not self.omega_min > 0:
@@ -160,6 +163,7 @@ class Protocol:
     qubit: QubitParams = field(default_factory=QubitParams)
 
     def __post_init__(self):
+        require_finite(self, "tau", "cycle_period")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.cycle_period >= self.tau + self.qubit.dead_time:

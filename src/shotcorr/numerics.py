@@ -15,13 +15,14 @@ time; at t = 0 it is plain panel quadrature of f.
 Both are one loop over levels of fixed weights: a level is nodes and
 weights on the starting grid bisected some number of times, its value
 the weighted sum of f at the nodes, and the density doubles until two
-levels agree.  ``gauss_weights`` and ``filon_weights`` give one level's
-weights, so a caller that integrates many integrands on one window
-builds them once and pays one dot product per integrand.
+levels agree.  ``level_weights`` gives one level's weights, so a caller
+that integrates many integrands on one window builds them once and pays
+one dot product per integrand.
 
-Also here: real Lambert W on both real branches, a gamma wrapper, and a
-bracketed root finder.  Everything validates its domain and reports an
-honest error estimate or raises ``QuadratureError``.
+Also here: real Lambert W on both real branches, a gamma wrapper, a
+bracketed root finder, and the finiteness check the model classes share.
+Everything validates its domain and reports an honest error estimate or
+raises ``QuadratureError``.
 
 scipy is imported where it is first used, not with this module:
 ``spherical_jn`` inside the Filon weights and ``brentq`` inside
@@ -44,13 +45,21 @@ __all__ = [
     "QuadratureError",
     "integrate_spectral",
     "filon_cos_integral",
-    "gauss_weights",
-    "filon_weights",
+    "level_weights",
     "lambert_w",
     "lambert_w_m1",
     "gamma_fn",
     "find_root",
+    "require_finite",
 ]
+
+
+def require_finite(obj, *names):
+    """Raise ValueError naming the first attribute in ``names`` of ``obj`` that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -292,11 +301,18 @@ def _doubling(f, edges, spec, times=None):
     raise QuadratureError(message, value=prev_value, error=error)
 
 
-def _level_weights(spec, breakpoints, period, level, times=None):
-    """(nodes, weights) of ``_level(level, times)`` on the whole starting grid.
+def level_weights(spec: QuadratureSpec, breakpoints, period, level, times=None):
+    """Nodes and weights of one level of an adaptive integrator, on its whole grid.
 
-    ``weights @ f(nodes)`` is the level's value; past ``spec.max_panels``
-    panels raises ``QuadratureError``.
+    ``times`` None is ``integrate_spectral`` with ``osc_period_hint``
+    ``period``: level 0 is G8 on its starting grid, level k >= 1 G16 on
+    that grid bisected k - 1 times.  Otherwise ``filon_cos_integral`` at
+    ``times`` with ``envelope_period`` ``period``: level k is Filon on
+    its starting grid bisected k times (its first converged value is
+    level 1).  Returns ``(nodes, weights)``: a flat node array and a
+    ``(rows, len(nodes))`` array, one row, or one per time, whose product
+    with f(nodes) is the level's value.  Raises ``QuadratureError`` when
+    the level has more than ``spec.max_panels`` panels.
     """
     edges = _start_grid(spec, breakpoints, period, times)
     bisections, weigh = _level(level, times)
@@ -310,7 +326,7 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
 
     Level 0 is G8 on the starting grid, level 1 G16, and each further
     level G16 with every panel bisected once more, each as fixed weights
-    on f at fixed nodes (``gauss_weights``).  The levels go on until two
+    on f at fixed nodes (``level_weights``).  The levels go on until two
     agree: the error is the sum over starting panels of the change in
     that panel's value, at the first check the embedded G8/G16 estimate.
 
@@ -343,21 +359,6 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
     return _doubling(f, _start_grid(spec, breakpoints, osc_period_hint, None), spec)
 
 
-def gauss_weights(osc_period_hint, spec: QuadratureSpec, breakpoints, bisections):
-    """Gauss-16 nodes and weights on ``integrate_spectral``'s starting grid.
-
-    The grid is the one ``integrate_spectral`` starts from (log edges,
-    kinks pinned, sub-panels of at most half ``osc_period_hint``), every
-    panel bisected ``bisections`` times, the integrator's level
-    ``bisections + 1``.  Returns ``(nodes, weights)``, both flat, with
-    ``weights @ f(nodes)`` the order-16 Gauss sum of f on that grid.
-    Raises ``QuadratureError`` when the grid has more than
-    ``spec.max_panels`` panels.
-    """
-    nodes, weights = _level_weights(spec, breakpoints, osc_period_hint, bisections + 1)
-    return nodes, weights[0]
-
-
 def filon_cos_integral(
     f, times, spec: QuadratureSpec, breakpoints=(), envelope_period=None
 ) -> QuadratureResult:
@@ -367,7 +368,7 @@ def filon_cos_integral(
     Legendre fit of ``f``, so the panel grid only needs to resolve ``f``,
     and one grid and one set of f values serve every time.  Level k is
     the starting grid bisected k times, as fixed weights on f at fixed
-    nodes (``filon_weights``); the levels double until every time
+    nodes (``level_weights``); the levels double until every time
     changes by at most ``rel_tol * max|value| + abs_tol``.  For f >= 0
     with 0 among the times, the t = 0 transform bounds the others and so
     anchors their tolerance.  ``value`` is a float array in the order of
@@ -393,21 +394,6 @@ def filon_cos_integral(
         itself; panels are capped at half that width.
     """
     return _doubling(f, _start_grid(spec, breakpoints, envelope_period, times), spec, times)
-
-
-def filon_weights(times, spec: QuadratureSpec, breakpoints, envelope_period, bisections):
-    """Filon nodes and per-time weights on ``filon_cos_integral``'s grid.
-
-    The grid is the one ``filon_cos_integral`` starts from, every panel
-    bisected ``bisections`` times: the integrator's level ``bisections``
-    (its first converged value comes from one bisection).  Returns
-    ``(nodes, weights)``: a flat node array and a ``(len(times),
-    len(nodes))`` array whose row i dotted with f(nodes) is the Filon
-    value of the integral of f(omega) cos(omega times[i]) on that grid.
-    Raises ``QuadratureError`` when the grid has more than
-    ``spec.max_panels`` panels.
-    """
-    return _level_weights(spec, breakpoints, envelope_period, bisections, times)
 
 
 # ---------------------------------------------------------------------------

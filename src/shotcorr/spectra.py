@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import csvio
-from .numerics import QuadratureSpec, filon_cos_integral
+from .numerics import QuadratureSpec, filon_cos_integral, require_finite
 
 __all__ = [
     "SpectrumModel",
@@ -126,6 +126,7 @@ class OverhauserModel(SpectrumModel):
     coupling_c: float
 
     def __post_init__(self):
+        require_finite(self, "s0", "omega_l", "gamma", "coupling_c")
         if not self.s0 >= 0:
             raise ValueError("s0 must be nonnegative")
         if not self.omega_l > 0:
@@ -181,6 +182,7 @@ class WhiteModel(SpectrumModel):
     omega_high: float
 
     def __post_init__(self):
+        require_finite(self, "level", "omega_high")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
         if not self.omega_high > 0:
@@ -214,6 +216,7 @@ class PowerLawModel(SpectrumModel):
     omega_high: float
 
     def __post_init__(self):
+        require_finite(self, "amplitude", "alpha", "omega_low", "omega_high")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
         if not 0 <= self.alpha < 3:
@@ -247,9 +250,9 @@ class PowerLawModel(SpectrumModel):
 class TabulatedModel(SpectrumModel):
     """Measured spectrum given as (omega, S) rows, log-log interpolated.
 
-    Outside the tabulated range the density is zero.  Table frequencies
-    must be strictly increasing and positive; densities must be
-    nonnegative.  A zero density pins the whole interval up to the next
+    Outside the tabulated range the density is zero.  Every entry must
+    be finite, table frequencies strictly increasing and positive, and
+    densities nonnegative.  A zero density pins the whole interval up to the next
     positive knot to zero, so compact support can be expressed by zero
     edge rows.
     """
@@ -260,6 +263,8 @@ class TabulatedModel(SpectrumModel):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("points must be an (n, 2) array with n >= 2")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         if not np.all(np.diff(pts[:, 0]) > 0):
             raise ValueError("table frequencies must be strictly increasing")
         if not pts[0, 0] > 0:

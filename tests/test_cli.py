@@ -137,6 +137,18 @@ class TestChiCommand:
         assert echo["spectrum"]["omega_e"] == "inf"
         assert echo["fit"]["omega_e_bounds"] == [10.0 * 2 * math.pi, 1000.0 * 2 * math.pi]
 
+    def test_hz_json_infinity_cutoff_passes(self, tmp_path):
+        # JSON Infinity, the third no-cutoff spelling, also passes the conversion
+        outs = []
+        for name, omega_e in (("string", "inf"), ("json", math.inf)):
+            spec = dict(OVERHAUSER_SPEC, omega_l=0.1, omega_e=omega_e)
+            chi = {"tau": 5e-4, "delta_t": [1e-4, 1e-2]}
+            cfg = write_config(tmp_path / f"{name}.json", {"spectrum": spec, "chi": chi})
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(["chi", "--config", cfg, "--freq-units", "hz", "--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_one_chi_pair_per_row(self, tmp_path, monkeypatch):
         calls = []
 
@@ -869,41 +881,67 @@ class TestCountFields:
         assert runs["int"] == runs["float"]
 
 
-# (command, float field, bad value): float() would read a boolean as 0.0
-# or 1.0, and the correlate timing fields went through bare float()
+def _spectrum(command, spec):
+    """A ``_FLOAT_BASES`` base: the ``command`` base with ``spec`` as its spectrum."""
+    return command, lambda d: dict(_FLOAT_BASES[command][1](d), spectrum=dict(spec))
+
+
+# (base, float field, bad value): float() would read a boolean as 0.0
+# or 1.0, the correlate timing fields went through bare float(), and
+# Infinity is no config float; a base is (command, config builder)
 _FLOAT_BASES = {
-    "chi": lambda d: _chi(d, [1e-3]),
-    "simulate": CONTRACT_CASES["simulate"],
-    "correlate": CONTRACT_CASES["correlate"],
+    "chi": ("chi", lambda d: _chi(d, [1e-3])),
+    "chi_white": _spectrum("chi", {"family": "white", "level": 2e3, "omega_high": 1e6}),
+    "chi_power_law": _spectrum(
+        "chi",
+        {
+            "family": "power_law",
+            "amplitude": 1e3,
+            "alpha": 1.0,
+            "omega_low": 1e-2,
+            "omega_high": 1e6,
+        },
+    ),
+    "simulate": ("simulate", CONTRACT_CASES["simulate"]),
+    "simulate_overhauser": _spectrum("simulate", OVERHAUSER_SPEC),
+    "correlate": ("correlate", CONTRACT_CASES["correlate"]),
 }
 _BAD_FLOATS = [
     ("chi", "chi.delta_t", True),
     ("chi", "chi.delta_t", [True]),
     ("chi", "chi.tau", False),
     ("chi", "spectrum.omega_e", True),
+    ("chi_white", "spectrum.level", math.inf),
+    ("chi_power_law", "spectrum.omega_high", math.inf),
     ("simulate", "protocol.tau", True),
+    ("simulate", "protocol.tau", math.inf),
+    ("simulate", "protocol.cycle_period", math.inf),
     ("simulate", "grid.omega_min", True),
+    ("simulate_overhauser", "spectrum.s0", math.inf),
     ("correlate", "correlate.tau", "abc"),
     ("correlate", "correlate.cycle_period", True),
 ]
 
 
-# (field, non-finite value, the one stderr line): NaN is no number, and a
-# non-finite evolution time or qubit setting is refused before any quadrature
+# (field, non-finite value, the one stderr line): NaN and +-inf are no
+# config floats, refused before any quadrature
 _NON_FINITE = [
     ("chi.delta_t", [math.nan, 1e-3], "config field 'chi.delta_t' has invalid element nan"),
-    ("chi.tau", math.inf, "tau must be finite, got inf"),
+    ("chi.tau", math.inf, "config field 'chi.tau' has invalid value inf"),
     ("qubit.omega_q", math.nan, "config field 'qubit.omega_q' has invalid value nan"),
-    ("qubit.omega_q", math.inf, "omega_q must be finite, got inf"),
+    ("qubit.omega_q", math.inf, "config field 'qubit.omega_q' has invalid value inf"),
+    ("spectrum.s0", math.inf, "config field 'spectrum.s0' has invalid value inf"),
+    ("spectrum.omega_l", -math.inf, "config field 'spectrum.omega_l' has invalid value -inf"),
 ]
 
 
 class TestFloatFields:
     @pytest.mark.parametrize(
-        "command, field, value", _BAD_FLOATS, ids=[f"{f}={v!r}" for _, f, v in _BAD_FLOATS]
+        "base, field, value", _BAD_FLOATS, ids=[f"{f}={v!r}" for _, f, v in _BAD_FLOATS]
     )
-    def test_non_number_exits_with_message(self, tmp_path, capsys, command, field, value):
-        config = _with(_FLOAT_BASES[command](tmp_path), field, value)
+    def test_non_number_exits_with_message(self, tmp_path, capsys, base, field, value):
+        command, build = _FLOAT_BASES[base]
+        config = _with(build(tmp_path), field, value)
         cfg = write_config(tmp_path / "c.json", config)
         assert run_cli([command, "--config", cfg, "--out", tmp_path / "x.out"]) == 1
         err = capsys.readouterr().err

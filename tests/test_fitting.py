@@ -536,6 +536,60 @@ class TestDiscriminateGamma:
         assert all(r.n_eval > 0 for r in decision.fits.values())
         assert calls == []
 
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_cutoff_held_at_top_bound(self, monkeypatch, gamma):
+        # the top bound sits at a third of the free optimum: the solver
+        # ends on the bound, and every finite-difference step it takes
+        # there stays inside the plan's window
+        dts, taus, corr, se, wl, c = _constant_contrast_curve()
+        free = discriminate_gamma(
+            dts, taus, corr, se, omega_l=wl, coupling_c=c, gammas=(gamma,), quad=QUICK
+        )
+        hi = free.fits[gamma].values["omega_e"] / 3.0
+        calls = []
+
+        def counted(spectrum, pair, quad=None):
+            calls.append(pair)
+            return original(spectrum, pair, quad)
+
+        original = correlator.chi_pair
+        monkeypatch.setattr(correlator, "chi_pair", counted)
+        monkeypatch.setattr(fitting, "chi_pair", counted)
+        decision = discriminate_gamma(
+            dts,
+            taus,
+            corr,
+            se,
+            omega_l=wl,
+            coupling_c=c,
+            gammas=(gamma,),
+            omega_e_bounds=(10.0 * wl, hi),
+            quad=QUICK,
+        )
+        res = decision.fits[gamma]
+        assert res.values["omega_e"] <= hi
+        assert calls == []
+        assert np.all(np.isfinite(res.cov))
+        assert np.array_equal(res.cov, res.cov.T)
+
+    @pytest.mark.parametrize("noise_seed", [0, 1])
+    def test_chi2_is_full_model_chi_squared(self, noise_seed):
+        # the plan's sweeps and chi_pair agreed to 6e-13 relative on these
+        # curves; chi2 is the solver's cost at the reported values
+        dts, taus, corr, se, wl, c = _constant_contrast_curve(noise_seed=noise_seed)
+        decision = discriminate_gamma(dts, taus, corr, se, omega_l=wl, coupling_c=c, quad=QUICK)
+        for gamma, res in decision.fits.items():
+            prob = FitProblem(
+                delta_t=dts,
+                tau=taus,
+                correlation=corr,
+                stderr=se,
+                build=lambda v, g=gamma: OverhauserModel(v["s0"], wl, v["omega_e"], g, c),
+                params=(FitParam("s0", 1.0e-8, 1.0), FitParam("omega_e", 1.0e3, 1.0e7)),
+            )
+            ref = chi_squared(prob, res.values, quad=QUICK)
+            assert res.chi2 == pytest.approx(ref, rel=1.0e-11, abs=0.0)
+
     @pytest.mark.parametrize(
         "column, value",
         [("stderr", 0.0), ("stderr", -1e-3), ("delta_t", 0.0), ("tau", -1e-6), ("corr", math.nan)],

@@ -11,13 +11,12 @@ from shotcorr.numerics import (
     QuadratureError,
     QuadratureSpec,
     filon_cos_integral,
-    filon_weights,
     find_root,
     gamma_fn,
-    gauss_weights,
     integrate_spectral,
     lambert_w,
     lambert_w_m1,
+    level_weights,
 )
 from shotcorr.numerics import _subdivide
 
@@ -119,7 +118,7 @@ class TestIntegrateSpectral:
         fn = lambda w: np.exp(-w) * np.sin(1.5 * w) ** 2
         hint, spec = 2.0 * math.pi / 3.0, _spec(0.0, 40.0, rel_tol=1e-8)
         res = integrate_spectral(fn, hint, spec)
-        nodes, w = gauss_weights(hint, spec, (), 0)
+        nodes, (w,) = level_weights(spec, (), hint, 1)
         assert res.n_panels * 16 == len(nodes)
         assert res.value == pytest.approx(w @ fn(nodes), rel=1e-14)
 
@@ -186,7 +185,7 @@ class TestFilonCosIntegral:
         # the first converged value is Filon on the starting grid bisected once
         times, spec = (0.0, 0.5, 3.0), _spec(0.0, 40.0, rel_tol=1e-9)
         res = filon_cos_integral(lambda w: np.exp(-w), times, spec)
-        nodes, w = filon_weights(times, spec, (), None, 1)
+        nodes, w = level_weights(spec, (), None, 1, times)
         assert res.n_panels * 12 == len(nodes)
         np.testing.assert_allclose(res.value, w @ np.exp(-nodes), rtol=1e-14, atol=0.0)
 
@@ -233,9 +232,9 @@ class TestPanelGrid:
                 filon_cos_integral(fn, (1.0,), spec, envelope_period=period)
             elif kernel == "gauss_weights":
                 # about 600 panels fit the budget; one bisection does not
-                gauss_weights(period, spec, (), 1)
+                level_weights(spec, (), period, 2)
             else:
-                filon_weights((1.0,), spec, (), period, 1)
+                level_weights(spec, (), period, 1, (1.0,))
 
 
 class TestFixedWeights:
@@ -243,7 +242,7 @@ class TestFixedWeights:
     def test_filon_weights_closed_form(self, bisections):
         # integral of exp(-w) cos(w t) over (0, 40) is 1/(1+t^2) up to e^-40
         times = (0.0, 0.5, 3.0, 40.0)
-        nodes, w = filon_weights(times, _spec(0.0, 40.0), (), None, bisections)
+        nodes, w = level_weights(_spec(0.0, 40.0), (), None, bisections, times)
         assert w.shape == (len(times), len(nodes))
         ref = [1.0 / (1.0 + t * t) for t in times]
         np.testing.assert_allclose(w @ np.exp(-nodes), ref, rtol=1e-9, atol=0.0)
@@ -251,14 +250,14 @@ class TestFixedWeights:
     @pytest.mark.parametrize("bisections", [0, 1])
     def test_gauss_weights_closed_form(self, bisections):
         # integral of exp(-w) sin^2(3w/2) over (0, 40) is (1 - 1/10)/2
-        nodes, w = gauss_weights(2.0 * math.pi / 3.0, _spec(0.0, 40.0), (), bisections)
+        nodes, (w,) = level_weights(_spec(0.0, 40.0), (), 2.0 * math.pi / 3.0, bisections + 1)
         value = w @ (np.exp(-nodes) * np.sin(1.5 * nodes) ** 2)
         assert value == pytest.approx(0.45, rel=1e-10)
         assert len(nodes) % 16 == 0 and np.all(np.diff(nodes) > 0)
 
     def test_breakpoints_pinned(self):
         # a kink at 1.3 sits on a panel edge, so Gauss is exact to rounding
-        nodes, w = gauss_weights(None, _spec(0.0, 4.0), (1.3,), 0)
+        nodes, (w,) = level_weights(_spec(0.0, 4.0), (1.3,), None, 1)
         assert w @ np.abs(nodes - 1.3) == pytest.approx((1.3**2 + 2.7**2) / 2.0, rel=1e-13)
 
 

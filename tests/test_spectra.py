@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from shotcorr.fitting import FitParam
+from shotcorr.montecarlo import GridSpec, Protocol
 from shotcorr.numerics import QuadratureSpec
 from shotcorr.spectra import (
     BOHR_MAGNETON,
@@ -35,6 +37,25 @@ def model_zoo():
             )
         ),
     ]
+
+
+# (class, valid fields, field, infinite value); omega_e = inf is the
+# Overhauser model's documented no-cutoff setting and stays allowed
+_FINITE_BASES = {
+    OverhauserModel: dict(s0=1.0, omega_l=1.0, omega_e=10.0, gamma=1.0, coupling_c=1.0),
+    WhiteModel: dict(level=1.0, omega_high=10.0),
+    PowerLawModel: dict(amplitude=1.0, alpha=1.0, omega_low=1.0, omega_high=10.0),
+    TabulatedModel: dict(points=[[1.0, 1.0], [2.0, 1.0]]),
+    Protocol: dict(tau=1e-3, cycle_period=2e-3, n_cycles=10),
+    GridSpec: dict(n_modes=256, omega_min=1.0, omega_max=10.0),
+    FitParam: dict(name="x", lower=1.0, upper=10.0),
+}
+_INFINITE_FIELDS = [
+    (cls, base, field, [[1.0, math.inf], [2.0, 1.0]] if field == "points" else math.inf)
+    for cls, base in _FINITE_BASES.items()
+    for field in base
+    if field not in ("omega_e", "n_cycles", "n_modes", "name")
+]
 
 
 class TestEvaluate:
@@ -108,6 +129,16 @@ class TestValidation:
             WhiteModel(level=-1.0, omega_high=10.0)
         with pytest.raises(ValueError):
             WhiteModel(level=1.0, omega_high=0.0)
+
+    @pytest.mark.parametrize(
+        "cls, base, field, value",
+        _INFINITE_FIELDS,
+        ids=[f"{cls.__name__}.{field}" for cls, _, field, _ in _INFINITE_FIELDS],
+    )
+    def test_infinite_field_refused(self, cls, base, field, value):
+        # +inf passes each of these fields' sign checks, so each needs a finiteness check
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**dict(base, **{field: value}))
 
 
 class TestTabulated:
