@@ -122,10 +122,18 @@ def _optional_section(config, name, path=None):
 
 
 def _real(val):
-    """A finite JSON number as a float; booleans, NaN and +-inf raise (``true`` is no 1.0)."""
-    if isinstance(val, bool) or not math.isfinite(float(val)):
+    """A finite JSON number as a float; booleans, NaN and +-inf raise (``true`` is no 1.0).
+
+    An integer literal past the float range counts as infinite, so it
+    raises ``TypeError`` too, not the ``OverflowError`` of ``float``.
+    """
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if isinstance(val, bool) or not math.isfinite(out):
         raise TypeError(f"{val!r} is not a finite number")
-    return float(val)
+    return out
 
 
 def _field(sec, secname, key, kind=_real, default=_REQUIRED):
@@ -145,12 +153,14 @@ def _count(val):
     """A JSON count: an int, or a float with no fractional part (``1e2``).
 
     Booleans, strings and non-integral numbers raise, so a bad count
-    never truncates silently.
+    never truncates silently, and so does an int past the float range,
+    which would overflow where the count meets a float (a duration).
     """
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise TypeError(f"{val!r} is not a number")
     if isinstance(val, float) and not val.is_integer():
         raise ValueError(f"{val!r} is not an integer")
+    _real(val)
     return int(val)
 
 

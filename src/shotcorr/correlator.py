@@ -152,9 +152,12 @@ def _window(spectrum):
 
     The filters are finite at omega = 0 and every model has finite S(0),
     so the lower edge is exactly zero; the upper edge is the model's own
-    negligibility bound.  Window size carries almost no cost: above a few
-    filter oscillations the integrals run through the cosine-exact
-    kernel, whose panel count follows the log-smoothness of S alone.
+    negligibility bound.  For one spectrum the window's size costs few
+    panels: above a few filter oscillations the integrals run through
+    the cosine-exact kernel, whose panel count follows the
+    log-smoothness of S alone.  A ``ChiPlan`` sized for the widest of
+    many spectra is different: every sweep evaluates S on all its
+    nodes, and for a narrow cutoff most of them lie where S is 0.
     """
     return 0.0, min(spectrum.hard_max, spectrum.suggested_omega_max(1e-20))
 
@@ -312,6 +315,11 @@ def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[f
     return _integrate(_chi_regions(tau, dt, hi), spectrum, quad)
 
 
+# the kernel levels a plan holds: the one chi_pair returns when its first
+# check passes, and one bisection up, whose value apply reports
+_PLAN_LEVELS = (1, 2)
+
+
 def _joined(parts):
     """One node vector and its weight rows from a list of (nodes, weights)."""
     return (
@@ -326,6 +334,10 @@ class ChiPlan:
     Built once for ``pairs``, a window [0, ``omega_max``] and the kinks in
     ``breakpoints``; ``apply(spectrum)`` evaluates S on the plan's nodes
     and returns the arrays (chi_minus, chi_plus) in the order of ``pairs``.
+    ``apply(spectrum, values)`` takes S on ``nodes`` from the caller
+    instead, who may compute it cheaper (``discriminate_gamma`` keeps the
+    spectrum's knee factor across sweeps); ``values`` must equal
+    ``spectrum.evaluate(nodes)``, and is not checked.
 
     Rows.  A pair's rows come from the same region table as ``chi_pair``,
     with ``omega_max`` as the window top.  Each region becomes the node
@@ -337,7 +349,10 @@ class ChiPlan:
 
     Two levels.  Every row exists at levels 1 and 2 of the kernels: the
     level whose value ``chi_pair`` returns when its first check passes,
-    and one bisection up.  ``apply`` evaluates S once per level and
+    and one bisection up, both read from one starting grid per region.
+    ``nodes`` holds every served pair's level-1 nodes, then every level-2
+    node, and one (2, n) weight array lines up with it, so a sweep is one
+    evaluation of S, one product and one ``reduceat``.  ``apply``
     returns the level-2 value; a point whose two values differ by more
     than ``rel_tol * |chi| + abs_tol`` in either chi goes through
     ``chi_pair``.
@@ -356,23 +371,21 @@ class ChiPlan:
         self.breakpoints = tuple(sorted({float(p) for p in breakpoints}))
         self.quad = _quad(quad)
         self.fallbacks = 0
-        served, parts = [], ([], [])
+        served, parts = [], tuple([] for _ in _PLAN_LEVELS)
         for i, pair in enumerate(self.pairs):
             try:
-                rows = [self._pair_rows(pair, level) for level in (1, 2)]
+                rows = self._pair_rows(pair)
             except QuadratureError:
                 continue
             served.append(i)
             for part, row in zip(parts, rows):
                 part.append(row)
         self._served = np.array(served, dtype=int)
-        # per level: one node vector, one (2, n) weight array, and where
-        # each served pair's nodes start
-        self._levels = [
-            (*_joined(part), np.cumsum([0] + [len(nodes) for nodes, _ in part[:-1]]))
-            for part in parts
-            if part
-        ]
+        # every served pair's rows at level 1, then at level 2: one node
+        # vector, one (2, n) weight array, and where each block starts
+        blocks = [row for part in parts for row in part]
+        self.nodes, self._weights = _joined(blocks) if blocks else (np.empty(0), np.empty((2, 0)))
+        self._starts = np.cumsum([0] + [len(nodes) for nodes, _ in blocks[:-1]])
 
     @classmethod
     def covering(cls, pairs, spectra, quad=None) -> "ChiPlan":
@@ -381,42 +394,54 @@ class ChiPlan:
         omega_max = max(_window(s)[1] for s in spectra)
         return cls(pairs, omega_max, {p for s in spectra for p in _kinks(s, omega_max)}, quad)
 
-    def _pair_rows(self, pair, level):
+    def _pair_rows(self, pair):
+        """The pair's (nodes, weights) at each of ``_PLAN_LEVELS``."""
         tau, dt, hi = pair.tau, pair.delta_t, self.omega_max
         if dt == 0.0:
-            nodes, (pv,) = self._rows(_pv_regions(tau, hi), level)
-            return nodes, np.stack([np.zeros_like(pv), 4.0 * pv])
+            return [
+                (nodes, np.stack([np.zeros_like(pv), 4.0 * pv]))
+                for nodes, (pv,) in self._rows(_pv_regions(tau, hi))
+            ]
         if dt < tau:
-            nodes_m, (minus,) = self._rows(_chi_regions(dt, tau, hi, plus=False), level)
-            nodes_v, (pv,) = self._rows(_pv_regions(tau, hi), level)
-            rows = [np.concatenate([minus, np.zeros_like(pv)]), np.concatenate([-minus, 4.0 * pv])]
-            return np.concatenate([nodes_m, nodes_v]), np.stack(rows)
-        return self._rows(_chi_regions(tau, dt, hi), level)
+            out = []
+            for (nodes_m, (minus,)), (nodes_v, (pv,)) in zip(
+                self._rows(_chi_regions(dt, tau, hi, plus=False)), self._rows(_pv_regions(tau, hi))
+            ):
+                rows = [np.concatenate([minus, np.zeros_like(pv)]), np.concatenate([-minus, 4.0 * pv])]
+                out.append((np.concatenate([nodes_m, nodes_v]), np.stack(rows)))
+            return out
+        return self._rows(_chi_regions(tau, dt, hi))
 
-    def _rows(self, regions, level):
-        """``regions`` as (nodes, weights), one weight row per output."""
-        parts = []
+    def _rows(self, regions):
+        """``regions`` as (nodes, weights) per level, one weight row per output."""
+        parts = tuple([] for _ in _PLAN_LEVELS)
         for r in (r for r in regions if r.lo < r.hi):
             spec = self.quad.with_window(r.lo, r.hi)
-            x, w = level_weights(spec, self.breakpoints, r.period, level, r.times)
-            values = [row for g in r.integrands for row in w * g(1.0, x)]
-            parts.append((x, np.stack(r.combine(*values))))
-        return _joined(parts)
+            levels = level_weights(spec, self.breakpoints, r.period, _PLAN_LEVELS, r.times)
+            for part, (x, w) in zip(parts, levels):
+                values = [row for g in r.integrands for row in w * g(1.0, x)]
+                part.append((x, np.stack(r.combine(*values))))
+        return [_joined(part) for part in parts]
 
     def _serves(self, spectrum) -> bool:
         if _window(spectrum)[1] > self.omega_max:
             return False
         return all(p in self.breakpoints for p in _kinks(spectrum, self.omega_max))
 
-    def apply(self, spectrum: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
-        """(chi_minus, chi_plus) arrays for ``spectrum``, in the order of ``pairs``."""
+    def apply(self, spectrum: SpectrumModel, values=None) -> tuple[np.ndarray, np.ndarray]:
+        """(chi_minus, chi_plus) arrays for ``spectrum``, in the order of ``pairs``.
+
+        ``values``, if given, must be ``spectrum.evaluate(self.nodes)``,
+        computed by a caller that can do it cheaper; it is used only when
+        the plan serves ``spectrum``.
+        """
         chi = np.full((2, len(self.pairs)), np.nan)
         adaptive = np.ones(len(self.pairs), dtype=bool)
-        if self._levels and self._serves(spectrum):
-            coarse, fine = (
-                np.add.reduceat(weights * spectrum.evaluate(nodes), starts, axis=1)
-                for nodes, weights, starts in self._levels
-            )
+        if len(self._served) and self._serves(spectrum):
+            if values is None:
+                values = spectrum.evaluate(self.nodes)
+            sums = np.add.reduceat(self._weights * values, self._starts, axis=1)
+            coarse, fine = sums[:, : len(self._served)], sums[:, len(self._served) :]
             quad = self.quad
             within = np.abs(fine - coarse) <= quad.rel_tol * np.abs(fine) + quad.abs_tol
             chi[:, self._served] = fine

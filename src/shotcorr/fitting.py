@@ -321,6 +321,39 @@ def _profiled_residuals(u, w, corr, se, tau, omega_q, level):
     return (correlator_from_chi(level * u, level * w, tau, omega_q) - corr) / se
 
 
+# the scan's level profile: passes of 97 log10 levels, each centred on the
+# last pass's best level, at these half-widths in decades
+_PROFILE_HALF_WIDTHS = (6.0, 0.125, 0.0025)
+_PROFILE_OFFSETS = np.linspace(-1.0, 1.0, 97)
+
+
+def _level_profile(u, w, corr, se, tau, omega_q):
+    """Each scan point's best log10 level, its chi2, and its level box.
+
+    Row i of ``u`` and ``w`` is one sweep at unit level.  The box is six
+    decades either side of the level that explains the row's largest
+    chi on its own (level 1 where that point's 2 corr is not in (0, 1)).
+    Every row is profiled at once, over a grid that the passes of
+    ``_PROFILE_HALF_WIDTHS`` narrow around the best level so far.
+    Returns ``(chi2, t, t_lo, t_hi)``, one entry per row.
+    """
+    rows = np.arange(len(u))
+    big = np.argmax(u, axis=1)
+    c, u_big = corr[big], u[rows, big]
+    known = (c > 0) & (2.0 * c < 1.0) & (u_big > 0)
+    guess = np.ones(len(u))
+    guess[known] = -2.0 * np.log(2.0 * c[known]) / u_big[known]
+    t = np.log10(guess)
+    t_lo, t_hi = t - 6.0, t + 6.0
+    for half in _PROFILE_HALF_WIDTHS:
+        grid = np.clip(t[:, None] + half * _PROFILE_OFFSETS, t_lo[:, None], t_hi[:, None])
+        r = _profiled_residuals(u[:, None], w[:, None], corr, se, tau, omega_q, 10.0 ** grid[..., None])
+        chi2 = np.einsum("ijk,ijk->ij", r, r)
+        best = np.argmin(chi2, axis=1)
+        t, best_chi2 = grid[rows, best], chi2[rows, best]
+    return best_chi2, t, t_lo, t_hi
+
+
 def discriminate_gamma(
     delta_t,
     tau,
@@ -341,27 +374,33 @@ def discriminate_gamma(
     level is optimized with no further quadrature.  A 25-point log scan
     of the cutoff over ``omega_e_bounds`` (default: two decades beyond
     the resolvable range on each side), the level profiled out at each
-    point, picks the start.  ``fit``'s trust-region-reflective solver
-    then polishes (log10 s0, log10 omega_e) inside ``omega_e_bounds`` and
-    the best scan point's six decades of level either side of its
-    guess, with a central-difference Jacobian; ``chi2`` is twice its
-    final cost and the covariance the Gauss-Newton (J^T J)^-1 of its
-    final Jacobian.  A level-only step reuses the last sweep, so each
-    Jacobian costs two sweeps for the cutoff column and none for the
-    level.  The curve must pass the checks ``FitProblem`` makes
-    (positive stderr, delta_t and tau, finite correlation); a bad one
-    raises ValueError.  Each distinct shape in ``gammas`` is fitted
-    once.  Each candidate's ``n_eval`` counts the full-curve chi sweeps
-    made for it; its ``success`` is set only if every scan minimization
-    converged and the solver reports convergence.
+    point, picks the start.  The profile is one vectorized evaluation of
+    the residuals over a grid of (scan point, log10 level): 97 levels
+    across six decades either side of the level that explains the
+    largest chi on its own, then two passes of 97 narrowing around each
+    point's best (``_level_profile``).  ``fit``'s trust-region-reflective
+    solver then polishes (log10 s0, log10 omega_e) inside
+    ``omega_e_bounds`` and the best scan point's level box, with a
+    central-difference Jacobian; ``chi2`` is twice its final cost and
+    the covariance the Gauss-Newton (J^T J)^-1 of its final Jacobian.
+    A level-only step reuses the last sweep, so each Jacobian costs two
+    sweeps for the cutoff column and none for the level.  The curve must
+    pass the checks ``FitProblem`` makes (positive stderr, delta_t and
+    tau, finite correlation); a bad one raises ValueError.  Each
+    distinct shape in ``gammas`` is fitted once.  Each candidate's
+    ``n_eval`` counts the full-curve chi sweeps made for it; its
+    ``success`` is the solver's convergence alone.
 
     Every sweep is one ``ChiPlan.apply``: the call builds one plan for
     the (tau, delta_t) design, its window sized for the widest spectrum
-    any candidate reaches, so each sweep costs two spectrum evaluations
-    and a weighted sum; ``chi_pair`` serves only the points the plan
-    hands back.  The solver keeps log10(omega_e) inside the bounds, but
-    10**log10(hi) can round past hi, so the window reaches one Jacobian
-    step above the top of ``omega_e_bounds``.
+    any candidate reaches, and evaluates the knee factor of S on the
+    plan's nodes once.  A sweep then costs the cutoff factor on those
+    nodes (no ``exp`` where it is 0, which for a narrow cutoff is most
+    of the window), one product and one weighted sum; ``chi_pair``
+    serves only the points the plan hands back.  The solver keeps
+    log10(omega_e) inside the bounds, but 10**log10(hi) can round past
+    hi, so the window reaches one Jacobian step above the top of
+    ``omega_e_bounds``.
     """
     gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
@@ -383,53 +422,37 @@ def discriminate_gamma(
         [OverhauserModel(1.0, omega_l, we_top, g, coupling_c) for g in gammas],
         quad,
     )
-    # per-gamma bookkeeping: full-curve chi sweeps, and whether every
-    # scan minimization converged; ``last`` holds the last sweep
-    n_sweeps, converged, last = 0, True, {}
+    # per-gamma count of full-curve chi sweeps; ``last`` holds the last sweep
+    n_sweeps, last = 0, {}
+    # S = knee * cutoff on the plan's nodes; only the cutoff moves per sweep
+    knee = OverhauserModel(1.0, omega_l, we_top, 1.0, coupling_c).knee_factor(plan.nodes)
 
     def unit_chis(gamma, omega_e):
         nonlocal n_sweeps
         if (gamma, omega_e) not in last:
             n_sweeps += 1
             last.clear()
-            last[gamma, omega_e] = plan.apply(
-                OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
-            )
+            spectrum = OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
+            values = spectrum.cutoff_factor(plan.nodes)
+            values *= knee
+            last[gamma, omega_e] = plan.apply(spectrum, values)
         return last[gamma, omega_e]
-
-    def best_level(u, w):
-        nonlocal converged
-        # 1-d profile over log10(level), six decades either side of the
-        # level that explains the largest chi on its own
-        guess = 1.0
-        big = np.argmax(u)
-        if corr[big] > 0 and 2.0 * corr[big] < 1.0 and u[big] > 0:
-            guess = -2.0 * math.log(2.0 * corr[big]) / u[big]
-        span = (math.log10(guess) - 6.0, math.log10(guess) + 6.0)
-
-        def chi2(t):
-            r = _profiled_residuals(u, w, corr, se, tv, omega_q, 10.0**t)
-            return float(r @ r)
-
-        res = optimize.minimize_scalar(
-            chi2, bounds=span, method="bounded", options={"xatol": 1e-10}
-        )
-        converged &= bool(res.success)
-        return float(res.fun), res.x, span
 
     fits = {}
     for gamma in gammas:
-        n_sweeps, converged = 0, True
+        n_sweeps = 0
         # the 25-point scan's best point, level profiled out, is the start
-        scan = [(best_level(*unit_chis(gamma, we)), we) for we in np.geomspace(lo_e, hi_e, 25)]
-        (_, t0, (t_lo, t_hi)), we0 = min(scan, key=lambda s: s[0][0])
+        scan = np.geomspace(lo_e, hi_e, 25)
+        u, w = np.array([unit_chis(gamma, we) for we in scan]).transpose(1, 0, 2)
+        chi2, t, t_lo, t_hi = _level_profile(u, w, corr, se, tv, omega_q)
+        i = int(np.argmin(chi2))
 
         def residuals(x, gamma=gamma):
             u, w = unit_chis(gamma, 10.0 ** x[1])
             return _profiled_residuals(u, w, corr, se, tv, omega_q, 10.0 ** x[0])
 
-        x0 = (t0, math.log10(we0))
-        box = ([t_lo, math.log10(lo_e)], [t_hi, math.log10(hi_e)])
+        x0 = (t[i], math.log10(scan[i]))
+        box = ([t_lo[i], math.log10(lo_e)], [t_hi[i], math.log10(hi_e)])
         res = optimize.least_squares(
             residuals, x0, jac="3-point", bounds=box, method="trf", diff_step=_FD_STEP
         )
@@ -439,7 +462,7 @@ def discriminate_gamma(
             chi2=2.0 * res.cost,
             n_points=len(dt),
             n_eval=n_sweeps,
-            success=converged and bool(res.status > 0),
+            success=bool(res.status > 0),
             message=f"profiled fit, gamma={gamma:g}",
         )
 

@@ -223,10 +223,15 @@ def _filon_panels(times, mid, half):
 
     times = np.asarray(times, dtype=float)
     nodes = (mid[:, None] + half[:, None] * _filon_nodes).ravel()
-    # the moments of every time in one call per parity: (times, panels, order/2)
-    theta = (times[:, None] * half).reshape(-1, 1)
-    even = (2.0 * _even_sign * spherical_jn(_even_n, theta)).reshape(len(times), len(mid), -1)
-    odd = (2.0 * _odd_sign * spherical_jn(_odd_n, theta)).reshape(len(times), len(mid), -1)
+    # j_0 .. j_11 of every time in one call, (times * panels, order); at
+    # theta = 0 they are exactly 1, 0, ..., 0, the values scipy returns
+    theta = (times[:, None] * half).ravel()
+    jn = np.zeros((len(theta), _FILON_ORDER))
+    jn[:, 0] = 1.0
+    live = theta != 0.0
+    jn[live] = spherical_jn(np.arange(_FILON_ORDER), theta[live, None])
+    even = (2.0 * _even_sign * jn[:, _even_n]).reshape(len(times), len(mid), -1)
+    odd = (2.0 * _odd_sign * jn[:, _odd_n]).reshape(len(times), len(mid), -1)
     phase = (times[:, None] * mid)[:, :, None]
     cos_part = np.cos(phase) * (even @ _filon_proj[_even_n])
     sin_part = np.sin(phase) * (odd @ _filon_proj[_odd_n])
@@ -302,7 +307,7 @@ def _doubling(f, edges, spec, times=None):
 
 
 def level_weights(spec: QuadratureSpec, breakpoints, period, level, times=None):
-    """Nodes and weights of one level of an adaptive integrator, on its whole grid.
+    """Nodes and weights of a level of an adaptive integrator, on its whole grid.
 
     ``times`` None is ``integrate_spectral`` with ``osc_period_hint``
     ``period``: level 0 is G8 on its starting grid, level k >= 1 G16 on
@@ -311,14 +316,19 @@ def level_weights(spec: QuadratureSpec, breakpoints, period, level, times=None):
     its starting grid bisected k times (its first converged value is
     level 1).  Returns ``(nodes, weights)``: a flat node array and a
     ``(rows, len(nodes))`` array, one row, or one per time, whose product
-    with f(nodes) is the level's value.  Raises ``QuadratureError`` when
-    the level has more than ``spec.max_panels`` panels.
+    with f(nodes) is the level's value.  A sequence of levels gives a
+    list of such pairs, one per level, all on one starting grid.  Raises
+    ``QuadratureError`` when a level has more than ``spec.max_panels``
+    panels.
     """
     edges = _start_grid(spec, breakpoints, period, times)
-    bisections, weigh = _level(level, times)
-    if (len(edges) - 1) << bisections > spec.max_panels:
-        raise QuadratureError(f"fixed grid needs more than max_panels={spec.max_panels} panels")
-    return weigh(edges)
+    out = []
+    for lv in np.atleast_1d(level).tolist():
+        bisections, weigh = _level(lv, times)
+        if (len(edges) - 1) << bisections > spec.max_panels:
+            raise QuadratureError(f"fixed grid needs more than max_panels={spec.max_panels} panels")
+        out.append(weigh(edges))
+    return out if np.ndim(level) else out[0]
 
 
 def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=()) -> QuadratureResult:

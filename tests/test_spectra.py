@@ -82,6 +82,23 @@ class TestEvaluate:
             evaluate(m, w), 1e-4 / (1.0 + (w / 0.6) ** 2), rtol=1e-13
         )
 
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_overhauser_cutoff_keeps_the_bits_of_exp(self, gamma):
+        # the cutoff skips exp where it underflows to 0 and writes +0.0;
+        # the product must be bit for bit the one-line formula, at the
+        # edges of exp's normal, subnormal and zero ranges and past them
+        m = OverhauserModel(s0=2.0e-4, omega_l=0.5, omega_e=1.0e4, gamma=gamma, coupling_c=3.0)
+        z = np.array([0.0, 700.0, 708.5, 745.1, 745.2, 746.0, 1.0e6, math.inf])
+        w = 1.0e4 * z ** (1.0 / gamma)
+        old = 9.0 * 2.0e-4 / (1.0 + (w / 0.5) ** 2) * np.exp(-((w / 1.0e4) ** gamma))
+        assert evaluate(m, w).tobytes() == old.tobytes()
+        assert (m.knee_factor(w) * m.cutoff_factor(w)).tobytes() == old.tobytes()
+        # a scalar in gives a float out, with the same bits
+        for wi, oi in zip(w, old):
+            got = evaluate(m, float(wi))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == oi.tobytes()
+
     def test_white_band(self):
         m = WhiteModel(level=2.0, omega_high=10.0)
         assert evaluate(m, 3.0) == 2.0
