@@ -32,6 +32,7 @@ from .correlator import (
     chi_minus_branch,
     chi_pair,
     correlator_from_chi,
+    correct_fidelity,
 )
 from .csvio import atomic_write, write_csv
 from .fitting import (
@@ -74,6 +75,15 @@ _REQUIRED = object()
 # the spellings of spectrum.omega_e that disable the cutoff: null, "inf"
 # and JSON Infinity, the one non-finite value a config float may take
 _NO_CUTOFF = (None, "inf", math.inf)
+
+# the keys each spectrum family reads besides "family": build_spectrum
+# refuses any other, and so does fit mode for its parameter names
+_SPECTRUM_KEYS = {
+    "overhauser": ("omega_l", "omega_e", "gamma", "s0", "rms_field", "coupling_c", "g_factor"),
+    "white": ("level", "omega_high"),
+    "power_law": ("amplitude", "alpha", "omega_low", "omega_high"),
+    "tabulated": ("path",),
+}
 
 
 class ConfigError(ValueError):
@@ -168,6 +178,8 @@ def _number_list(val, name, kind=_real):
     """Each element of a JSON list through ``kind``; failures name the field."""
     if not isinstance(val, list):
         raise ConfigError(f"config field '{name}' must be a list, got {val!r}")
+    if not val:
+        raise ConfigError(f"config field '{name}' must not be empty")
     out = []
     for v in val:
         try:
@@ -175,6 +187,14 @@ def _number_list(val, name, kind=_real):
         except (TypeError, ValueError):
             raise ConfigError(f"config field '{name}' has invalid element {v!r}") from None
     return out
+
+
+def _number_pair(val, name):
+    """A JSON [lower, upper] list as a tuple of two floats; failures name the field."""
+    out = _number_list(val, name)
+    if len(out) != 2:
+        raise ConfigError(f"config field '{name}' must be a [lower, upper] pair, got {val!r}")
+    return tuple(out)
 
 
 def _grid_values(sec, secname, key):
@@ -187,11 +207,17 @@ def _grid_values(sec, secname, key):
     if isinstance(val, list):
         return np.asarray(_number_list(val, f"{secname}.{key}"))
     if isinstance(val, dict):
-        start = _field(val, f"{secname}.{key}", "start")
-        stop = _field(val, f"{secname}.{key}", "stop")
-        num = _field(val, f"{secname}.{key}", "num", _count)
+        name = f"{secname}.{key}"
+        start = _field(val, name, "start")
+        stop = _field(val, name, "stop")
+        num = _field(val, name, "num", _count)
+        if num < 1:
+            raise ConfigError(f"config field '{name}.num' must be at least 1, got {num}")
         spacing = val.get("spacing", "log")
         if spacing == "log":
+            for end, v in (("start", start), ("stop", stop)):
+                if not v > 0:
+                    raise ConfigError(f"config field '{name}.{end}' must be positive on a log grid")
             return np.geomspace(start, stop, num)
         if spacing == "linear":
             return np.linspace(start, stop, num)
@@ -199,10 +225,24 @@ def _grid_values(sec, secname, key):
     raise ConfigError(f"config field '{secname}.{key}' must be number, list, or grid object")
 
 
+def _check_spectrum_keys(family, family_field, names, prefix):
+    """Refuse an unknown ``family`` (the field ``family_field``) and each of
+    ``names`` it does not read, named ``prefix.<name>``."""
+    keys = _SPECTRUM_KEYS.get(family)
+    if keys is None:
+        raise ConfigError(f"config field '{family_field}' unknown: {family!r}")
+    for name in names:
+        if name not in keys:
+            raise ConfigError(
+                f"config field '{prefix}.{name}' is not a {family} spectrum parameter"
+            )
+
+
 def build_spectrum(config):
     """Construct the SpectrumModel described by config['spectrum']."""
     sec = _section(config, "spectrum")
     family = _field(sec, "spectrum", "family", str)
+    _check_spectrum_keys(family, "spectrum.family", [k for k in sec if k != "family"], "spectrum")
     if family == "overhauser":
         if sec.get("coupling_c") is None:
             coupling = coupling_from_g(_field(sec, "spectrum", "g_factor"))
@@ -230,9 +270,7 @@ def build_spectrum(config):
             omega_low=_field(sec, "spectrum", "omega_low"),
             omega_high=_field(sec, "spectrum", "omega_high"),
         )
-    if family == "tabulated":
-        return TabulatedModel.from_csv(_field(sec, "spectrum", "path", str))
-    raise ConfigError(f"config field 'spectrum.family' unknown: {family!r}")
+    return TabulatedModel.from_csv(_field(sec, "spectrum", "path", str))
 
 
 def build_qubit(config):
@@ -354,11 +392,9 @@ def cmd_simulate(config, args):
     header = ["delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"]
     columns = [raw.delta_t, raw.tau, raw.correlation, raw.stderr, raw.n_pairs]
     if eps > 0.0:
-        # the corrected estimates take the lead columns, divided by
-        # (1 - 2 eps)^2 as correlation_curve's correction does; the raw ones follow
-        gain = (1.0 - 2.0 * eps) ** 2
+        # the corrected estimates take the lead columns; the raw ones follow
         header += ["correlation_raw", "stderr_raw"]
-        columns[2:4] = [raw.correlation / gain, raw.stderr / gain]
+        columns[2:4] = [correct_fidelity(raw.correlation, eps), correct_fidelity(raw.stderr, eps)]
         columns += [raw.correlation, raw.stderr]
     rec_path = _records_path(args.out)
     records_to_csv(records, rec_path)
@@ -429,15 +465,15 @@ def cmd_fit(config, args):
             curve.delta_t,
             curve.correlation,
             curve.stderr,
-            corr_window=tuple(_number_list(window, "fit.corr_window")),
+            corr_window=_number_pair(window, "fit.corr_window"),
         )
         result = est.to_dict()
     elif mode == "discriminate":
-        kw = {
-            key: tuple(_number_list(sec[key], f"fit.{key}"))
-            for key in ("omega_e_bounds", "gammas")
-            if key in sec
-        }
+        kw = {}
+        if "omega_e_bounds" in sec:
+            kw["omega_e_bounds"] = _number_pair(sec["omega_e_bounds"], "fit.omega_e_bounds")
+        if "gammas" in sec:
+            kw["gammas"] = tuple(_number_list(sec["gammas"], "fit.gammas"))
         if "gammas" in kw and len(set(kw["gammas"])) < 2:
             raise ConfigError("config field 'fit.gammas' must name at least two distinct values")
         decision = discriminate_gamma(
@@ -459,15 +495,15 @@ def cmd_fit(config, args):
                 "config field 'fit.free' must map parameter names to [lower, upper]"
             )
         fixed = _optional_section(sec, "fixed", "fit.fixed")
-        params = []
-        for name, bounds in free.items():
-            try:
-                lo, hi = (_real(b) for b in bounds)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"config field 'fit.free.{name}' must be a [lower, upper] pair"
-                ) from None
-            params.append(FitParam(name, lo, hi))
+        _check_spectrum_keys(family, "fit.family", free, "fit.free")
+        _check_spectrum_keys(family, "fit.family", fixed, "fit.fixed")
+        both = sorted(free.keys() & fixed.keys())
+        if both:
+            raise ConfigError(
+                f"config field 'fit.fixed.{both[0]}' is also in fit.free;"
+                " a parameter is free or fixed"
+            )
+        params = [FitParam(name, *_number_pair(b, f"fit.free.{name}")) for name, b in free.items()]
 
         def build(values, family=family, fixed=fixed):
             spec = {"family": family, **fixed, **values}

@@ -28,6 +28,12 @@ catastrophically once the phase variance is large):
   magnitude to the t = 0 transform so the sum never digs into
   cancellation.
 
+One pair table (``_pair_regions``) decides the delta_t regime: the
+three regions above from delta_t = tau up; below, the swapped pair's
+chi_minus and chi_plus = 4 pv - chi_minus, pv the phase variance, which
+is the cross correlation at delta_t = 0; at delta_t = 0, (0, 4 pv).  A
+region integrates a time it lists twice (delta_t = 0, tau, 2 tau) once.
+
 Both kernels climb the same levels of fixed weights on S at fixed
 nodes (see ``numerics``).  ``chi_pair``, ``phase_variance`` and
 ``phase_cross_correlation`` integrate the regions adaptively, doubling
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,8 +175,9 @@ class _Region:
     Each of ``integrands``, g(s, omega), is linear in the spectrum values
     s.  ``times`` None: direct Gauss panels of at most half ``period``, one
     value per integrand.  Else Filon on the one integrand, ``period`` its
-    own oscillation (or None), one value per time.  ``combine`` maps the
-    values to the region's share of each output.
+    own oscillation (or None), one value per time, each distinct time
+    integrated once (``kernel_times``).  ``combine`` maps the values to
+    the region's share of each output.
     """
 
     lo: float
@@ -180,6 +187,22 @@ class _Region:
     times: tuple | None
     combine: Callable
 
+    @property
+    def kernel_times(self):
+        """``times`` with each distinct time once (dt = 0, tau or 2 tau repeats one)."""
+        return None if self.times is None else tuple(dict.fromkeys(self.times))
+
+    def share(self, values):
+        """``combine`` of one kernel value per integrand, or per time of ``kernel_times``."""
+        if self.times is not None:
+            by_time = dict(zip(self.kernel_times, values))
+            values = [by_time[t] for t in self.times]
+        return self.combine(*values)
+
+    def mapped(self, outputs):
+        """This region with ``outputs`` applied to its one-output share."""
+        return replace(self, combine=lambda *v: outputs(*self.combine(*v)))
+
 
 def _envelope(tau):
     """g(s, omega) = s sin^2(omega tau/2) / omega^2 in overflow-safe form."""
@@ -188,22 +211,6 @@ def _envelope(tau):
 
 def _over_w2(s, w):
     return s / (w * w)
-
-
-def _pv_regions(tau, hi):
-    """``phase_variance``: the envelope at t = 0, then (1 - cos(omega tau))/2 on S/omega^2."""
-    omega_b = min(hi, _SPLIT_PERIODS * 2.0 * math.pi / tau)
-
-    def low(i0):
-        return (4.0 / math.pi * i0,)
-
-    def tail(j0, j_tau):
-        return (2.0 / math.pi * (j0 - j_tau),)
-
-    return [
-        _Region(0.0, omega_b, (_envelope(tau),), 2.0 * math.pi / tau, (0.0,), low),
-        _Region(omega_b, hi, (_over_w2,), None, (0.0, tau), tail),
-    ]
 
 
 def _cross_regions(tau, dt, hi):
@@ -255,6 +262,24 @@ def _chi_regions(tau, dt, hi, plus=True):
     ]
 
 
+def _pair_regions(tau, dt, hi):
+    """(chi_minus, chi_plus) of any pair, the regions ``chi_pair`` and ``ChiPlan`` read.
+
+    dt >= tau is ``_chi_regions``.  Below it chi_minus, symmetric in
+    (tau, dt), is the swapped pair's, and chi_plus is 4 pv - chi_minus
+    with pv the phase variance, the cross correlation at dt = 0; that
+    difference is subtraction-safe, since chi_minus stays well under
+    4 pv when the separation is short.  dt = 0 leaves 0 and 4 pv.
+    """
+    if dt >= tau:
+        return _chi_regions(tau, dt, hi)
+    # p - p is a +0.0 of p's shape, where 0.0 * p would give -0.0 for p < 0
+    pv = [r.mapped(lambda p: (p - p, 4.0 * p)) for r in _cross_regions(tau, 0.0, hi)]
+    if dt == 0.0:
+        return pv
+    return [r.mapped(lambda m: (m, -m)) for r in _chi_regions(dt, tau, hi, plus=False)] + pv
+
+
 def _integrate(regions, spectrum, quad):
     """Each output of ``regions`` for ``spectrum``, by the adaptive kernels."""
     brk = spectrum.breakpoints()
@@ -265,13 +290,12 @@ def _integrate(regions, spectrum, quad):
         if r.times is None:
             values = [integrate_spectral(f, r.period, spec, brk).value for f in fs]
         else:
-            # a time listed twice (dt = tau or 2 tau) is integrated once
-            times = tuple(dict.fromkeys(r.times))
             (f,) = fs
-            res = filon_cos_integral(f, times, spec, breakpoints=brk, envelope_period=r.period)
-            by_time = dict(zip(times, res.value.tolist()))
-            values = [by_time[t] for t in r.times]
-        share = r.combine(*values)
+            res = filon_cos_integral(
+                f, r.kernel_times, spec, breakpoints=brk, envelope_period=r.period
+            )
+            values = res.value.tolist()
+        share = r.share(values)
         total = share if total is None else tuple(a + b for a, b in zip(total, share))
     return total
 
@@ -287,7 +311,7 @@ def phase_variance(spectrum: SpectrumModel, tau: float, quad=None) -> float:
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    return _integrate(_pv_regions(tau, _window(spectrum)[1]), spectrum, _quad(quad))[0]
+    return _integrate(_cross_regions(tau, 0.0, _window(spectrum)[1]), spectrum, _quad(quad))[0]
 
 
 def phase_cross_correlation(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> float:
@@ -302,17 +326,8 @@ def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[f
     chi_minus = (16/pi) integral S sin^2(omega tau/2) sin^2(omega dt/2) / omega^2
     chi_plus  = same with cos^2(omega dt/2).
     """
-    quad = _quad(quad)
-    tau, dt, hi = pair.tau, pair.delta_t, _window(spectrum)[1]
-    if dt == 0.0:
-        return 0.0, 4.0 * phase_variance(spectrum, tau, quad)
-    if dt < tau:
-        # chi_minus is symmetric in (tau, dt); recover chi_plus from the
-        # phase-variance identity, which is subtraction-safe here since
-        # chi_minus stays well under 4 pv when the separation is short
-        (chi_m,) = _integrate(_chi_regions(dt, tau, hi, plus=False), spectrum, quad)
-        return chi_m, 4.0 * phase_variance(spectrum, tau, quad) - chi_m
-    return _integrate(_chi_regions(tau, dt, hi), spectrum, quad)
+    regions = _pair_regions(pair.tau, pair.delta_t, _window(spectrum)[1])
+    return _integrate(regions, spectrum, _quad(quad))
 
 
 # the kernel levels a plan holds: the one chi_pair returns when its first
@@ -339,13 +354,12 @@ class ChiPlan:
     spectrum's knee factor across sweeps); ``values`` must equal
     ``spectrum.evaluate(nodes)``, and is not checked.
 
-    Rows.  A pair's rows come from the same region table as ``chi_pair``,
-    with ``omega_max`` as the window top.  Each region becomes the node
-    weights of its kernel at a level, times its integrand at unit
-    spectrum, and the region's ``combine`` maps those weight rows to its
-    share of each output.  delta_t < tau uses the swapped pair's
-    chi_minus row and 4 phase-variance rows minus it for chi_plus;
-    delta_t = 0 gives chi_minus = 0 and chi_plus = 4 phase variance.
+    Rows.  A pair's rows come from the pair table ``chi_pair`` reads
+    (``_pair_regions``), with ``omega_max`` as the window top, so every
+    delta_t regime is decided there.  Each region becomes the node
+    weights of its kernel at a level, one row per distinct time, times
+    its integrand at unit spectrum, and the region maps those weight
+    rows to its share of each output as it maps ``chi_pair``'s values.
 
     Two levels.  Every row exists at levels 1 and 2 of the kernels: the
     level whose value ``chi_pair`` returns when its first check passes,
@@ -374,7 +388,7 @@ class ChiPlan:
         served, parts = [], tuple([] for _ in _PLAN_LEVELS)
         for i, pair in enumerate(self.pairs):
             try:
-                rows = self._pair_rows(pair)
+                rows = self._rows(_pair_regions(pair.tau, pair.delta_t, self.omega_max))
             except QuadratureError:
                 continue
             served.append(i)
@@ -394,33 +408,15 @@ class ChiPlan:
         omega_max = max(_window(s)[1] for s in spectra)
         return cls(pairs, omega_max, {p for s in spectra for p in _kinks(s, omega_max)}, quad)
 
-    def _pair_rows(self, pair):
-        """The pair's (nodes, weights) at each of ``_PLAN_LEVELS``."""
-        tau, dt, hi = pair.tau, pair.delta_t, self.omega_max
-        if dt == 0.0:
-            return [
-                (nodes, np.stack([np.zeros_like(pv), 4.0 * pv]))
-                for nodes, (pv,) in self._rows(_pv_regions(tau, hi))
-            ]
-        if dt < tau:
-            out = []
-            for (nodes_m, (minus,)), (nodes_v, (pv,)) in zip(
-                self._rows(_chi_regions(dt, tau, hi, plus=False)), self._rows(_pv_regions(tau, hi))
-            ):
-                rows = [np.concatenate([minus, np.zeros_like(pv)]), np.concatenate([-minus, 4.0 * pv])]
-                out.append((np.concatenate([nodes_m, nodes_v]), np.stack(rows)))
-            return out
-        return self._rows(_chi_regions(tau, dt, hi))
-
     def _rows(self, regions):
         """``regions`` as (nodes, weights) per level, one weight row per output."""
         parts = tuple([] for _ in _PLAN_LEVELS)
         for r in (r for r in regions if r.lo < r.hi):
             spec = self.quad.with_window(r.lo, r.hi)
-            levels = level_weights(spec, self.breakpoints, r.period, _PLAN_LEVELS, r.times)
+            levels = level_weights(spec, self.breakpoints, r.period, _PLAN_LEVELS, r.kernel_times)
             for part, (x, w) in zip(parts, levels):
                 values = [row for g in r.integrands for row in w * g(1.0, x)]
-                part.append((x, np.stack(r.combine(*values))))
+                part.append((x, np.stack(r.share(values))))
         return [_joined(part) for part in parts]
 
     def _serves(self, spectrum) -> bool:
@@ -621,11 +617,12 @@ def autocorrelation_linearized(
     return LinearizedCorrelation(0.5 + shift / 2.0, bool(abs(shift) < 0.1))
 
 
-def correct_fidelity(raw_correlation: float, epsilon: float) -> float:
+def correct_fidelity(raw_correlation, epsilon: float):
     """Undo symmetric readout errors: corrected = raw / (1 - 2 eps)^2.
 
     Each shot is flipped independently with probability eps, which
-    attenuates every pair product by (1 - 2 eps)^2.
+    attenuates every pair product by (1 - 2 eps)^2, and so its standard
+    error too.  Takes a scalar or a NumPy array of estimates.
     """
     if not 0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 0.5)")

@@ -465,8 +465,8 @@ def estimate_autocorrelation(
             per_rec = [_blocking_stderr(p) for p in prods]
             stderr[j] = math.sqrt(sum(se**2 for se in per_rec)) / len(records)
     if correct_epsilon:
-        corr = np.array([correct_fidelity(c, correct_epsilon) for c in corr])
-        stderr = stderr / (1.0 - 2.0 * correct_epsilon) ** 2
+        corr = correct_fidelity(corr, correct_epsilon)
+        stderr = correct_fidelity(stderr, correct_epsilon)
     return corr, stderr, n_pairs
 
 

@@ -652,6 +652,14 @@ def _alphas(tmp_path, value):
     return {"figure3b": {"alpha": value, "delta_t": [0.01]}}
 
 
+def _fig2_taus(tmp_path, value):
+    return {"figure2": {"tau": value, "delta_t": [1e-5]}}
+
+
+def _chi_taus(tmp_path, value):
+    return {"spectrum": dict(OVERHAUSER_SPEC), "chi": {"tau": value, "delta_t": [1e-3]}}
+
+
 # (command, config builder, field the message must name, bad value);
 # a scalar chi.delta_t is a valid one-point grid, so it has no scalar case
 _BAD_LISTS = [
@@ -663,9 +671,20 @@ _BAD_LISTS = [
         ("fit", _fit("discriminate", "gammas"), "fit.gammas"),
         ("simulate", _lags, "protocol.lags"),
         ("figure3b", _alphas, "figure3b.alpha"),
+        ("figure2", _fig2_taus, "figure2.tau"),
     ]
-    for value in ([None], ["x"], 5.0)
+    for value in ([None], ["x"], 5.0, [])
     if not (command == "chi" and value == 5.0)
+] + [
+    # an empty list or grid wrote a header-only CSV, and the others failed
+    # in an unpacking or in numpy with a message that named no field
+    ("chi", _chi_taus, "chi.tau", []),
+    ("fit", _fit("alpha", "corr_window"), "fit.corr_window", [0.1]),
+    ("fit", _fit("discriminate", "omega_e_bounds"), "fit.omega_e_bounds", [1e3, 1e4, 1e5]),
+    ("chi", _chi, "chi.delta_t.num", {"start": 1e-3, "stop": 1.0, "num": 0}),
+    ("chi", _chi, "chi.delta_t.num", {"start": 1e-3, "stop": 1.0, "num": -2}),
+    ("chi", _chi, "chi.delta_t.start", {"start": 0.0, "stop": 1.0, "num": 3}),
+    ("chi", _chi, "chi.delta_t.stop", {"start": 1e-3, "stop": -1.0, "num": 3}),
 ]
 
 
@@ -686,6 +705,66 @@ class TestListFields:
 def _fixed(tmp_path, value):
     sec = {"input": _alpha_curve(tmp_path), "mode": "fit", "family": "white"}
     return {"fit": dict(sec, free={"level": [1e1, 1e5]}, fixed=value)}
+
+
+def _chi_spectrum(spec):
+    return lambda d: dict(_chi(d, [1e-3]), spectrum=spec)
+
+
+def _fit_names(free, fixed, family="white"):
+    def build(tmp_path):
+        return {"fit": dict(_fixed(tmp_path, fixed)["fit"], family=family, free=free)}
+
+    return build
+
+
+WHITE_FREE = {"level": [1e1, 1e5]}
+WHITE_FIXED = {"omega_high": 1e6}
+
+# (command, config builder, the field the message must name): a name
+# that the spectrum family does not read was ignored, or, in fit mode,
+# fitted while nothing read it
+_BAD_SPECTRUM_NAMES = [
+    ("chi", _chi_spectrum(dict(OVERHAUSER_SPEC, gama=2)), "spectrum.gama"),
+    ("chi", _chi_spectrum({"family": "white", "level": 1.0, **WHITE_FIXED, "s0": 1.0}), "spectrum.s0"),
+    ("fit", _fit_names(dict(WHITE_FREE, levle=[1, 2]), WHITE_FIXED), "fit.free.levle"),
+    ("fit", _fit_names(WHITE_FREE, {"omega_hi": 1e6}), "fit.fixed.omega_hi"),
+    ("fit", _fit_names(WHITE_FREE, dict(WHITE_FIXED, level=2e3)), "fit.fixed.level"),
+    ("fit", _fit_names(WHITE_FREE, dict(WHITE_FIXED, family="white")), "fit.fixed.family"),
+    ("fit", _fit_names(dict(WHITE_FREE, family=[1, 2]), WHITE_FIXED), "fit.free.family"),
+    (
+        "fit",
+        _fit_names(
+            {"s0": [1.0, 1e6], "gama": [0.5, 3.0]},
+            {"omega_l": 1.0, "omega_e": 1e4, "coupling_c": 1.0},
+            "overhauser",
+        ),
+        "fit.free.gama",
+    ),
+    ("fit", _fit_names(WHITE_FREE, WHITE_FIXED, "pink"), "fit.family"),
+]
+
+
+class TestSpectrumNames:
+    @pytest.mark.parametrize(
+        "command, build, field",
+        _BAD_SPECTRUM_NAMES,
+        ids=[case[2] for case in _BAD_SPECTRUM_NAMES],
+    )
+    def test_unread_name_exits_with_message(
+        self, tmp_path, capsys, monkeypatch, command, build, field
+    ):
+        # fit mode refuses the names before the first evaluation
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        cfg = write_config(tmp_path / "c.json", build(tmp_path))
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"'{field}'" in err
+        assert not (tmp_path / "x.out").exists()
 
 
 # (command, config builder, section): a section that may be left out must

@@ -225,6 +225,16 @@ class TestChiPair:
         cross = phase_cross_correlation(m, EvolutionPair(tau, 0.0))
         assert cross == pytest.approx(phase_variance(m, tau), rel=1e-8)
 
+    def test_zero_delay_is_the_phase_variance(self):
+        # the phase variance is the cross correlation at delta_t = 0, and
+        # chi_pair there is (0, 4 phase variances), bit for bit
+        for m in small_zoo():
+            for tau in (1.0e-6, 3.0e-4):
+                pair = EvolutionPair(tau, 0.0)
+                pv = phase_variance(m, tau)
+                assert phase_cross_correlation(m, pair) == pv
+                assert chi_pair(m, pair) == (0.0, 4.0 * pv)
+
     def test_low_frequency_spike_negligible(self):
         # a spectral spike far below 1/delta_t contributes to chi_minus
         # at most 1e-4 of its phase-variance weight
@@ -319,6 +329,27 @@ class TestChiPlan:
             values *= model.knee_factor(plan.nodes)
             assert np.stack(plan.apply(model, values)).tobytes() == ref.tobytes()
         assert plan.fallbacks == 0
+
+    def test_each_distinct_time_once(self, monkeypatch):
+        # a time a region lists twice gets one Filon weight row per level,
+        # as chi_pair integrates it once
+        asked = []
+
+        def spy(spec, breakpoints, period, level, times=None):
+            asked.append(times)
+            return original(spec, breakpoints, period, level, times)
+
+        original = correlator.level_weights
+        monkeypatch.setattr(correlator, "level_weights", spy)
+        _model_plan(
+            OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=1.0, coupling_c=2.0e4)
+        )
+        filon = [t for t in asked if t is not None]
+        assert filon and all(len(set(t)) == len(t) for t in filon)
+        # the tails of delta_t = tau, 2 tau and 0 each repeat a time
+        for p in PLAN_PAIRS[3:]:
+            tail = (0.0, p.tau, p.delta_t, p.delta_t + p.tau, abs(p.delta_t - p.tau))
+            assert tuple(dict.fromkeys(tail)) in filon
 
     def test_covering_serves_every_spectrum(self):
         models = [reference_model(g, omega_e=we) for g in (1.0, 2.0) for we in (WE, 10.0 * WE)]
@@ -560,6 +591,10 @@ class TestCorrectFidelity:
         ideal = 0.77
         raw = ideal * (1.0 - 2.0 * eps) ** 2
         assert correct_fidelity(raw, eps) == pytest.approx(ideal, rel=1e-12)
+
+    def test_array_corrects_each_estimate(self):
+        raw = np.array([0.3, 0.125, -0.02])
+        assert correct_fidelity(raw, 0.1).tolist() == [correct_fidelity(r, 0.1) for r in raw.tolist()]
 
     def test_domain(self):
         with pytest.raises(ValueError):
