@@ -85,6 +85,9 @@ _SPECTRUM_KEYS = {
     "tabulated": ("path",),
 }
 
+# overhauser fields that name one quantity two ways: a config gives one of each pair
+_EITHER_OR = (("s0", "rms_field"), ("coupling_c", "g_factor"))
+
 
 class ConfigError(ValueError):
     pass
@@ -238,11 +241,22 @@ def _check_spectrum_keys(family, family_field, names, prefix):
             )
 
 
+def _check_either_or(family, given):
+    """Refuse both fields of an ``_EITHER_OR`` pair; ``given`` maps a name to its config field."""
+    for one, other in _EITHER_OR if family == "overhauser" else ():
+        if one in given and other in given:
+            raise ConfigError(
+                f"config field '{given[other]}' conflicts with '{given[one]}':"
+                f" give either {one} or {other}"
+            )
+
+
 def build_spectrum(config):
     """Construct the SpectrumModel described by config['spectrum']."""
     sec = _section(config, "spectrum")
     family = _field(sec, "spectrum", "family", str)
     _check_spectrum_keys(family, "spectrum.family", [k for k in sec if k != "family"], "spectrum")
+    _check_either_or(family, {k: f"spectrum.{k}" for k, v in sec.items() if v is not None})
     if family == "overhauser":
         if sec.get("coupling_c") is None:
             coupling = coupling_from_g(_field(sec, "spectrum", "g_factor"))
@@ -504,6 +518,8 @@ def cmd_fit(config, args):
                 " a parameter is free or fixed"
             )
         params = [FitParam(name, *_number_pair(b, f"fit.free.{name}")) for name, b in free.items()]
+        given = {k: f"fit.fixed.{k}" for k, v in fixed.items() if v is not None}
+        _check_either_or(family, {**given, **{k: f"fit.free.{k}" for k in free}})
 
         def build(values, family=family, fixed=fixed):
             spec = {"family": family, **fixed, **values}
@@ -521,7 +537,10 @@ def cmd_fit(config, args):
         init = sec.get("init")
         if init is not None:
             init = _optional_section(sec, "init", "fit.init")
-            init = {k: _field(init, "fit.init", k) for k in init}
+            unknown = [k for k in init if k not in free]
+            if unknown:
+                raise ConfigError(f"config field 'fit.init.{unknown[0]}' is not in fit.free")
+            init = {k: _field(init, "fit.init", k) for k in free}
         res = fit(
             problem,
             init=init,

@@ -162,8 +162,8 @@ def _window(spectrum):
     panels: above a few filter oscillations the integrals run through
     the cosine-exact kernel, whose panel count follows the
     log-smoothness of S alone.  A ``ChiPlan`` sized for the widest of
-    many spectra is different: every sweep evaluates S on all its
-    nodes, and for a narrow cutoff most of them lie where S is 0.
+    many spectra reads S only up to each spectrum's ``zero_above``, so
+    the nodes where a narrow cutoff leaves S at 0 cost it nothing.
     """
     return 0.0, min(spectrum.hard_max, spectrum.suggested_omega_max(1e-20))
 
@@ -343,6 +343,14 @@ def _joined(parts):
     )
 
 
+def _ascending(nodes, weights):
+    """``nodes`` in ascending order, the weight columns permuted alike."""
+    if np.all(nodes[:-1] <= nodes[1:]):
+        return nodes, weights
+    order = np.argsort(nodes, kind="stable")
+    return nodes[order], weights[:, order]
+
+
 class ChiPlan:
     """(chi_minus, chi_plus) of a fixed design of pairs as weighted sums of S.
 
@@ -352,7 +360,8 @@ class ChiPlan:
     ``apply(spectrum, values)`` takes S on ``nodes`` from the caller
     instead, who may compute it cheaper (``discriminate_gamma`` keeps the
     spectrum's knee factor across sweeps); ``values`` must equal
-    ``spectrum.evaluate(nodes)``, and is not checked.
+    ``spectrum.evaluate(nodes)`` on the nodes ``live(spectrum)`` names,
+    is read nowhere else, and is not checked.
 
     Rows.  A pair's rows come from the pair table ``chi_pair`` reads
     (``_pair_regions``), with ``omega_max`` as the window top, so every
@@ -364,12 +373,18 @@ class ChiPlan:
     Two levels.  Every row exists at levels 1 and 2 of the kernels: the
     level whose value ``chi_pair`` returns when its first check passes,
     and one bisection up, both read from one starting grid per region.
-    ``nodes`` holds every served pair's level-1 nodes, then every level-2
-    node, and one (2, n) weight array lines up with it, so a sweep is one
-    evaluation of S, one product and one ``reduceat``.  ``apply``
-    returns the level-2 value; a point whose two values differ by more
-    than ``rel_tol * |chi| + abs_tol`` in either chi goes through
-    ``chi_pair``.
+    ``nodes`` holds one block per served pair and level, every level-1
+    block first, and one (2, n) weight array lines up with it.  Within
+    a block the nodes ascend (a delta_t < tau pair's two runs of regions
+    are sorted once, with their weight columns).  ``apply`` returns the
+    level-2 value; a point whose two values differ by more than
+    ``rel_tol * |chi| + abs_tol`` in either chi goes through ``chi_pair``.
+
+    Sweeps.  S is exactly 0 above ``spectrum.zero_above``, so ``live``
+    cuts each block where its nodes pass that edge, and a sweep reads S
+    on those prefixes alone and sums each block as one product of its
+    weight rows with them.  A narrow cutoff in a plan sized for a wide
+    one leaves most nodes unread.
 
     Fallback.  A spectrum whose window top exceeds ``omega_max``, or with
     a kink (a breakpoint, or a finite ``hard_max`` below ``omega_max``)
@@ -395,11 +410,12 @@ class ChiPlan:
             for part, row in zip(parts, rows):
                 part.append(row)
         self._served = np.array(served, dtype=int)
-        # every served pair's rows at level 1, then at level 2: one node
-        # vector, one (2, n) weight array, and where each block starts
+        # every served pair's block at level 1, then at level 2: one node
+        # vector, one (2, n) weight array, and each block's start and nodes
         blocks = [row for part in parts for row in part]
         self.nodes, self._weights = _joined(blocks) if blocks else (np.empty(0), np.empty((2, 0)))
-        self._starts = np.cumsum([0] + [len(nodes) for nodes, _ in blocks[:-1]])
+        starts = np.cumsum([0] + [len(nodes) for nodes, _ in blocks]).tolist()
+        self._blocks = [(a, self.nodes[a:b]) for a, b in zip(starts, starts[1:])]
 
     @classmethod
     def covering(cls, pairs, spectra, quad=None) -> "ChiPlan":
@@ -417,26 +433,34 @@ class ChiPlan:
             for part, (x, w) in zip(parts, levels):
                 values = [row for g in r.integrands for row in w * g(1.0, x)]
                 part.append((x, np.stack(r.share(values))))
-        return [_joined(part) for part in parts]
+        return [_ascending(*_joined(part)) for part in parts]
 
     def _serves(self, spectrum) -> bool:
         if _window(spectrum)[1] > self.omega_max:
             return False
         return all(p in self.breakpoints for p in _kinks(spectrum, self.omega_max))
 
+    def live(self, spectrum: SpectrumModel) -> list[slice]:
+        """One slice of ``nodes`` per block: its nodes up to ``spectrum.zero_above``."""
+        edge = spectrum.zero_above
+        return [slice(a, a + int(x.searchsorted(edge, "right"))) for a, x in self._blocks]
+
     def apply(self, spectrum: SpectrumModel, values=None) -> tuple[np.ndarray, np.ndarray]:
         """(chi_minus, chi_plus) arrays for ``spectrum``, in the order of ``pairs``.
 
-        ``values``, if given, must be ``spectrum.evaluate(self.nodes)``,
-        computed by a caller that can do it cheaper; it is used only when
-        the plan serves ``spectrum``.
+        ``values``, if given, must be S on ``nodes``, computed by a caller
+        that can do it cheaper; only its entries on ``live(spectrum)`` are
+        read, and only when the plan serves ``spectrum``.
         """
         chi = np.full((2, len(self.pairs)), np.nan)
         adaptive = np.ones(len(self.pairs), dtype=bool)
         if len(self._served) and self._serves(spectrum):
+            parts = self.live(spectrum)
             if values is None:
-                values = spectrum.evaluate(self.nodes)
-            sums = np.add.reduceat(self._weights * values, self._starts, axis=1)
+                values = np.zeros(len(self.nodes))
+                at = np.concatenate([np.arange(p.start, p.stop) for p in parts])
+                values[at] = spectrum.evaluate(self.nodes[at])
+            sums = np.array([self._weights[:, p].dot(values[p]) for p in parts]).T
             coarse, fine = sums[:, : len(self._served)], sums[:, len(self._served) :]
             quad = self.quad
             within = np.abs(fine - coarse) <= quad.rel_tol * np.abs(fine) + quad.abs_tol

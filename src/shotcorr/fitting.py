@@ -394,13 +394,15 @@ def discriminate_gamma(
     Every sweep is one ``ChiPlan.apply``: the call builds one plan for
     the (tau, delta_t) design, its window sized for the widest spectrum
     any candidate reaches, and evaluates the knee factor of S on the
-    plan's nodes once.  A sweep then costs the cutoff factor on those
-    nodes (no ``exp`` where it is 0, which for a narrow cutoff is most
-    of the window), one product and one weighted sum; ``chi_pair``
-    serves only the points the plan hands back.  The solver keeps
-    log10(omega_e) inside the bounds, but 10**log10(hi) can round past
-    hi, so the window reaches one Jacobian step above the top of
-    ``omega_e_bounds``.
+    plan's nodes once.  A sweep then writes S, the cutoff times the
+    knee, into one buffer kept for the call, on the nodes ``plan.live``
+    names alone: those up to the spectrum's ``zero_above``, past which
+    S is exactly 0, so a narrow cutoff leaves most of the window
+    untouched.  The plan sums each block as one product over those
+    nodes; ``chi_pair`` serves only the points it hands back.  The
+    solver keeps log10(omega_e) inside the bounds, but 10**log10(hi)
+    can round past hi, so the window reaches one Jacobian step above
+    the top of ``omega_e_bounds``.
     """
     gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
@@ -426,6 +428,7 @@ def discriminate_gamma(
     n_sweeps, last = 0, {}
     # S = knee * cutoff on the plan's nodes; only the cutoff moves per sweep
     knee = OverhauserModel(1.0, omega_l, we_top, 1.0, coupling_c).knee_factor(plan.nodes)
+    values = np.empty(len(plan.nodes))
 
     def unit_chis(gamma, omega_e):
         nonlocal n_sweeps
@@ -433,8 +436,14 @@ def discriminate_gamma(
             n_sweeps += 1
             last.clear()
             spectrum = OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
-            values = spectrum.cutoff_factor(plan.nodes)
-            values *= knee
+            # cutoff_factor bit for bit: below zero_above it needs no mask
+            for part in plan.live(spectrum):
+                z = values[part]
+                np.divide(plan.nodes[part], omega_e, out=z)
+                z **= gamma
+                np.negative(z, out=z)
+                np.exp(z, out=z)
+                z *= knee[part]
             last[gamma, omega_e] = plan.apply(spectrum, values)
         return last[gamma, omega_e]
 

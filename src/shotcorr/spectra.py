@@ -93,6 +93,15 @@ class SpectrumModel(abc.ABC):
         """Frequency below which the spectrum is identically zero."""
         return 0.0
 
+    @property
+    def zero_above(self) -> float:
+        """Frequency above which ``evaluate`` returns exactly 0.
+
+        Derived from the model, never set.  A ``ChiPlan`` reads S only up
+        to it.  The default is ``hard_max``.
+        """
+        return self.hard_max
+
     def breakpoints(self):
         """Interior omega values where the model is not smooth."""
         return ()
@@ -124,7 +133,8 @@ class OverhauserModel(SpectrumModel):
 
     ``evaluate`` is ``knee_factor`` times ``cutoff_factor``, bit for bit
     the formula above.  A caller that evaluates many cutoffs on the same
-    nodes can keep the knee factor and multiply in each cutoff.
+    nodes can keep the knee factor and multiply in each cutoff, and needs
+    the cutoff only up to ``zero_above``: past it S is exactly 0.
     """
 
     s0: float
@@ -162,6 +172,23 @@ class OverhauserModel(SpectrumModel):
     @property
     def cutoff_enabled(self) -> bool:
         return math.isfinite(self.omega_e)
+
+    @property
+    def zero_above(self) -> float:
+        """omega_e * 746^(1/gamma), where z = (omega/omega_e)^gamma passes 746.
+
+        The edge is exact: ``exp(-z)`` is +0.0 for every z > 745.14, so
+        rounding the edge or z in the last ulps cannot change any value.
+        It is not ``hard_max``, which a ``ChiPlan`` checks as a kink and
+        which would then move with every cutoff.  inf without a cutoff,
+        or where the edge overflows.
+        """
+        if not self.cutoff_enabled:
+            return math.inf
+        try:
+            return self.omega_e * _EXP_ZERO ** (1.0 / self.gamma)
+        except OverflowError:
+            return math.inf
 
     def evaluate(self, omega):
         w = _check_omega(omega)

@@ -515,8 +515,12 @@ class TestFitCommand:
     @pytest.mark.parametrize(
         "init, field",
         [(3, "fit.init"), ([1.0], "fit.init"), ({"level": "x"}, "fit.init.level"),
-         ({"level": None}, "fit.init.level")],
-        ids=["number", "list", "text", "null"],
+         ({"level": None}, "fit.init.level"),
+         # a name outside fit.free was ignored; a missing free name was
+         # refused in a message that named no config field
+         ({"level": 5e3, "levle": 7}, "fit.init.levle"), ({"levle": 5e3}, "fit.init.levle"),
+         ({"level": 5e3, "omega_high": 1e6}, "fit.init.omega_high"), ({}, "fit.init.level")],
+        ids=["number", "list", "text", "null", "extra", "misspelled", "fixed_name", "missing"],
     )
     def test_bad_init_exits_with_message(self, tmp_path, capsys, init, field):
         sec = {"input": _alpha_curve(tmp_path), "mode": "fit", "family": "white"}
@@ -721,9 +725,13 @@ def _fit_names(free, fixed, family="white"):
 WHITE_FREE = {"level": [1e1, 1e5]}
 WHITE_FIXED = {"omega_high": 1e6}
 
+OVERHAUSER_FIXED = {"omega_l": 1.0, "omega_e": 1e4, "coupling_c": 1.0}
+
 # (command, config builder, the field the message must name): a name
 # that the spectrum family does not read was ignored, or, in fit mode,
-# fitted while nothing read it
+# fitted while nothing read it; so was one field of an either/or pair
+# given both ways (rms_field won over s0, a non-null coupling_c over
+# g_factor)
 _BAD_SPECTRUM_NAMES = [
     ("chi", _chi_spectrum(dict(OVERHAUSER_SPEC, gama=2)), "spectrum.gama"),
     ("chi", _chi_spectrum({"family": "white", "level": 1.0, **WHITE_FIXED, "s0": 1.0}), "spectrum.s0"),
@@ -742,6 +750,28 @@ _BAD_SPECTRUM_NAMES = [
         "fit.free.gama",
     ),
     ("fit", _fit_names(WHITE_FREE, WHITE_FIXED, "pink"), "fit.family"),
+    ("chi", _chi_spectrum(dict(OVERHAUSER_SPEC, rms_field=1e-3)), "spectrum.rms_field"),
+    ("chi", _chi_spectrum(dict(OVERHAUSER_SPEC, g_factor=-0.44)), "spectrum.g_factor"),
+    (
+        "fit",
+        _fit_names({"s0": [1.0, 1e6], "rms_field": [1e-4, 1e-2]}, OVERHAUSER_FIXED, "overhauser"),
+        "fit.free.rms_field",
+    ),
+    (
+        "fit",
+        _fit_names({"s0": [1.0, 1e6]}, dict(OVERHAUSER_FIXED, g_factor=2.0), "overhauser"),
+        "fit.fixed.g_factor",
+    ),
+    (
+        "fit",
+        _fit_names({"s0": [1.0, 1e6]}, dict(OVERHAUSER_FIXED, rms_field=1e-3), "overhauser"),
+        "fit.fixed.rms_field",
+    ),
+    (
+        "fit",
+        _fit_names({"s0": [1.0, 1e6], "g_factor": [1.0, 3.0]}, OVERHAUSER_FIXED, "overhauser"),
+        "fit.free.g_factor",
+    ),
 ]
 
 
@@ -765,6 +795,12 @@ class TestSpectrumNames:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"'{field}'" in err
         assert not (tmp_path / "x.out").exists()
+
+    def test_null_coupling_leaves_g_factor(self, tmp_path):
+        # a null coupling_c is not given, so g_factor alone sets the coupling
+        spec = dict(OVERHAUSER_SPEC, coupling_c=None, g_factor=-0.44)
+        cfg = write_config(tmp_path / "c.json", _chi_spectrum(spec)(tmp_path))
+        assert run_cli(["chi", "--config", cfg, "--out", tmp_path / "x.csv"]) == 0
 
 
 # (command, config builder, section): a section that may be left out must

@@ -1,6 +1,7 @@
 """Pair decoherence exponents, analytic correlator, and derived quantities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,6 +297,32 @@ _PLAN_MODELS = pytest.mark.parametrize(
 )
 
 
+class _Spy(SpectrumModel):
+    """``model``, recording every omega array that ``evaluate`` is asked for."""
+
+    def __init__(self, model):
+        self.model, self.asked = model, []
+
+    def evaluate(self, omega):
+        self.asked.append(np.array(omega, dtype=float))
+        return self.model.evaluate(omega)
+
+    knee = property(lambda self: self.model.knee)
+    hard_max = property(lambda self: self.model.hard_max)
+    zero_above = property(lambda self: self.model.zero_above)
+
+    def breakpoints(self):
+        return self.model.breakpoints()
+
+    def suggested_omega_max(self, floor=1e-18):
+        return self.model.suggested_omega_max(floor)
+
+
+def _live_nodes(plan, spectrum):
+    """Indices of the nodes ``plan.live(spectrum)`` names, in order."""
+    return np.concatenate([np.arange(p.start, p.stop) for p in plan.live(spectrum)])
+
+
 def _model_plan(model):
     """A window twice the model's own and its kinks as plan edges (the
     power law's omega_low, and the hard top of the band models)."""
@@ -328,6 +355,60 @@ class TestChiPlan:
             values = model.cutoff_factor(plan.nodes)
             values *= model.knee_factor(plan.nodes)
             assert np.stack(plan.apply(model, values)).tobytes() == ref.tobytes()
+        assert plan.fallbacks == 0
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+    def test_reads_s_only_below_the_zero_edge(self, gamma):
+        # a plan built for a hundredfold cutoff reaches past the zero edge
+        # of this one; S is read only below it, with evaluate's bits, and
+        # is exactly 0 on every node past it
+        model = OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=6.0e4, gamma=gamma, coupling_c=2.0e4)
+        plan = ChiPlan.covering(PLAN_PAIRS, [replace(model, omega_e=6.0e6)])
+        spy = _Spy(model)
+        chi = np.stack(plan.apply(spy))
+        (asked,) = spy.asked
+        at = _live_nodes(plan, model)
+        assert asked.tobytes() == plan.nodes[at].tobytes()
+        assert len(asked) < len(plan.nodes)
+        full = model.evaluate(plan.nodes)
+        assert model.evaluate(asked).tobytes() == full[at].tobytes()
+        dead = np.ones(len(plan.nodes), dtype=bool)
+        dead[at] = False
+        assert dead.any() and np.all(full[dead] == 0.0)
+        assert np.all(plan.nodes[dead] > model.zero_above)
+        assert np.all(plan.nodes[at] <= model.zero_above)
+        assert chi.tobytes() == np.stack(plan.apply(model, full)).tobytes()
+        for pair, cm, cp in zip(PLAN_PAIRS, *chi):
+            ref_m, ref_p = chi_pair(model, pair)
+            assert cm == pytest.approx(ref_m, rel=1e-8, abs=0.0)
+            assert cp == pytest.approx(ref_p, rel=1e-8, abs=0.0)
+        assert plan.fallbacks == 0
+
+    def test_infinite_edge_reads_every_node(self):
+        model = OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=math.inf, gamma=1.0, coupling_c=2.0e4)
+        plan = _model_plan(model)
+        spy = _Spy(model)
+        plan.apply(spy)
+        (asked,) = spy.asked
+        assert asked.tobytes() == plan.nodes.tobytes()
+
+    def test_short_separation_block_ascends(self):
+        # a 0 < delta_t < tau pair joins the swapped pair's regions and the
+        # phase variance's, two rising runs, sorted once into one block
+        pairs = [EvolutionPair(tau=3.0e-4, delta_t=1.0e-4), EvolutionPair(tau=2.0e-4, delta_t=5.0e-5)]
+        wide, narrow = (reference_model(2.0, omega_e=we) for we in (100.0 * WE, WE))
+        plan = ChiPlan.covering(pairs, [wide])
+        blocks = plan.live(replace(wide, omega_e=math.inf))
+        assert len(blocks) == 2 * len(pairs)
+        assert sum(p.stop - p.start for p in blocks) == len(plan.nodes)
+        assert all(np.all(np.diff(plan.nodes[p]) >= 0.0) for p in blocks)
+        for model in (wide, narrow):
+            chi_m, chi_p = plan.apply(model)
+            for pair, cm, cp in zip(pairs, chi_m, chi_p):
+                ref_m, ref_p = chi_pair(model, pair)
+                assert cm == pytest.approx(ref_m, rel=1e-8, abs=0.0)
+                assert cp == pytest.approx(ref_p, rel=1e-8, abs=0.0)
+        assert len(_live_nodes(plan, narrow)) < len(plan.nodes)
         assert plan.fallbacks == 0
 
     def test_each_distinct_time_once(self, monkeypatch):

@@ -508,6 +508,23 @@ class TestDiscriminateGamma:
         assert decision.indeterminate is True
         assert single.indeterminate is True
 
+    def test_sweeps_hand_in_the_bits_of_evaluate(self, monkeypatch):
+        # a sweep writes S only on the nodes the plan reads, and there it
+        # is evaluate's S bit for bit; the narrow cutoffs leave nodes unread
+        checked = []
+        original = correlator.ChiPlan.apply
+
+        def checking(plan, spectrum, values=None):
+            at = np.concatenate([np.arange(p.start, p.stop) for p in plan.live(spectrum)])
+            assert values[at].tobytes() == spectrum.evaluate(plan.nodes[at]).tobytes()
+            checked.append(len(at) < len(plan.nodes))
+            return original(plan, spectrum, values)
+
+        monkeypatch.setattr(correlator.ChiPlan, "apply", checking)
+        dts, taus, corr, se, wl, c = _constant_contrast_curve(noise_seed=3)
+        discriminate_gamma(dts, taus, corr, se, omega_l=wl, coupling_c=c, quad=QUICK)
+        assert len(checked) > 50 and any(checked)
+
     @pytest.mark.parametrize("design", ["contrast", "plateau"])
     def test_plan_serves_every_sweep(self, monkeypatch, design):
         # a change that quietly sends sweeps back to the adaptive chi_pair

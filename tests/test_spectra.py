@@ -99,6 +99,33 @@ class TestEvaluate:
             assert type(got) is float
             assert np.float64(got).tobytes() == oi.tobytes()
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
+    def test_overhauser_zero_above(self, gamma):
+        # S is exactly 0 past the edge, at the edge and one ulp either side;
+        # the cutoff just below z = 745, a subnormal exp(-z), is not
+        m = OverhauserModel(s0=2.0e-4, omega_l=0.5, omega_e=1.0e4, gamma=gamma, coupling_c=3.0)
+        edge = m.zero_above
+        assert edge == 1.0e4 * 746.0 ** (1.0 / gamma)
+        w = edge * np.array([1.0, 1.0 + 1e-15, 1.001, 2.0, 1.0e3])
+        w = np.concatenate([w, [np.nextafter(edge, 0.0), np.nextafter(edge, math.inf), math.inf]])
+        assert np.all(evaluate(m, w) == 0.0)
+        assert m.cutoff_factor(1.0e4 * 745.0 ** (1.0 / gamma)) > 0.0
+
+    def test_zero_above_of_the_other_models(self):
+        # no cutoff, or one whose edge overflows, leaves S nonzero everywhere;
+        # the band models are 0 past their hard top
+        assert OverhauserModel(1.0, 0.5, math.inf, 1.0, 1.0).zero_above == math.inf
+        assert OverhauserModel(1.0, 0.5, 1.0e4, 1.0e-3, 1.0).zero_above == math.inf
+        assert WhiteModel(level=2.0, omega_high=1.0e6).zero_above == 1.0e6
+        pl = PowerLawModel(amplitude=1.0, alpha=1.0, omega_low=1.0, omega_high=1.0e5)
+        assert pl.zero_above == 1.0e5
+        tab = TabulatedModel(np.array([[1.0e1, 3.0], [1.0e3, 2.0]]))
+        assert tab.zero_above == 1.0e3
+        for m in (WhiteModel(level=2.0, omega_high=1.0e6), pl, tab):
+            top = m.zero_above
+            assert evaluate(m, top) > 0.0
+            assert evaluate(m, np.nextafter(top, math.inf)) == 0.0
+
     def test_white_band(self):
         m = WhiteModel(level=2.0, omega_high=10.0)
         assert evaluate(m, 3.0) == 2.0
