@@ -34,7 +34,7 @@ from .correlator import (
     correlator_from_chi,
     correct_fidelity,
 )
-from .csvio import atomic_write, write_csv
+from .csvio import HeaderError, atomic_write, write_csv
 from .fitting import (
     FitParam,
     FitProblem,
@@ -93,9 +93,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _write_json(path, config, **fields):
+    """``{"version", "config", **fields}`` to ``path``: indented, keys sorted, one final newline."""
+    doc = {"version": __version__, "config": config, **fields}
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_sidecar(path, config, notes):
-    doc = {"version": __version__, "config": config, "notes": notes}
-    atomic_write(str(path) + ".json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(str(path) + ".json", config, notes=notes)
 
 
 def _convert_hz(obj, key=""):
@@ -461,9 +466,7 @@ def cmd_correlate(config, args):
 def _load_curve(path):
     try:
         return CorrelationCurve.from_csv(path)
-    except ValueError as e:
-        if "header" not in str(e):
-            raise
+    except HeaderError as e:
         raise ConfigError(
             f"{e}; if the file lacks a stderr column, supply uncertainties before fitting"
         ) from None
@@ -551,13 +554,7 @@ def cmd_fit(config, args):
         result = res.to_dict()
     else:
         raise ConfigError(f"config field 'fit.mode' unknown: {mode!r}")
-    doc = {
-        "version": __version__,
-        "config": config,
-        "mode": mode,
-        "result": result,
-    }
-    atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, config, mode=mode, result=result)
 
 
 def _figure_model(sec, secname, rms_default, gamma=1.0, omega_e_scale=1.0):

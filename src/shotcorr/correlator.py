@@ -62,7 +62,7 @@ from .numerics import (
     level_weights,
     require_finite,
 )
-from .spectra import OverhauserModel, SpectrumModel, beta_autocorrelation, variance
+from .spectra import OverhauserModel, SpectrumModel, beta_autocorrelation, variance, window_top
 
 __all__ = [
     "EvolutionPair",
@@ -151,21 +151,6 @@ def filter_F(omega, pair: EvolutionPair):
 
 def _sinc(x):
     return np.sinc(x / math.pi)
-
-
-def _window(spectrum):
-    """Integration window [0, hi] for the filtered integrals.
-
-    The filters are finite at omega = 0 and every model has finite S(0),
-    so the lower edge is exactly zero; the upper edge is the model's own
-    negligibility bound.  For one spectrum the window's size costs few
-    panels: above a few filter oscillations the integrals run through
-    the cosine-exact kernel, whose panel count follows the
-    log-smoothness of S alone.  A ``ChiPlan`` sized for the widest of
-    many spectra reads S only up to each spectrum's ``zero_above``, so
-    the nodes where a narrow cutoff leaves S at 0 cost it nothing.
-    """
-    return 0.0, min(spectrum.hard_max, spectrum.suggested_omega_max(1e-20))
 
 
 @dataclass(frozen=True)
@@ -285,14 +270,13 @@ def _integrate(regions, spectrum, quad):
     brk = spectrum.breakpoints()
     total = None
     for r in (r for r in regions if r.lo < r.hi):
-        spec = quad.with_window(r.lo, r.hi)
         fs = [lambda w, g=g: g(spectrum.evaluate(w), w) for g in r.integrands]
         if r.times is None:
-            values = [integrate_spectral(f, r.period, spec, brk).value for f in fs]
+            values = [integrate_spectral(f, r.period, (r.lo, r.hi), quad, brk).value for f in fs]
         else:
             (f,) = fs
             res = filon_cos_integral(
-                f, r.kernel_times, spec, breakpoints=brk, envelope_period=r.period
+                f, r.kernel_times, (r.lo, r.hi), quad, breakpoints=brk, envelope_period=r.period
             )
             values = res.value.tolist()
         share = r.share(values)
@@ -311,12 +295,12 @@ def phase_variance(spectrum: SpectrumModel, tau: float, quad=None) -> float:
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    return _integrate(_cross_regions(tau, 0.0, _window(spectrum)[1]), spectrum, _quad(quad))[0]
+    return _integrate(_cross_regions(tau, 0.0, window_top(spectrum)), spectrum, _quad(quad))[0]
 
 
 def phase_cross_correlation(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> float:
     """Covariance of the two phases, (1/pi) * integral S * F / omega^2."""
-    regions = _cross_regions(pair.tau, pair.delta_t, _window(spectrum)[1])
+    regions = _cross_regions(pair.tau, pair.delta_t, window_top(spectrum))
     return _integrate(regions, spectrum, _quad(quad))[0]
 
 
@@ -326,7 +310,7 @@ def chi_pair(spectrum: SpectrumModel, pair: EvolutionPair, quad=None) -> tuple[f
     chi_minus = (16/pi) integral S sin^2(omega tau/2) sin^2(omega dt/2) / omega^2
     chi_plus  = same with cos^2(omega dt/2).
     """
-    regions = _pair_regions(pair.tau, pair.delta_t, _window(spectrum)[1])
+    regions = _pair_regions(pair.tau, pair.delta_t, window_top(spectrum))
     return _integrate(regions, spectrum, _quad(quad))
 
 
@@ -421,22 +405,23 @@ class ChiPlan:
     def covering(cls, pairs, spectra, quad=None) -> "ChiPlan":
         """A plan whose window and breakpoints serve every one of ``spectra``."""
         spectra = list(spectra)
-        omega_max = max(_window(s)[1] for s in spectra)
+        omega_max = max(window_top(s) for s in spectra)
         return cls(pairs, omega_max, {p for s in spectra for p in _kinks(s, omega_max)}, quad)
 
     def _rows(self, regions):
         """``regions`` as (nodes, weights) per level, one weight row per output."""
         parts = tuple([] for _ in _PLAN_LEVELS)
         for r in (r for r in regions if r.lo < r.hi):
-            spec = self.quad.with_window(r.lo, r.hi)
-            levels = level_weights(spec, self.breakpoints, r.period, _PLAN_LEVELS, r.kernel_times)
+            levels = level_weights(
+                (r.lo, r.hi), self.quad, self.breakpoints, r.period, _PLAN_LEVELS, r.kernel_times
+            )
             for part, (x, w) in zip(parts, levels):
                 values = [row for g in r.integrands for row in w * g(1.0, x)]
                 part.append((x, np.stack(r.share(values))))
         return [_ascending(*_joined(part)) for part in parts]
 
     def _serves(self, spectrum) -> bool:
-        if _window(spectrum)[1] > self.omega_max:
+        if window_top(spectrum) > self.omega_max:
             return False
         return all(p in self.breakpoints for p in _kinks(spectrum, self.omega_max))
 

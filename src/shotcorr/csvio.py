@@ -18,7 +18,11 @@ import secrets
 
 import numpy as np
 
-__all__ = ["atomic_write", "format_cell", "write_lines", "write_csv", "read_columns"]
+__all__ = ["HeaderError", "atomic_write", "format_cell", "write_lines", "write_csv", "read_columns"]
+
+
+class HeaderError(ValueError):
+    """A CSV file's header row is not the one its reader expects."""
 
 
 def atomic_write(path, text: str) -> None:
@@ -75,7 +79,8 @@ def read_columns(path, columns: dict, prefix: bool = False) -> list[list]:
     ``columns`` maps each expected header name, in order, to the callable
     that converts its cells, or to None for a column that is not read
     (its list stays empty).  With ``prefix`` the header may carry extra
-    trailing columns, which are ignored.  Blank lines are skipped; a row
+    trailing columns, which are ignored; any other header raises
+    ``HeaderError``.  Blank lines are skipped; a row
     with too few cells or a cell its converter rejects raises
     ``ValueError`` naming the file and the row's line number.
     """
@@ -93,7 +98,7 @@ def read_columns(path, columns: dict, prefix: bool = False) -> list[list]:
             raise ValueError(f"{path}: empty file")
         got = [h.strip() for h in header]
         if (got[: len(names)] if prefix else got) != names:
-            raise ValueError(
+            raise HeaderError(
                 f"{path}: expected header {','.join(names)!r}, got {','.join(header)!r}"
             )
         for i, row in enumerate(reader, start=2):

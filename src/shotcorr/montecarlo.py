@@ -30,7 +30,7 @@ import numpy as np
 from . import csvio
 from .correlator import QubitParams, correct_fidelity
 from .numerics import require_finite
-from .spectra import SpectrumModel
+from .spectra import SpectrumModel, window_top
 
 __all__ = [
     "GridSpec",
@@ -89,7 +89,7 @@ class GridSpec:
             lo = min(spectrum.knee * 1e-2, 1e-2 / duration)
         hi = self.omega_max
         if hi is None:
-            hi = min(spectrum.hard_max, spectrum.suggested_omega_max(1e-12))
+            hi = window_top(spectrum, 1e-12)
         if not hi > lo:
             raise ValueError("resolved grid is empty; check omega bounds")
         return lo, hi

@@ -19,6 +19,11 @@ levels agree.  ``level_weights`` gives one level's weights, so a caller
 that integrates many integrands on one window builds them once and pays
 one dot product per integrand.
 
+Every integrator takes its window ``(omega_lo, omega_hi)`` as an
+argument; the window of an integral of S is the spectrum's
+(``spectra.window_top``).  ``QuadratureSpec`` holds only the tolerances
+and the panel budget.
+
 Also here: real Lambert W on both real branches, a gamma wrapper, a
 bracketed root finder, and the finiteness check the model classes share.
 Everything validates its domain and reports an honest error estimate or
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +69,7 @@ def require_finite(obj, *names):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and window settings for the spectral integrators.
+    """Tolerances and panel budget of the spectral integrators, nothing else.
 
     Attributes
     ----------
@@ -74,16 +79,11 @@ class QuadratureSpec:
     max_panels : int
         Hard cap on the number of panels; exceeding it raises
         ``QuadratureError`` carrying the partial result.
-    omega_min, omega_max : float or None
-        Integration window in rad/s.  Callers that know the spectrum
-        choose these; both must be set before integrating.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-30
     max_panels: int = 200_000
-    omega_min: float | None = None
-    omega_max: float | None = None
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -92,17 +92,6 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be nonnegative")
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
-        if self.omega_min is not None and self.omega_min < 0:
-            raise ValueError("omega_min must be nonnegative")
-        if (
-            self.omega_min is not None
-            and self.omega_max is not None
-            and not self.omega_max > self.omega_min
-        ):
-            raise ValueError("omega_max must exceed omega_min")
-
-    def with_window(self, omega_min, omega_max) -> "QuadratureSpec":
-        return replace(self, omega_min=omega_min, omega_max=omega_max)
 
 
 @dataclass(frozen=True)
@@ -146,18 +135,21 @@ _odd_sign = (-1.0) ** ((_odd_n - 1) // 2)
 _CHUNK = 65536
 
 
-def _start_grid(spec, breakpoints, period, times):
+def _start_grid(window, spec, breakpoints, period, times):
     """Edges of the starting grid of ``integrate_spectral`` (``times`` None) or ``filon_cos_integral``.
 
-    Log edges, 8 per decade, kinks pinned, gaps split to half ``period``.
+    ``window`` is (omega_lo, omega_hi), 0 <= omega_lo < omega_hi.  Log
+    edges, 8 per decade, kinks pinned, gaps split to half ``period``.
     Over ``spec.max_panels`` panels the Gauss grid is thinned gap by gap
     (order-16 panels stay accurate to about two periods); Filon raises.
     """
-    if spec.omega_min is None or spec.omega_max is None:
-        raise ValueError("QuadratureSpec needs omega_min and omega_max set")
+    a, b = map(float, window)
+    if not a >= 0:
+        raise ValueError(f"window must start at a nonnegative omega, got {a}")
+    if not b > a:
+        raise ValueError(f"window top {b} must exceed its lower edge {a}")
     if times is not None and np.any(np.asarray(times) < 0):
         raise ValueError("t_cos must be nonnegative")
-    a, b = float(spec.omega_min), float(spec.omega_max)
     # a == 0 gets one stub panel at the bottom
     lo = a if a > 0 else b * 1e-14
     edges = np.geomspace(lo, b, max(1, int(math.ceil(8 * math.log10(b / lo)))) + 1)
@@ -306,10 +298,11 @@ def _doubling(f, edges, spec, times=None):
     raise QuadratureError(message, value=prev_value, error=error)
 
 
-def level_weights(spec: QuadratureSpec, breakpoints, period, level, times=None):
+def level_weights(window, spec: QuadratureSpec, breakpoints, period, level, times=None):
     """Nodes and weights of a level of an adaptive integrator, on its whole grid.
 
-    ``times`` None is ``integrate_spectral`` with ``osc_period_hint``
+    ``window`` and ``spec`` as for the integrators.  ``times`` None is
+    ``integrate_spectral`` with ``osc_period_hint``
     ``period``: level 0 is G8 on its starting grid, level k >= 1 G16 on
     that grid bisected k - 1 times.  Otherwise ``filon_cos_integral`` at
     ``times`` with ``envelope_period`` ``period``: level k is Filon on
@@ -321,7 +314,7 @@ def level_weights(spec: QuadratureSpec, breakpoints, period, level, times=None):
     ``QuadratureError`` when a level has more than ``spec.max_panels``
     panels.
     """
-    edges = _start_grid(spec, breakpoints, period, times)
+    edges = _start_grid(window, spec, breakpoints, period, times)
     out = []
     for lv in np.atleast_1d(level).tolist():
         bisections, weigh = _level(lv, times)
@@ -331,8 +324,10 @@ def level_weights(spec: QuadratureSpec, breakpoints, period, level, times=None):
     return out if np.ndim(level) else out[0]
 
 
-def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=()) -> QuadratureResult:
-    """Adaptive panel quadrature of ``f`` over ``[omega_min, omega_max]``.
+def integrate_spectral(
+    f, osc_period_hint, window, spec: QuadratureSpec, breakpoints=()
+) -> QuadratureResult:
+    """Adaptive panel quadrature of ``f`` over ``window``.
 
     Level 0 is G8 on the starting grid, level 1 G16, and each further
     level G16 with every panel bisected once more, each as fixed weights
@@ -350,8 +345,11 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
         so each spans at most half a period, giving >= 8 Gauss nodes per
         period before any refinement.  ``None`` or ``inf`` for smooth
         integrands.
+    window : (float, float)
+        (omega_lo, omega_hi) in rad/s, 0 <= omega_lo < omega_hi, else
+        ``ValueError``.
     spec : QuadratureSpec
-        Window, tolerances and panel budget.
+        Tolerances and panel budget.
     breakpoints : sequence of float
         Interior points where f has kinks; panel edges are pinned there.
 
@@ -366,13 +364,13 @@ def integrate_spectral(f, osc_period_hint, spec: QuadratureSpec, breakpoints=())
         If the tolerance cannot be met within ``max_panels``; the partial
         value and estimate ride along on the exception.
     """
-    return _doubling(f, _start_grid(spec, breakpoints, osc_period_hint, None), spec)
+    return _doubling(f, _start_grid(window, spec, breakpoints, osc_period_hint, None), spec)
 
 
 def filon_cos_integral(
-    f, times, spec: QuadratureSpec, breakpoints=(), envelope_period=None
+    f, times, window, spec: QuadratureSpec, breakpoints=(), envelope_period=None
 ) -> QuadratureResult:
-    """Integrals of ``f(omega) * cos(omega * t)`` over the quadrature window, per time.
+    """Integrals of ``f(omega) * cos(omega * t)`` over ``window``, per time.
 
     The cosine is integrated exactly on each panel against a degree-11
     Legendre fit of ``f``, so the panel grid only needs to resolve ``f``,
@@ -394,8 +392,10 @@ def filon_cos_integral(
     times : sequence of float
         Time arguments of the cosine, each nonnegative; 0 gives the plain
         integral of f.
+    window : (float, float)
+        (omega_lo, omega_hi) in rad/s, as for ``integrate_spectral``.
     spec : QuadratureSpec
-        Window, tolerances, panel budget.
+        Tolerances and panel budget.
     breakpoints : sequence of float
         Interior points where f has kinks (spectrum corners, table knots);
         panel edges are pinned there.
@@ -403,7 +403,7 @@ def filon_cos_integral(
         Width in omega of one period of the slow oscillation carried by f
         itself; panels are capped at half that width.
     """
-    return _doubling(f, _start_grid(spec, breakpoints, envelope_period, times), spec, times)
+    return _doubling(f, _start_grid(window, spec, breakpoints, envelope_period, times), spec, times)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,23 @@ def filon_cos_integral(
 _BRANCH_POINT = -1.0 / math.e
 
 
-def _halley_w(x, w):
+def _lambert(name, x, guess):
+    """w with w*exp(w) = x on the branch that ``guess(x)`` starts on.
+
+    Raises naming ``name`` for NaN and for x below -1/e; within a relative
+    1e-12 under -1/e, x is rounding and reads as -1/e, where both
+    branches meet at -1.  Otherwise Halley iteration from ``guess(x)``.
+    """
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError(f"{name}: argument is NaN")
+    if x < _BRANCH_POINT:
+        if not x > _BRANCH_POINT * (1 + 1e-12):
+            raise ValueError(f"{name}: argument {x} below -1/e")
+        x = _BRANCH_POINT
+    if x == _BRANCH_POINT:
+        return -1.0
+    w = guess(x)
     for _ in range(50):
         ew = math.exp(w)
         res = w * ew - x
@@ -424,6 +440,25 @@ def _halley_w(x, w):
     return w
 
 
+def _principal_guess(x):
+    if x < -0.25:
+        p = math.sqrt(2.0 * (1.0 + math.e * x))
+        return -1.0 + p - p * p / 3.0
+    if x < 2.0:
+        return x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.2 else math.log1p(x) * 0.7
+    lx = math.log(x)
+    return lx - math.log(lx)
+
+
+def _secondary_guess(x):
+    if x > _BRANCH_POINT * 0.25:
+        # away from the branch point: w ~ ln(-x) - ln(-ln(-x))
+        l1 = math.log(-x)
+        return l1 - math.log(-l1)
+    p = -math.sqrt(2.0 * (1.0 + math.e * x))
+    return -1.0 + p - p * p / 3.0
+
+
 def lambert_w(x: float) -> float:
     """Principal real branch of Lambert W: w >= -1 with w*exp(w) = x.
 
@@ -431,25 +466,7 @@ def lambert_w(x: float) -> float:
     guess; the residual |w*exp(w) - x| is driven below
     1e-12 * max(1, |x|).
     """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("lambert_w: argument is NaN")
-    if x < _BRANCH_POINT:
-        if x > _BRANCH_POINT * (1 + 1e-12):
-            x = _BRANCH_POINT
-        else:
-            raise ValueError(f"lambert_w: argument {x} below -1/e")
-    if x == _BRANCH_POINT:
-        return -1.0
-    if x < -0.25:
-        p = math.sqrt(2.0 * (1.0 + math.e * x))
-        w = -1.0 + p - p * p / 3.0
-    elif x < 2.0:
-        w = x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.2 else math.log1p(x) * 0.7
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-    return _halley_w(x, w)
+    return _lambert("lambert_w", x, _principal_guess)
 
 
 def lambert_w_m1(x: float) -> float:
@@ -459,26 +476,9 @@ def lambert_w_m1(x: float) -> float:
     of ``tau**2 * ln(dt/tau) = const`` has tau well below dt, which is
     what the level-holding evolution-time schedule needs.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("lambert_w_m1: argument is NaN")
-    if x >= 0:
+    if float(x) >= 0:
         raise ValueError("lambert_w_m1: argument must be negative")
-    if x < _BRANCH_POINT:
-        if x > _BRANCH_POINT * (1 + 1e-12):
-            x = _BRANCH_POINT
-        else:
-            raise ValueError(f"lambert_w_m1: argument {x} below -1/e")
-    if x == _BRANCH_POINT:
-        return -1.0
-    if x > _BRANCH_POINT * 0.25:
-        # away from the branch point: w ~ ln(-x) - ln(-ln(-x))
-        l1 = math.log(-x)
-        w = l1 - math.log(-l1)
-    else:
-        p = -math.sqrt(2.0 * (1.0 + math.e * x))
-        w = -1.0 + p - p * p / 3.0
-    return _halley_w(x, w)
+    return _lambert("lambert_w_m1", x, _secondary_guess)
 
 
 def gamma_fn(x: float) -> float:

@@ -46,6 +46,7 @@ __all__ = [
     "evaluate",
     "variance",
     "beta_autocorrelation",
+    "window_top",
     "coupling_from_g",
     "BOHR_MAGNETON",
     "HBAR",
@@ -72,7 +73,11 @@ def _check_omega(omega):
 
 
 class SpectrumModel(abc.ABC):
-    """Interface shared by all spectrum models."""
+    """Interface shared by all spectrum models.
+
+    ``hard_max`` and ``suggested_omega_max`` fix the top of the one
+    integration window, [0, ``window_top``], of every integral of S.
+    """
 
     @abc.abstractmethod
     def evaluate(self, omega):
@@ -81,17 +86,12 @@ class SpectrumModel(abc.ABC):
     @property
     @abc.abstractmethod
     def knee(self) -> float:
-        """Scale of the lowest spectral feature, for window defaults."""
+        """Scale of the lowest spectral feature, for grid defaults."""
 
     @property
     def hard_max(self) -> float:
         """Frequency above which the spectrum is identically zero."""
         return math.inf
-
-    @property
-    def hard_min(self) -> float:
-        """Frequency below which the spectrum is identically zero."""
-        return 0.0
 
     @property
     def zero_above(self) -> float:
@@ -106,8 +106,8 @@ class SpectrumModel(abc.ABC):
         """Interior omega values where the model is not smooth."""
         return ()
 
-    def suggested_omega_max(self, floor: float = 1e-18) -> float:
-        """Upper integration limit beyond which S is negligible."""
+    def suggested_omega_max(self, floor: float) -> float:
+        """Frequency beyond which S stays below ``floor`` relative to its peak."""
         return self.hard_max
 
 
@@ -226,7 +226,7 @@ class OverhauserModel(SpectrumModel):
     def knee(self):
         return self.omega_l
 
-    def suggested_omega_max(self, floor: float = 1e-18):
+    def suggested_omega_max(self, floor: float):
         if self.cutoff_enabled:
             # stretched exponential below `floor` relative to the peak
             return self.omega_e * math.log(1.0 / floor) ** (1.0 / self.gamma)
@@ -362,10 +362,6 @@ class TabulatedModel(SpectrumModel):
     def hard_max(self):
         return float(self.points[-1, 0])
 
-    @property
-    def hard_min(self):
-        return float(self.points[0, 0])
-
     def breakpoints(self):
         # all knots: the integration window starts at 0, so even the first
         # knot is an interior discontinuity of the integrand
@@ -382,14 +378,20 @@ def evaluate(spectrum: SpectrumModel, omega):
     return spectrum.evaluate(omega)
 
 
-def _variance_window(spectrum, quad):
-    lo = quad.omega_min
-    hi = quad.omega_max
-    if lo is None:
-        lo = max(spectrum.hard_min, spectrum.knee * 1e-9)
-    if hi is None:
-        hi = spectrum.suggested_omega_max()
-    return lo, hi
+def window_top(spectrum: SpectrumModel, floor: float = 1e-20) -> float:
+    """Top of [0, top], the window of every integral of ``spectrum``.
+
+    The correlator's filters and the autocovariance's cosine are finite
+    at omega = 0 and every model has finite S(0), so the lower edge is
+    exactly zero; the top is the model's own negligibility bound, never
+    above ``hard_max``.  For one spectrum the window's size costs few
+    panels: above a few filter oscillations the integrals run through
+    the cosine-exact kernel, whose panel count follows the
+    log-smoothness of S alone.  A ``ChiPlan`` sized for the widest of
+    many spectra reads S only up to each spectrum's ``zero_above``, so
+    the nodes where a narrow cutoff leaves S at 0 cost it nothing.
+    """
+    return min(spectrum.hard_max, spectrum.suggested_omega_max(floor))
 
 
 def variance(spectrum: SpectrumModel, quad: QuadratureSpec | None = None) -> float:
@@ -408,13 +410,12 @@ def beta_autocorrelation(
     """
     if delta_t < 0:
         raise ValueError("delta_t must be nonnegative")
-    quad = quad or QuadratureSpec()
-    lo, hi = _variance_window(spectrum, quad)
     # the variance rides along at delta_t > 0 and anchors the tolerance, so
     # a strongly decayed autocovariance is not chased to meaningless
     # relative precision
     times = (0.0,) if delta_t == 0 else (0.0, float(delta_t))
+    window = (0.0, window_top(spectrum))
     res = filon_cos_integral(
-        spectrum.evaluate, times, quad.with_window(lo, hi), breakpoints=spectrum.breakpoints()
+        spectrum.evaluate, times, window, quad or QuadratureSpec(), spectrum.breakpoints()
     )
     return float(res.value[-1]) / math.pi

@@ -95,7 +95,8 @@ class TestAcceptance:
             ref = integrate_spectral(
                 echo_integrand,
                 2.0 * math.pi / tau,
-                QuadratureSpec(rel_tol=1.0e-9, omega_min=w_lo, omega_max=w_hi),
+                (w_lo, w_hi),
+                QuadratureSpec(rel_tol=1.0e-9),
                 breakpoints=model.breakpoints(),
             )
             worst_quad = max(worst_quad, abs(got - ref.value) / ref.value)

@@ -495,6 +495,20 @@ class TestFitCommand:
         assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
         assert "supply" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("name", ["plain.csv", "header_curve.csv"])
+    def test_bad_cell_gets_no_stderr_hint(self, tmp_path, capsys, name):
+        # the hint is for a header without stderr, not for a file name
+        # that happens to contain "header"
+        curve = tmp_path / name
+        curve.write_text("delta_t_s,tau_s,correlation,stderr,n_pairs\n1,1e-5,oops,0.1,10\n")
+        cfg = write_config(
+            tmp_path / "f.json", {"fit": {"input": str(curve), "mode": "alpha"}}
+        )
+        assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        err = capsys.readouterr().err
+        assert "malformed row 2" in err
+        assert "supply" not in err.lower()
+
     def test_bad_free_spec_rejected(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
         self.write_alpha_curve(curve)

@@ -34,6 +34,7 @@ from shotcorr.spectra import (
     coupling_from_g,
     evaluate,
     variance,
+    window_top,
 )
 
 import oracles
@@ -104,9 +105,9 @@ class TestChiPair:
         # five-cosine tail; each region is one multi-time Filon call
         calls = []
 
-        def counted(f, times, spec, **kw):
+        def counted(f, times, window, spec, **kw):
             calls.append(tuple(times))
-            return original(f, times, spec, **kw)
+            return original(f, times, window, spec, **kw)
 
         original = correlator.filon_cos_integral
         monkeypatch.setattr(correlator, "filon_cos_integral", counted)
@@ -160,7 +161,8 @@ class TestChiPair:
             ref = integrate_spectral(
                 echo_integrand,
                 2.0 * math.pi / tau,
-                QuadratureSpec(omega_min=0.0, omega_max=hi, rel_tol=1e-9),
+                (0.0, hi),
+                QuadratureSpec(rel_tol=1e-9),
             )
             assert got == pytest.approx(ref.value, rel=1e-6)
 
@@ -326,7 +328,7 @@ def _live_nodes(plan, spectrum):
 def _model_plan(model):
     """A window twice the model's own and its kinks as plan edges (the
     power law's omega_low, and the hard top of the band models)."""
-    top = 2.0 * correlator._window(model)[1]
+    top = 2.0 * window_top(model)
     kinks = {*model.breakpoints(), model.hard_max} - {math.inf}
     return ChiPlan(PLAN_PAIRS, top, kinks)
 
@@ -416,9 +418,9 @@ class TestChiPlan:
         # as chi_pair integrates it once
         asked = []
 
-        def spy(spec, breakpoints, period, level, times=None):
+        def spy(window, spec, breakpoints, period, level, times=None):
             asked.append(times)
-            return original(spec, breakpoints, period, level, times)
+            return original(window, spec, breakpoints, period, level, times)
 
         original = correlator.level_weights
         monkeypatch.setattr(correlator, "level_weights", spy)

@@ -21,15 +21,15 @@ from shotcorr.numerics import (
 from shotcorr.numerics import _filon_panels, _filon_proj, _subdivide
 
 
-def _spec(lo, hi, rel_tol=1e-8, **kw):
-    return QuadratureSpec(omega_min=lo, omega_max=hi, rel_tol=rel_tol, **kw)
+def _spec(rel_tol=1e-8, **kw):
+    return QuadratureSpec(rel_tol=rel_tol, **kw)
 
 
 class TestIntegrateSpectral:
     def test_arctan_kernel(self):
         # integral of 1/(1+w^2) over (0, 1e6) is arctan(1e6)
         res = integrate_spectral(
-            lambda w: 1.0 / (1.0 + w**2), None, _spec(0.0, 1e6, rel_tol=1e-10)
+            lambda w: 1.0 / (1.0 + w**2), None, (0.0, 1e6), _spec(rel_tol=1e-10)
         )
         assert res.value == pytest.approx(math.atan(1e6), rel=1e-6)
         assert res.error <= 1e-6 * res.value
@@ -40,12 +40,13 @@ class TestIntegrateSpectral:
         res = integrate_spectral(
             lambda w: np.sin(0.5 * w) ** 2 / w**2,
             2.0 * math.pi,
-            _spec(0.0, 1e6, rel_tol=1e-9),
+            (0.0, 1e6),
+            _spec(rel_tol=1e-9),
         )
         assert res.value == pytest.approx(math.pi / 4.0, rel=1e-4)
 
     def test_zero_integrand(self):
-        res = integrate_spectral(lambda w: np.zeros_like(w), None, _spec(0.0, 10.0))
+        res = integrate_spectral(lambda w: np.zeros_like(w), None, (0.0, 10.0), _spec())
         assert res.value == 0.0
 
     def test_error_estimate_bounds_true_error(self):
@@ -59,7 +60,8 @@ class TestIntegrateSpectral:
         res = integrate_spectral(
             lambda w: np.sin(0.5 * w) ** 2 / (1.0 + (w / 3.0) ** 2),
             2.0 * math.pi,
-            _spec(0.0, 200.0, rel_tol=1e-10),
+            (0.0, 200.0),
+            _spec(rel_tol=1e-10),
         )
         true_err = abs(res.value - ref)
         assert true_err <= max(10.0 * res.error, 1e-12 * abs(ref))
@@ -75,8 +77,8 @@ class TestIntegrateSpectral:
                 1.0 + (w / k) ** 2
             )
             hint = 2.0 * math.pi / tau
-            coarse = integrate_spectral(fn, hint, _spec(0.0, 1e3 * knee, rel_tol=1e-6))
-            fine = integrate_spectral(fn, hint, _spec(0.0, 1e3 * knee, rel_tol=5e-7))
+            coarse = integrate_spectral(fn, hint, (0.0, 1e3 * knee), _spec(rel_tol=1e-6))
+            fine = integrate_spectral(fn, hint, (0.0, 1e3 * knee), _spec(rel_tol=5e-7))
             assert abs(fine.value - coarse.value) <= max(coarse.error, 1e-14)
 
     def test_breakpoints_respected(self):
@@ -85,7 +87,7 @@ class TestIntegrateSpectral:
             return np.where(w < 1.0, 1.0, 0.5)
 
         res = integrate_spectral(
-            kinked, None, _spec(0.0, 2.0, rel_tol=1e-12), breakpoints=(1.0,)
+            kinked, None, (0.0, 2.0), _spec(rel_tol=1e-12), breakpoints=(1.0,)
         )
         assert res.value == pytest.approx(1.5, rel=1e-10)
 
@@ -95,7 +97,8 @@ class TestIntegrateSpectral:
             integrate_spectral(
                 fn,
                 2.0 * math.pi / 50.0,
-                _spec(0.0, 1e5, rel_tol=1e-13, max_panels=40),
+                (0.0, 1e5),
+                _spec(rel_tol=1e-13, max_panels=40),
             )
         assert exc.value.value is not None
         assert exc.value.error is not None and exc.value.error > 0.0
@@ -106,9 +109,9 @@ class TestIntegrateSpectral:
         w0, g = 37.3, 0.02
         fn = lambda w: 1.0 / (1.0 + ((w - w0) / g) ** 2)
         exact = g * (math.atan((100.0 - w0) / g) + math.atan(w0 / g))
-        spec = _spec(0.0, 100.0, rel_tol=1e-8)
-        start = integrate_spectral(lambda w: np.ones_like(w), None, spec).n_panels
-        res = integrate_spectral(fn, None, spec)
+        window, spec = (0.0, 100.0), _spec(rel_tol=1e-8)
+        start = integrate_spectral(lambda w: np.ones_like(w), None, window, spec).n_panels
+        res = integrate_spectral(fn, None, window, spec)
         assert res.n_panels >= 4 * start
         assert abs(res.value - exact) <= 1e-8 * exact
         assert abs(res.value - exact) <= res.error
@@ -116,9 +119,9 @@ class TestIntegrateSpectral:
     def test_equals_fixed_weights_on_converged_grid(self):
         # converged at the first check: the G16 sum on the starting grid
         fn = lambda w: np.exp(-w) * np.sin(1.5 * w) ** 2
-        hint, spec = 2.0 * math.pi / 3.0, _spec(0.0, 40.0, rel_tol=1e-8)
-        res = integrate_spectral(fn, hint, spec)
-        nodes, (w,) = level_weights(spec, (), hint, 1)
+        hint, window, spec = 2.0 * math.pi / 3.0, (0.0, 40.0), _spec(rel_tol=1e-8)
+        res = integrate_spectral(fn, hint, window, spec)
+        nodes, (w,) = level_weights(window, spec, (), hint, 1)
         assert res.n_panels * 16 == len(nodes)
         assert res.value == pytest.approx(w @ fn(nodes), rel=1e-14)
 
@@ -128,24 +131,24 @@ class TestFilonCosIntegral:
         # integral of exp(-w) cos(t w) over (0, inf) = 1/(1+t^2)
         for t in (0.0, 0.3, 7.0, 240.0):
             res = filon_cos_integral(
-                lambda w: np.exp(-w), (t,), _spec(0.0, 60.0, rel_tol=1e-10)
+                lambda w: np.exp(-w), (t,), (0.0, 60.0), _spec(rel_tol=1e-10)
             )
             assert res.value[0] == pytest.approx(1.0 / (1.0 + t * t), rel=1e-8, abs=1e-12)
 
     def test_times_share_one_call(self):
         # one call over several times, duplicates included, returns them in order
         times = (7.0, 0.0, 0.3, 7.0)
-        res = filon_cos_integral(lambda w: np.exp(-w), times, _spec(0.0, 60.0, rel_tol=1e-10))
+        res = filon_cos_integral(lambda w: np.exp(-w), times, (0.0, 60.0), _spec(rel_tol=1e-10))
         assert res.value.shape == (len(times),)
         for t, v in zip(times, res.value):
             assert v == pytest.approx(1.0 / (1.0 + t * t), rel=1e-8, abs=1e-12)
         assert res.value[0] == res.value[3]
         with pytest.raises(ValueError, match="t_cos must be nonnegative"):
-            filon_cos_integral(lambda w: np.exp(-w), (0.0, -1.0), _spec(0.0, 60.0))
+            filon_cos_integral(lambda w: np.exp(-w), (0.0, -1.0), (0.0, 60.0), _spec())
 
     def test_zero_frequency_matches_plain_integral(self):
         fn = lambda w: 1.0 / (1.0 + w) ** 2
-        res = filon_cos_integral(fn, (0.0,), _spec(0.0, 1e3, rel_tol=1e-10))
+        res = filon_cos_integral(fn, (0.0,), (0.0, 1e3), _spec(rel_tol=1e-10))
         assert res.value[0] == pytest.approx(1.0 - 1.0 / 1001.0, rel=1e-9)
 
     def test_lorentzian_envelope_fast_oscillation(self):
@@ -158,7 +161,8 @@ class TestFilonCosIntegral:
         res = filon_cos_integral(
             lambda w: 1.0 / (1.0 + w**2),
             (0.0, t),
-            _spec(0.0, upper, rel_tol=1e-9),
+            (0.0, upper),
+            _spec(rel_tol=1e-9),
         )
         assert res.value[1] == pytest.approx(ref, abs=5e-9)
 
@@ -176,16 +180,17 @@ class TestFilonCosIntegral:
         res = filon_cos_integral(
             fn,
             (0.0, 90.0),
-            _spec(0.0, 80.0, rel_tol=1e-9),
+            (0.0, 80.0),
+            _spec(rel_tol=1e-9),
             envelope_period=2.0 * math.pi / 1.4,
         )
         assert res.value[1] == pytest.approx(ref, abs=1e-8)
 
     def test_equals_fixed_weights_on_converged_grid(self):
         # the first converged value is Filon on the starting grid bisected once
-        times, spec = (0.0, 0.5, 3.0), _spec(0.0, 40.0, rel_tol=1e-9)
-        res = filon_cos_integral(lambda w: np.exp(-w), times, spec)
-        nodes, w = level_weights(spec, (), None, 1, times)
+        times, window, spec = (0.0, 0.5, 3.0), (0.0, 40.0), _spec(rel_tol=1e-9)
+        res = filon_cos_integral(lambda w: np.exp(-w), times, window, spec)
+        nodes, w = level_weights(window, spec, (), None, 1, times)
         assert res.n_panels * 12 == len(nodes)
         np.testing.assert_allclose(res.value, w @ np.exp(-nodes), rtol=1e-14, atol=0.0)
 
@@ -224,17 +229,38 @@ class TestPanelGrid:
         ],
     )
     def test_grid_checks(self, kernel, period, error, message):
-        fn, spec = lambda w: np.exp(-w), _spec(0.0, 10.0, max_panels=1000)
+        fn, window, spec = lambda w: np.exp(-w), (0.0, 10.0), _spec(max_panels=1000)
         with pytest.raises(error, match=message):
             if kernel == "spectral":
-                integrate_spectral(fn, period, spec)
+                integrate_spectral(fn, period, window, spec)
             elif kernel == "filon":
-                filon_cos_integral(fn, (1.0,), spec, envelope_period=period)
+                filon_cos_integral(fn, (1.0,), window, spec, envelope_period=period)
             elif kernel == "gauss_weights":
                 # about 600 panels fit the budget; one bisection does not
-                level_weights(spec, (), period, 2)
+                level_weights(window, spec, (), period, 2)
             else:
-                level_weights(spec, (), period, 1, (1.0,))
+                level_weights(window, spec, (), period, 1, (1.0,))
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ((-1.0, 10.0), "window must start at a nonnegative omega"),
+            ((math.nan, 10.0), "window must start at a nonnegative omega"),
+            ((2.0, 2.0), "window top 2.0 must exceed its lower edge 2.0"),
+            ((0.0, -1.0), "window top -1.0 must exceed its lower edge 0.0"),
+            ((0.0, math.nan), "window top nan must exceed"),
+        ],
+    )
+    @pytest.mark.parametrize("kernel", ["spectral", "filon", "weights"])
+    def test_bad_window_refused(self, window, message, kernel):
+        fn, spec = lambda w: np.exp(-w), _spec()
+        with pytest.raises(ValueError, match=message):
+            if kernel == "spectral":
+                integrate_spectral(fn, None, window, spec)
+            elif kernel == "filon":
+                filon_cos_integral(fn, (1.0,), window, spec)
+            else:
+                level_weights(window, spec, (), None, 1)
 
 
 class TestFixedWeights:
@@ -242,7 +268,7 @@ class TestFixedWeights:
     def test_filon_weights_closed_form(self, bisections):
         # integral of exp(-w) cos(w t) over (0, 40) is 1/(1+t^2) up to e^-40
         times = (0.0, 0.5, 3.0, 40.0)
-        nodes, w = level_weights(_spec(0.0, 40.0), (), None, bisections, times)
+        nodes, w = level_weights((0.0, 40.0), _spec(), (), None, bisections, times)
         assert w.shape == (len(times), len(nodes))
         ref = [1.0 / (1.0 + t * t) for t in times]
         np.testing.assert_allclose(w @ np.exp(-nodes), ref, rtol=1e-9, atol=0.0)
@@ -250,7 +276,7 @@ class TestFixedWeights:
     @pytest.mark.parametrize("bisections", [0, 1])
     def test_gauss_weights_closed_form(self, bisections):
         # integral of exp(-w) sin^2(3w/2) over (0, 40) is (1 - 1/10)/2
-        nodes, (w,) = level_weights(_spec(0.0, 40.0), (), 2.0 * math.pi / 3.0, bisections + 1)
+        nodes, (w,) = level_weights((0.0, 40.0), _spec(), (), 2.0 * math.pi / 3.0, bisections + 1)
         value = w @ (np.exp(-nodes) * np.sin(1.5 * nodes) ** 2)
         assert value == pytest.approx(0.45, rel=1e-10)
         assert len(nodes) % 16 == 0 and np.all(np.diff(nodes) > 0)
@@ -258,10 +284,10 @@ class TestFixedWeights:
     @pytest.mark.parametrize("times", [None, (0.0, 0.5, 3.0)], ids=["gauss", "filon"])
     def test_levels_share_one_grid(self, times):
         # asking for several levels gives each level's own call, bit for bit
-        spec, period = _spec(0.0, 40.0), 2.0 * math.pi / 3.0
-        both = level_weights(spec, (1.3,), period, (0, 1, 2), times)
+        window, spec, period = (0.0, 40.0), _spec(), 2.0 * math.pi / 3.0
+        both = level_weights(window, spec, (1.3,), period, (0, 1, 2), times)
         for level, (nodes, w) in zip((0, 1, 2), both):
-            one_nodes, one_w = level_weights(spec, (1.3,), period, level, times)
+            one_nodes, one_w = level_weights(window, spec, (1.3,), period, level, times)
             assert nodes.tobytes() == one_nodes.tobytes()
             assert w.tobytes() == one_w.tobytes()
 
@@ -284,7 +310,7 @@ class TestFixedWeights:
 
     def test_breakpoints_pinned(self):
         # a kink at 1.3 sits on a panel edge, so Gauss is exact to rounding
-        nodes, (w,) = level_weights(_spec(0.0, 4.0), (1.3,), None, 1)
+        nodes, (w,) = level_weights((0.0, 4.0), _spec(), (1.3,), None, 1)
         assert w @ np.abs(nodes - 1.3) == pytest.approx((1.3**2 + 2.7**2) / 2.0, rel=1e-13)
 
 

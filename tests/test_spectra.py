@@ -249,6 +249,18 @@ class TestVariance:
         m = WhiteModel(level=3.0, omega_high=1.0e5)
         assert variance(m) == pytest.approx(3.0 * 1.0e5 / math.pi, rel=1e-7)
 
+    @pytest.mark.parametrize(
+        "model, closed",
+        [
+            (WhiteModel(2.0e3, 1.0e6), 2.0e3 * 1.0e6 / math.pi),
+            (PowerLawModel(1.0, 0.0, 1.0, 10.0), 10.0 / math.pi),
+        ],
+        ids=["white", "flat_power_law"],
+    )
+    def test_flat_band_exact(self, model, closed):
+        # the window starts at 0, so no sliver of S near 0 is dropped
+        assert variance(model) == pytest.approx(closed, rel=1e-12)
+
     def test_lorentzian_closed_form(self):
         # sharp cutoff far above the knee leaves a relative deficit of
         # about 2 omega_l / (pi omega_e)
