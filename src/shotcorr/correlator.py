@@ -400,6 +400,7 @@ class ChiPlan:
         self.nodes, self._weights = _joined(blocks) if blocks else (np.empty(0), np.empty((2, 0)))
         starts = np.cumsum([0] + [len(nodes) for nodes, _ in blocks]).tolist()
         self._blocks = [(a, self.nodes[a:b]) for a, b in zip(starts, starts[1:])]
+        self._live = (None, [])
 
     @classmethod
     def covering(cls, pairs, spectra, quad=None) -> "ChiPlan":
@@ -426,9 +427,16 @@ class ChiPlan:
         return all(p in self.breakpoints for p in _kinks(spectrum, self.omega_max))
 
     def live(self, spectrum: SpectrumModel) -> list[slice]:
-        """One slice of ``nodes`` per block: its nodes up to ``spectrum.zero_above``."""
+        """One slice of ``nodes`` per block: its nodes up to ``spectrum.zero_above``.
+
+        The slices of the last edge asked for are kept, so a caller that
+        writes S on them and then calls ``apply`` cuts the blocks once.
+        """
         edge = spectrum.zero_above
-        return [slice(a, a + int(x.searchsorted(edge, "right"))) for a, x in self._blocks]
+        if self._live[0] != edge:
+            cuts = [slice(a, a + int(x.searchsorted(edge, "right"))) for a, x in self._blocks]
+            self._live = (edge, cuts)
+        return self._live[1]
 
     def apply(self, spectrum: SpectrumModel, values=None) -> tuple[np.ndarray, np.ndarray]:
         """(chi_minus, chi_plus) arrays for ``spectrum``, in the order of ``pairs``.

@@ -51,6 +51,7 @@ __all__ = [
 
 _RECORDS_HEADER = ("cycle_index", "t_center_s", "outcome")
 _CURVE_HEADER = ("delta_t_s", "tau_s", "correlation", "stderr", "n_pairs")
+_BAD_OUTCOME = "outcome must be +1 or -1"
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,8 @@ class ShotRecord:
         out = np.asarray(self.outcomes)
         if out.ndim != 1:
             raise ValueError("outcomes must be 1-d")
+        if not ((out == 1) | (out == -1)).all():
+            raise ValueError(_BAD_OUTCOME)
         object.__setattr__(self, "outcomes", out.astype(np.int8))
 
     def __len__(self):
@@ -203,26 +206,29 @@ class ShotRecord:
 def records_to_csv(records: list[ShotRecord], path) -> None:
     """Write a batch of records to one CSV; cycle_index restarts per record.
 
-    The ``cycle_index,t_center_s,`` text of a row depends only on the
-    record's length, tau and cycle period, so it is formatted once per
-    such protocol and each record adds its outcomes.
+    A row's text depends only on the record's length, tau and cycle
+    period and on its outcome, which ``ShotRecord`` holds to +1 or -1.
+    So each such protocol gets one (2, n) object array of finished
+    lines, ``i,t,-1`` above ``i,t,1``, and a record picks its lines from
+    its two rows with one selection on ``outcomes > 0``.
     """
-    prefixes = {}
+    tables = {}
     lines = []
     for rec in records:
         key = (len(rec), rec.tau, rec.cycle_period)
-        if key not in prefixes:
-            prefixes[key] = [
-                f"{i},{csvio.format_cell(t)}," for i, t in enumerate(rec.t_center().tolist())
-            ]
-        lines += map(str.__add__, prefixes[key], map(str, rec.outcomes.tolist()))
+        if key not in tables:
+            t_center = rec.t_center().tolist()
+            prefixes = [f"{i},{csvio.format_cell(t)}," for i, t in enumerate(t_center)]
+            tables[key] = np.array([[p + s for p in prefixes] for s in ("-1", "1")], dtype=object)
+        down, up = tables[key]
+        lines += np.where(rec.outcomes > 0, up, down).tolist()
     csvio.write_lines(path, _RECORDS_HEADER, lines)
 
 
 def _outcome(cell: str) -> int:
     value = int(cell)
     if value not in (-1, 1):
-        raise ValueError("outcome must be +1 or -1")
+        raise ValueError(_BAD_OUTCOME)
     return value
 
 
@@ -273,26 +279,32 @@ def synthesize_modes(
 
 
 def _phase_table(omega: np.ndarray, protocol: Protocol):
-    """cos and sin of omega_k t at every window centre t = t0_s + j cycle_period.
+    """Block-start phasors, in-block offsets and window gains of a protocol.
 
-    Blocks of B cycles, B the least power of two with B^2 >= n_cycles:
-    ``(c0, s0, off)`` hold cos and sin of omega_k t0_s per block start s,
-    shape (n_blocks, modes) each, and [cos; sin] of omega_k j cycle_period
-    per in-block offset j, shape (2 modes, B).  They depend on the grid
-    and the protocol's timing alone, so every record of a protocol shares them.
+    Window centres are t = t0_s + j cycle_period, in blocks of B cycles,
+    B the least power of two with B^2 >= n_cycles.  ``(e0, off, gain)``:
+    ``e0`` holds exp(i omega_k t0_s) per block start s, complex, shape
+    (n_blocks, modes); ``off`` holds cos and -sin of omega_k j cycle_period
+    per in-block offset j, rows interleaved per mode (cos, then -sin),
+    shape (2 modes, B); ``gain`` is ``_window_gain`` of every mode.  They
+    depend on the grid and the protocol alone, so every record of a
+    protocol shares them.
     """
     n, dt = protocol.n_cycles, protocol.cycle_period
     block = 1 << math.isqrt(n - 1).bit_length()
     arg = (np.arange(0, n, block) * dt + protocol.tau / 2.0)[:, None] * omega[None, :]
-    c0 = np.cos(arg)
-    s0 = np.sin(arg, out=arg)
+    e0 = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=e0.real)
+    np.sin(arg, out=e0.imag)
     arg = omega[:, None] * (np.arange(block) * dt)[None, :]
-    off = np.empty((2 * len(omega), block))
-    np.cos(arg, out=off[: len(omega)])
-    np.sin(arg, out=off[len(omega) :])
+    off = np.empty((len(omega), 2, block))
+    np.cos(arg, out=off[:, 0])
+    np.negative(np.sin(arg, out=arg), out=off[:, 1])
+    off = off.reshape(2 * len(omega), block)
+    gain = _window_gain(omega, protocol.tau)
     # shared by every record of a protocol: no reader may write to it
-    c0.flags.writeable = s0.flags.writeable = off.flags.writeable = False
-    return c0, s0, off
+    e0.flags.writeable = off.flags.writeable = gain.flags.writeable = False
+    return e0, off, gain
 
 
 def _protocol_share(spectrum, protocol, grid, independent_cycles):
@@ -305,27 +317,19 @@ def _protocol_share(spectrum, protocol, grid, independent_cycles):
 def accumulated_phases(modes: ModeSet, protocol: Protocol, table=None) -> np.ndarray:
     """Phase integral of every cycle's evolution window, exactly per mode.
 
-    cos(w (t0_s + off)) = cos(w t0_s) cos(w off) - sin(w t0_s) sin(w off),
-    likewise sin: the record's weighted block-start terms, one (n_blocks,
-    2 modes) matrix, times the (2 modes, B) offset table give every phase
-    in one matrix-matrix product.  ``table`` is ``_phase_table`` for
-    ``modes.omega`` and the protocol, as ``run_protocol`` shares it; it is
-    built here when None.
+    With a_k = amp_k gain_k (u_k - i v_k), mode k adds
+    Re(a_k exp(i omega_k (t0_s + off))) to a window centred at t0_s + off:
+    one complex product a * e0 gives every block start's (Re, Im) pair,
+    and read as an (n_blocks, 2 modes) real matrix it times the
+    interleaved (cos, -sin) offset table in one matrix-matrix product.
+    ``table`` is ``_phase_table`` for ``modes.omega`` and the protocol, as
+    ``run_protocol`` shares it; it is built here when None.
     """
-    w = modes.omega
-    gain = _window_gain(w, protocol.tau)
-    bu = modes.amp * gain * modes.u
-    bv = modes.amp * gain * modes.v
-
-    c0, s0, off = table if table is not None else _phase_table(w, protocol)
-    weights = np.empty((len(c0), 2 * len(w)))
-    lo, hi = weights[:, : len(w)], weights[:, len(w) :]
-    tmp = np.empty_like(c0)
-    np.multiply(bu, c0, out=lo)
-    lo += np.multiply(bv, s0, out=tmp)
-    np.multiply(bv, c0, out=hi)
-    hi -= np.multiply(bu, s0, out=tmp)
-    return (weights @ off).ravel()[: protocol.n_cycles]
+    e0, off, gain = table if table is not None else _phase_table(modes.omega, protocol)
+    b = modes.amp * gain
+    a = np.empty(len(b), dtype=complex)
+    a.real, a.imag = b * modes.u, -(b * modes.v)
+    return ((e0 * a).view(float) @ off).ravel()[: protocol.n_cycles]
 
 
 def accumulated_phases_independent(modes: ModeSet, protocol: Protocol, rng) -> np.ndarray:

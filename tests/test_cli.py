@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -370,6 +371,40 @@ class TestSimulateCommand:
         out_c = tmp_path / "c.csv"
         assert run_cli(["simulate", "--config", cfg, "--out", out_c, "--seed", 1]) == 0
         assert out_a.read_bytes() == out_c.read_bytes()
+
+    def test_artifacts_keep_their_bytes(self, tmp_path):
+        # golden digests: outcomes are thresholded phases, so a change in
+        # how the phases are summed must not flip one; the curve follows
+        config = {
+            "spectrum": {
+                "family": "overhauser",
+                "s0": 4.5e3,
+                "omega_l": 1.0e3,
+                "omega_e": 1.0e6,
+                "gamma": 1.0,
+                "coupling_c": 1.0,
+            },
+            "qubit": {"readout_flip_prob": 0.05},
+            "protocol": {
+                "tau": 5.0e-4,
+                "cycle_period": 1.0e-3,
+                "n_cycles": 200,
+                "n_records": 4,
+                "lags": [1, 2, 3, 5, 8],
+            },
+            "grid": {"n_modes": 512},
+        }
+        cfg = write_config(tmp_path / "c.json", config)
+        out = tmp_path / "curve.csv"
+        assert run_cli(["simulate", "--config", cfg, "--out", out, "--seed", 7]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("curve.csv", "curve.records.csv")
+        }
+        assert digests == {
+            "curve.csv": "03b2c806ff58d0ed2ba3e95912732e3bd926e0b883a6e0a4017cf0086431d884",
+            "curve.records.csv": "2d52868344c4a2299a75671817c3b0e7471cf4b415208b85e5414a756505e2c4",
+        }
 
 
 class TestCorrelateCommand:

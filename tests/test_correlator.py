@@ -386,6 +386,18 @@ class TestChiPlan:
             assert cp == pytest.approx(ref_p, rel=1e-8, abs=0.0)
         assert plan.fallbacks == 0
 
+    def test_live_cuts_the_blocks_once_per_edge(self):
+        # discriminate_gamma writes S on live(spectrum) and then calls apply,
+        # which asks for the same edge: the blocks are cut once for both
+        wide = reference_model(2.0, omega_e=100.0 * WE)
+        narrow = replace(wide, omega_e=WE)
+        plan = ChiPlan.covering(PLAN_PAIRS, [wide])
+        first = plan.live(narrow)
+        assert plan.live(replace(narrow, s0=2.0 * narrow.s0)) is first
+        other = plan.live(wide)
+        assert other is not first and other != first
+        assert plan.live(narrow) == first
+
     def test_infinite_edge_reads_every_node(self):
         model = OverhauserModel(s0=1.0e-4, omega_l=0.6, omega_e=math.inf, gamma=1.0, coupling_c=2.0e4)
         plan = _model_plan(model)

@@ -168,6 +168,18 @@ class TestRunRecord:
         rec = run_record(m, prot, GridSpec(n_modes=512), seed=7)
         assert set(np.unique(rec.outcomes)).issubset({-1, 1})
 
+    @pytest.mark.parametrize("bad", [0, 2, 0.5, 300, math.nan])
+    def test_record_refuses_other_outcomes(self, bad):
+        # an int8 cast would keep 0 and 2, truncate 0.5 to 0 and wrap 300
+        # to 44: a records CSV that records_from_csv then refuses
+        with pytest.raises(ValueError, match=r"outcome must be \+1 or -1"):
+            ShotRecord(np.array([1, -1, bad]), 1.0e-4, 1.0e-3)
+
+    def test_record_keeps_plus_minus_one(self):
+        rec = ShotRecord([1.0, -1.0, 1.0], 1.0e-4, 1.0e-3)
+        assert rec.outcomes.dtype == np.int8
+        assert rec.outcomes.tolist() == [1, -1, 1]
+
     def test_t_center(self):
         prot = Protocol(tau=1.0e-4, cycle_period=1.0e-3, n_cycles=3)
         rec = run_record(zero_spectrum(), prot, GridSpec(), seed=5)
@@ -289,16 +301,18 @@ class TestPhaseTable:
 
     def test_table_grows_as_root_of_cycles(self):
         # blocks of the least power of two B with B^2 >= n: the table holds
-        # (n_blocks + B) rows of 2 * modes doubles, never modes x 256 or n
+        # (n_blocks + B) rows of 2 * modes doubles and one row of gains,
+        # never modes x 256 or n
         omega = GridSpec(n_modes=256).cells(sampling_zoo()[1], 1.0)[1]
         nbytes = {}
         for n, block in ((1000, 32), (16000, 128)):
             prot = Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=n)
-            c0, s0, off = montecarlo._phase_table(omega, prot)
+            e0, off, gain = montecarlo._phase_table(omega, prot)
             n_blocks = -(-n // block)
-            assert c0.shape == s0.shape == (n_blocks, len(omega))
+            assert e0.shape == (n_blocks, len(omega)) and e0.dtype == complex
             assert off.shape == (2 * len(omega), block)
-            nbytes[n] = c0.nbytes + s0.nbytes + off.nbytes
+            assert gain.shape == omega.shape
+            nbytes[n] = e0.nbytes + off.nbytes + gain.nbytes
         assert nbytes[1000] < 2 * len(omega) * 256 * 8 / 2
         # 16 times the cycles: about 4 times the table, not 16
         assert nbytes[16000] < 4.5 * nbytes[1000]
@@ -508,8 +522,11 @@ class TestCsv:
             assert np.array_equal(ra.outcomes, rb.outcomes)
 
     def test_records_bytes_match_generic_writer(self, tmp_path):
-        # two lengths and two protocols, interleaved; a cycle period of 0.1
-        # puts t_center values like 0.30000000000000004 through .12g
+        # two lengths and two protocols, interleaved, and two records that
+        # differ from the first in tau alone and in cycle period alone, as
+        # the writer's line tables are keyed on (length, tau, cycle_period);
+        # a cycle period of 0.1 puts t_center values like 0.30000000000000004
+        # through .12g
         rng = np.random.default_rng(8)
 
         def rec(n, tau, cycle_period):
@@ -521,6 +538,8 @@ class TestCsv:
             rec(7, 1.0e-4, 1.0 / 3.0),
             rec(7, 0.02, 0.1),
             rec(4, 1.0e-4, 1.0 / 3.0),
+            rec(7, 1.0e-4, 0.1),
+            rec(7, 0.02, 1.0 / 3.0),
         ]
         path = tmp_path / "records.csv"
         records_to_csv(recs, path)
