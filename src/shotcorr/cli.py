@@ -85,6 +85,11 @@ _SPECTRUM_KEYS = {
     "tabulated": ("path",),
 }
 
+# the keys the protocol, qubit and grid sections read: _check_section_keys refuses any other
+_PROTOCOL_KEYS = ("tau", "cycle_period", "n_cycles", "n_records", "lags")
+_QUBIT_KEYS = ("omega_q", "coupling_c", "readout_flip_prob", "dead_time")
+_GRID_KEYS = ("n_modes", "omega_min", "omega_max")
+
 # overhauser fields that name one quantity two ways: a config gives one of each pair
 _EITHER_OR = (("s0", "rms_field"), ("coupling_c", "g_factor"))
 
@@ -233,17 +238,24 @@ def _grid_values(sec, secname, key):
     raise ConfigError(f"config field '{secname}.{key}' must be number, list, or grid object")
 
 
+def _refuse_unread(names, prefix, keys, what):
+    """Refuse the first of ``names`` not in ``keys``: "'prefix.<name>' is not <what>"."""
+    for name in names:
+        if name not in keys:
+            raise ConfigError(f"config field '{prefix}.{name}' is not {what}")
+
+
+def _check_section_keys(sec, secname, keys):
+    _refuse_unread(sec, secname, keys, f"read by {secname} ({', '.join(keys)})")
+
+
 def _check_spectrum_keys(family, family_field, names, prefix):
     """Refuse an unknown ``family`` (the field ``family_field``) and each of
     ``names`` it does not read, named ``prefix.<name>``."""
     keys = _SPECTRUM_KEYS.get(family)
     if keys is None:
         raise ConfigError(f"config field '{family_field}' unknown: {family!r}")
-    for name in names:
-        if name not in keys:
-            raise ConfigError(
-                f"config field '{prefix}.{name}' is not a {family} spectrum parameter"
-            )
+    _refuse_unread(names, prefix, keys, f"a {family} spectrum parameter")
 
 
 def _check_either_or(family, given):
@@ -294,6 +306,7 @@ def build_spectrum(config):
 
 def build_qubit(config):
     sec = _optional_section(config, "qubit")
+    _check_section_keys(sec, "qubit", _QUBIT_KEYS)
     return QubitParams(
         omega_q=_field(sec, "qubit", "omega_q", default=0.0),
         coupling_c=_field(sec, "qubit", "coupling_c", default=1.0),
@@ -379,6 +392,7 @@ def _lags(sec, secname, shortest):
 
 def _protocol_from_config(config):
     sec = _section(config, "protocol")
+    _check_section_keys(sec, "protocol", _PROTOCOL_KEYS)
     qubit = build_qubit(config)
     prot = Protocol(
         tau=_field(sec, "protocol", "tau"),
@@ -389,6 +403,7 @@ def _protocol_from_config(config):
     n_records = _field(sec, "protocol", "n_records", _count, 1)
     lags = _lags(sec, "protocol", prot.n_cycles)
     grid_sec = _optional_section(config, "grid")
+    _check_section_keys(grid_sec, "grid", _GRID_KEYS)
     grid = GridSpec(
         n_modes=_field(grid_sec, "grid", "n_modes", _count, 4096),
         omega_min=_field(grid_sec, "grid", "omega_min", default=None),
@@ -688,6 +703,17 @@ _COMMANDS = {
 }
 
 
+def _seed(text):
+    """A ``--seed`` value: a non-negative integer, as numpy's seeding takes."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on the first call and reused after."""
@@ -704,7 +730,7 @@ def _parser():
             help="JSON config file" + ("" if config_required else " (optional)"),
         )
         sp.add_argument("--out", required=True, help="output artifact path")
-        sp.add_argument("--seed", type=int, default=0, help="random seed (simulate)")
+        sp.add_argument("--seed", type=_seed, default=0, help="random seed (simulate)")
         sp.add_argument(
             "--freq-units",
             choices=("hz", "rad"),

@@ -372,6 +372,16 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--config", cfg, "--out", out_c, "--seed", 1]) == 0
         assert out_a.read_bytes() == out_c.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_named_at_parsing(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path / "c.json", self.sim_config())
+        out = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["simulate", "--config", cfg, "--out", out, "--seed", seed])
+        assert exit_info.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_artifacts_keep_their_bytes(self, tmp_path):
         # golden digests: outcomes are thresholded phases, so a change in
         # how the phases are summed must not flip one; the curve follows
@@ -764,6 +774,14 @@ def _chi_spectrum(spec):
     return lambda d: dict(_chi(d, [1e-3]), spectrum=spec)
 
 
+def _sim_section_key(section, key):
+    def build(tmp_path):
+        config = TestSimulateCommand().sim_config()
+        return dict(config, **{section: dict(config[section], **{key: 0.05})})
+
+    return build
+
+
 def _fit_names(free, fixed, family="white"):
     def build(tmp_path):
         return {"fit": dict(_fixed(tmp_path, fixed)["fit"], family=family, free=free)}
@@ -780,7 +798,8 @@ OVERHAUSER_FIXED = {"omega_l": 1.0, "omega_e": 1e4, "coupling_c": 1.0}
 # that the spectrum family does not read was ignored, or, in fit mode,
 # fitted while nothing read it; so was one field of an either/or pair
 # given both ways (rms_field won over s0, a non-null coupling_c over
-# g_factor)
+# g_factor); so was a key that the protocol, qubit or grid section does
+# not read (a flip probability under protocol ran with no flips)
 _BAD_SPECTRUM_NAMES = [
     ("chi", _chi_spectrum(dict(OVERHAUSER_SPEC, gama=2)), "spectrum.gama"),
     ("chi", _chi_spectrum({"family": "white", "level": 1.0, **WHITE_FIXED, "s0": 1.0}), "spectrum.s0"),
@@ -821,6 +840,9 @@ _BAD_SPECTRUM_NAMES = [
         _fit_names({"s0": [1.0, 1e6], "g_factor": [1.0, 3.0]}, OVERHAUSER_FIXED, "overhauser"),
         "fit.free.g_factor",
     ),
+    ("simulate", _sim_section_key("protocol", "readout_flip_prob"), "protocol.readout_flip_prob"),
+    ("simulate", _sim_section_key("qubit", "omega_Q"), "qubit.omega_Q"),
+    ("simulate", _sim_section_key("grid", "n_mode"), "grid.n_mode"),
 ]
 
 

@@ -280,7 +280,7 @@ class TestPhaseTable:
     """Two-level phase table: block starts times in-block offsets."""
 
     # one block, an exact power of four, partial last blocks
-    @pytest.mark.parametrize("n", [2, 3, 64, 65, 600, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 600, 1000, 20000])
     def test_matches_window_phase(self, n):
         # both sides round each trig argument omega_k t to about eps omega_k t,
         # so the scale is eps * sum_k |b_k| (1 + omega_k t_end); over 20 seeds
@@ -497,6 +497,28 @@ class TestEstimator:
         naive = float(np.std(prods, ddof=1) / math.sqrt(len(prods)))
         assert errs[0] > 1.5 * naive
 
+    def test_short_series_keep_the_unblocked_error(self):
+        # 11 to 3 products per record: too few to block, so each record's
+        # error is the unblocked sqrt(var / n), never the 0 of no level
+        rng = np.random.default_rng(18)
+        recs = [self._fabricated(rng.choice([-1, 1], size=12)) for _ in range(3)]
+        lags = [1, 2, 5, 9]
+        vals, errs, pairs = estimate_autocorrelation(recs, lags)
+        for m, err in zip(lags, errs):
+            prods = [r.outcomes[:-m].astype(float) * r.outcomes[m:] for r in recs]
+            per_rec = [np.var(p, ddof=1) / len(p) for p in prods]
+            assert err > 0.0
+            assert err == pytest.approx(math.sqrt(sum(per_rec)) / len(recs), rel=1e-12)
+
+    def test_one_product_per_record_refused(self):
+        # fewer than 8 records fall back to each record's own spread, which
+        # one product cannot give; 8 records have the spread of their means
+        rng = np.random.default_rng(19)
+        recs = [self._fabricated(rng.choice([-1, 1], size=12)) for _ in range(8)]
+        with pytest.raises(ValueError, match="lag 11 "):
+            estimate_autocorrelation(recs[:3], [1, 11])
+        assert estimate_autocorrelation(recs, [11])[1][0] > 0.0
+
     def test_blocking_agrees_for_independent_noise(self):
         rng = np.random.default_rng(17)
         rec = self._fabricated(rng.choice([-1, 1], size=4096))
@@ -552,6 +574,32 @@ class TestCsv:
         csvio.write_csv(generic, ("cycle_index", "t_center_s", "outcome"), rows)
         assert path.read_bytes() == generic.read_bytes()
         assert "\n3,0.31," in path.read_text()
+
+    def test_records_reader_matches_per_cell_reader(self, tmp_path, monkeypatch):
+        # numpy reads a written batch without the per-cell reader, and a
+        # file with quoted cells, CRLF line ends and blank lines as it does
+        rng = np.random.default_rng(9)
+        recs = [ShotRecord(rng.choice([-1, 1], n), 0.02, 0.1) for n in (7, 4, 7)]
+        path = tmp_path / "records.csv"
+        records_to_csv(recs, path)
+        quirky = tmp_path / "quirky.csv"
+        quirky.write_bytes(
+            b'cycle_index,t_center_s,outcome\r\n0,"0.01,x",1\r\n\r\n1,0.11,"-1"\r\n'
+            b'0,0.01, 1\r\n1,0.11,+1\r\n2,0.21,-1\r\n'
+        )
+        expected = {path: [r.outcomes.tolist() for r in recs], quirky: [[1, -1], [1, 1, -1]]}
+        per_cell = montecarlo._records_per_cell
+        for p, want in expected.items():
+            idx, outcomes = per_cell(p)
+            assert [list(c) for c in np.split(outcomes, np.flatnonzero(np.diff(idx) <= 0) + 1)] == want
+            assert [r.outcomes.tolist() for r in records_from_csv(p, 0.02, 0.1)] == want
+
+        def refuse(p):
+            raise AssertionError("per-cell reader used")
+
+        monkeypatch.setattr(montecarlo, "_records_per_cell", refuse)
+        for p, want in expected.items():
+            assert [r.outcomes.tolist() for r in records_from_csv(p, 0.02, 0.1)] == want
 
     def test_records_bad_outcome(self, tmp_path):
         path = tmp_path / "records.csv"
