@@ -12,7 +12,10 @@ on input.  Spectral amplitudes are never rescaled.  Every CSV artifact
 is written atomically and paired with a ``<out>.json`` sidecar echoing
 the resolved config and the package version; JSON artifacts embed the
 same echo inline.  Bad input, I/O failures and quadrature failures exit
-with status 1 and one ``error:`` line.
+with status 1 and one ``error:`` line.  A key that its section, or its
+grid object, does not read is bad input, named by its field; ``fit`` reads
+the keys of its ``fit.mode``.  Top-level sections a command does not use
+are allowed, so one config may serve several commands.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
+# perfbench/layertrace.py wraps names below as cli.<name>: build_schedule, unused here, too
 from .correlator import (
     EvolutionPair,
     QubitParams,
@@ -69,26 +73,21 @@ __all__ = ["main"]
 
 TWO_PI = 2.0 * math.pi
 
-# sentinel default of _field: the field is required
+# sentinel default of _Section.get: the field is required
 _REQUIRED = object()
 
 # the spellings of spectrum.omega_e that disable the cutoff: null, "inf"
 # and JSON Infinity, the one non-finite value a config float may take
 _NO_CUTOFF = (None, "inf", math.inf)
 
-# the keys each spectrum family reads besides "family": build_spectrum
-# refuses any other, and so does fit mode for its parameter names
+# the keys each spectrum family reads besides "family": the spectrum
+# section refuses any other, and so do fit.free and fit.fixed
 _SPECTRUM_KEYS = {
     "overhauser": ("omega_l", "omega_e", "gamma", "s0", "rms_field", "coupling_c", "g_factor"),
     "white": ("level", "omega_high"),
     "power_law": ("amplitude", "alpha", "omega_low", "omega_high"),
     "tabulated": ("path",),
 }
-
-# the keys the protocol, qubit and grid sections read: _check_section_keys refuses any other
-_PROTOCOL_KEYS = ("tau", "cycle_period", "n_cycles", "n_records", "lags")
-_QUBIT_KEYS = ("omega_q", "coupling_c", "readout_flip_prob", "dead_time")
-_GRID_KEYS = ("n_modes", "omega_min", "omega_max")
 
 # overhauser fields that name one quantity two ways: a config gives one of each pair
 _EITHER_OR = (("s0", "rms_field"), ("coupling_c", "g_factor"))
@@ -127,23 +126,6 @@ def _convert_hz(obj, key=""):
         raise ConfigError(f"config field '{key}' has invalid value {obj!r}") from None
 
 
-def _section(config, name):
-    sec = config.get(name)
-    if sec is None:
-        raise ConfigError(f"config section '{name}' is required")
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    return sec
-
-
-def _optional_section(config, name, path=None):
-    """``config[name]``, or {} when absent; ``path`` names it in the message."""
-    sec = config.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{path or name}' must be an object")
-    return sec
-
-
 def _real(val):
     """A finite JSON number as a float; booleans, NaN and +-inf raise (``true`` is no 1.0).
 
@@ -159,17 +141,29 @@ def _real(val):
     return out
 
 
-def _field(sec, secname, key, kind=_real, default=_REQUIRED):
-    if key not in sec:
-        if default is _REQUIRED:
-            raise ConfigError(f"config field '{secname}.{key}' is required")
-        return default
-    try:
-        return kind(sec[key])
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"config field '{secname}.{key}' has invalid value {sec[key]!r}"
-        ) from None
+def _positive(val):
+    """A finite JSON number above 0."""
+    out = _real(val)
+    if not out > 0:
+        raise ValueError(f"{val!r} is not positive")
+    return out
+
+
+def _flip_prob(val):
+    """A readout flip probability: a finite JSON number in [0, 0.5)."""
+    out = _real(val)
+    if not 0 <= out < 0.5:
+        raise ValueError(f"{val!r} is not in [0, 0.5)")
+    return out
+
+
+def _choice(*names):
+    """The kind that takes one of ``names``."""
+    def kind(val):
+        if val not in names:
+            raise ValueError(f"{val!r} is not one of {names}")
+        return val
+    return kind
 
 
 def _count(val):
@@ -187,75 +181,111 @@ def _count(val):
     return int(val)
 
 
-def _number_list(val, name, kind=_real):
-    """Each element of a JSON list through ``kind``; failures name the field."""
-    if not isinstance(val, list):
-        raise ConfigError(f"config field '{name}' must be a list, got {val!r}")
-    if not val:
-        raise ConfigError(f"config field '{name}' must not be empty")
-    out = []
-    for v in val:
+class _Section:
+    """One JSON object of the config, read key by key.
+
+    Each accessor records the key it reads, given or not, so the reads list
+    the keys a section takes and ``close`` refuses any other.  ``path``
+    names the object in messages; the config root has none and stays open.
+    """
+
+    def __init__(self, obj, path=""):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config section '{path}' must be an object")
+        self.obj, self.path, self.read = obj, path, {}
+
+    def _name(self, key):
+        """The dotted name of ``key``, which now counts as read."""
+        self.read[key] = None
+        return f"{self.path}.{key}" if self.path else key
+
+    def has(self, key):
+        self._name(key)
+        return key in self.obj
+
+    def raw(self, key, default=None):
+        """The JSON value at ``key`` unconverted, or ``default`` when absent."""
+        self._name(key)
+        return self.obj.get(key, default)
+
+    def section(self, key, required=False):
+        """The object at ``key`` as a _Section; when absent, empty unless ``required``."""
+        obj = self.raw(key, None if required else {})
+        if obj is None and required:
+            raise ConfigError(f"config section '{self._name(key)}' is required")
+        return _Section(obj, self._name(key))
+
+    def get(self, key, kind=_real, default=_REQUIRED):
+        """``key`` through ``kind``, or ``default`` when absent; failures name the field."""
+        name, val = self._name(key), self.obj.get(key)
+        if key not in self.obj:
+            if default is _REQUIRED:
+                raise ConfigError(f"config field '{name}' is required")
+            return default
         try:
-            out.append(kind(v))
+            return kind(val)
         except (TypeError, ValueError):
-            raise ConfigError(f"config field '{name}' has invalid element {v!r}") from None
-    return out
+            raise ConfigError(f"config field '{name}' has invalid value {val!r}") from None
 
+    def numbers(self, key, kind=_real, default=_REQUIRED):
+        """The non-empty list at ``key``, each element through ``kind``; absent, ``default``."""
+        if not self.has(key):
+            return self.get(key, default=default)
+        name, val = self._name(key), self.obj[key]
+        if not isinstance(val, list):
+            raise ConfigError(f"config field '{name}' must be a list, got {val!r}")
+        if not val:
+            raise ConfigError(f"config field '{name}' must not be empty")
+        out = []
+        for v in val:
+            try:
+                out.append(kind(v))
+            except (TypeError, ValueError):
+                raise ConfigError(f"config field '{name}' has invalid element {v!r}") from None
+        return out
 
-def _number_pair(val, name):
-    """A JSON [lower, upper] list as a tuple of two floats; failures name the field."""
-    out = _number_list(val, name)
-    if len(out) != 2:
-        raise ConfigError(f"config field '{name}' must be a [lower, upper] pair, got {val!r}")
-    return tuple(out)
+    def pair(self, key, default=_REQUIRED):
+        """The [lower, upper] list at ``key`` as a tuple of two floats; absent, ``default``."""
+        out = tuple(self.numbers(key, default=default))
+        if len(out) != 2:
+            name, val = self._name(key), self.obj[key]
+            raise ConfigError(f"config field '{name}' must be a [lower, upper] pair, got {val!r}")
+        return out
 
-
-def _grid_values(sec, secname, key):
-    """A float list, or {start, stop, num[, spacing]} expanded log/linear."""
-    if key not in sec:
-        raise ConfigError(f"config field '{secname}.{key}' is required")
-    val = sec[key]
-    if isinstance(val, (int, float)):
-        return np.array([_field(sec, secname, key)])
-    if isinstance(val, list):
-        return np.asarray(_number_list(val, f"{secname}.{key}"))
-    if isinstance(val, dict):
-        name = f"{secname}.{key}"
-        start = _field(val, name, "start")
-        stop = _field(val, name, "stop")
-        num = _field(val, name, "num", _count)
+    def grid(self, key, default=_REQUIRED):
+        """A number, list, or {start, stop, num[, spacing]} log/linear grid; absent, ``default``."""
+        name, val = self._name(key), self.obj.get(key)
+        if key not in self.obj:
+            return self.get(key, default=default)
+        if isinstance(val, list):
+            return np.asarray(self.numbers(key))
+        if isinstance(val, (int, float)):
+            return np.array([self.get(key)])
+        if not isinstance(val, dict):
+            raise ConfigError(f"config field '{name}' must be number, list, or grid object")
+        g = self.section(key)
+        start, stop, num = g.get("start"), g.get("stop"), g.get("num", _count)
+        spacing = g.raw("spacing", "log")
+        g.close()
         if num < 1:
-            raise ConfigError(f"config field '{name}.num' must be at least 1, got {num}")
-        spacing = val.get("spacing", "log")
-        if spacing == "log":
-            for end, v in (("start", start), ("stop", stop)):
-                if not v > 0:
-                    raise ConfigError(f"config field '{name}.{end}' must be positive on a log grid")
-            return np.geomspace(start, stop, num)
+            raise ConfigError(f"config field '{g.path}.num' must be at least 1, got {num}")
         if spacing == "linear":
             return np.linspace(start, stop, num)
-        raise ConfigError(f"config field '{secname}.{key}.spacing' must be log or linear")
-    raise ConfigError(f"config field '{secname}.{key}' must be number, list, or grid object")
+        if spacing != "log":
+            raise ConfigError(f"config field '{g.path}.spacing' must be log or linear")
+        for end, v in (("start", start), ("stop", stop)):
+            if not v > 0:
+                raise ConfigError(f"config field '{g.path}.{end}' must be positive on a log grid")
+        return np.geomspace(start, stop, num)
 
-
-def _refuse_unread(names, prefix, keys, what):
-    """Refuse the first of ``names`` not in ``keys``: "'prefix.<name>' is not <what>"."""
-    for name in names:
-        if name not in keys:
-            raise ConfigError(f"config field '{prefix}.{name}' is not {what}")
-
-
-def _check_section_keys(sec, secname, keys):
-    _refuse_unread(sec, secname, keys, f"read by {secname} ({', '.join(keys)})")
-
-
-def _check_spectrum_keys(family, family_field, names, prefix):
-    """Refuse an unknown ``family`` (the field ``family_field``) and each of
-    ``names`` it does not read, named ``prefix.<name>``."""
-    keys = _SPECTRUM_KEYS.get(family)
-    if keys is None:
-        raise ConfigError(f"config field '{family_field}' unknown: {family!r}")
-    _refuse_unread(names, prefix, keys, f"a {family} spectrum parameter")
+    def close(self, expected=()):
+        """Refuse the first key that no accessor read and ``expected`` does not list."""
+        for key in self.obj:
+            if key not in self.read and key not in expected:
+                takes = ", ".join(dict.fromkeys([*self.read, *expected]))
+                raise ConfigError(
+                    f"config field '{self.path}.{key}' is not read here ({self.path} takes {takes})"
+                )
 
 
 def _check_either_or(family, given):
@@ -270,49 +300,47 @@ def _check_either_or(family, given):
 
 def build_spectrum(config):
     """Construct the SpectrumModel described by config['spectrum']."""
-    sec = _section(config, "spectrum")
-    family = _field(sec, "spectrum", "family", str)
-    _check_spectrum_keys(family, "spectrum.family", [k for k in sec if k != "family"], "spectrum")
-    _check_either_or(family, {k: f"spectrum.{k}" for k, v in sec.items() if v is not None})
+    sec = _Section(config).section("spectrum", required=True)
+    family = sec.get("family", _choice(*_SPECTRUM_KEYS))
+    sec.close(_SPECTRUM_KEYS[family])
+    _check_either_or(family, {k: f"spectrum.{k}" for k, v in sec.obj.items() if v is not None})
     if family == "overhauser":
-        if sec.get("coupling_c") is None:
-            coupling = coupling_from_g(_field(sec, "spectrum", "g_factor"))
+        if sec.raw("coupling_c") is None:
+            coupling = coupling_from_g(sec.get("g_factor"))
         else:
-            coupling = _field(sec, "spectrum", "coupling_c")
-        no_cutoff = sec.get("omega_e") in _NO_CUTOFF
+            coupling = sec.get("coupling_c")
+        no_cutoff = sec.raw("omega_e") in _NO_CUTOFF
         kw = dict(
-            omega_l=_field(sec, "spectrum", "omega_l"),
-            omega_e=math.inf if no_cutoff else _field(sec, "spectrum", "omega_e"),
-            gamma=_field(sec, "spectrum", "gamma", default=1.0),
+            omega_l=sec.get("omega_l"),
+            omega_e=math.inf if no_cutoff else sec.get("omega_e"),
+            gamma=sec.get("gamma", default=1.0),
             coupling_c=coupling,
         )
-        if "rms_field" in sec:
-            return OverhauserModel.from_rms(_field(sec, "spectrum", "rms_field"), **kw)
-        return OverhauserModel(s0=_field(sec, "spectrum", "s0"), **kw)
+        if sec.has("rms_field"):
+            return OverhauserModel.from_rms(sec.get("rms_field"), **kw)
+        return OverhauserModel(s0=sec.get("s0"), **kw)
     if family == "white":
-        return WhiteModel(
-            level=_field(sec, "spectrum", "level"),
-            omega_high=_field(sec, "spectrum", "omega_high"),
-        )
+        return WhiteModel(level=sec.get("level"), omega_high=sec.get("omega_high"))
     if family == "power_law":
         return PowerLawModel(
-            amplitude=_field(sec, "spectrum", "amplitude"),
-            alpha=_field(sec, "spectrum", "alpha"),
-            omega_low=_field(sec, "spectrum", "omega_low"),
-            omega_high=_field(sec, "spectrum", "omega_high"),
+            amplitude=sec.get("amplitude"),
+            alpha=sec.get("alpha"),
+            omega_low=sec.get("omega_low"),
+            omega_high=sec.get("omega_high"),
         )
-    return TabulatedModel.from_csv(_field(sec, "spectrum", "path", str))
+    return TabulatedModel.from_csv(sec.get("path", str))
 
 
 def build_qubit(config):
-    sec = _optional_section(config, "qubit")
-    _check_section_keys(sec, "qubit", _QUBIT_KEYS)
-    return QubitParams(
-        omega_q=_field(sec, "qubit", "omega_q", default=0.0),
-        coupling_c=_field(sec, "qubit", "coupling_c", default=1.0),
-        readout_flip_prob=_field(sec, "qubit", "readout_flip_prob", default=0.0),
-        dead_time=_field(sec, "qubit", "dead_time", default=0.0),
+    sec = _Section(config).section("qubit")
+    kw = dict(
+        omega_q=sec.get("omega_q", default=0.0),
+        coupling_c=sec.get("coupling_c", default=1.0),
+        readout_flip_prob=sec.get("readout_flip_prob", _flip_prob, 0.0),
+        dead_time=sec.get("dead_time", default=0.0),
     )
+    sec.close()
+    return QubitParams(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +351,10 @@ def build_qubit(config):
 def cmd_chi(config, args):
     spectrum = build_spectrum(config)
     qubit = build_qubit(config)
-    sec = _section(config, "chi")
-    taus = _grid_values(sec, "chi", "tau")
-    dts = _grid_values(sec, "chi", "delta_t")
+    sec = _Section(config).section("chi", required=True)
+    taus = sec.grid("tau")
+    dts = sec.grid("delta_t")
+    sec.close()
     tag_regime = isinstance(spectrum, OverhauserModel) and math.isfinite(
         spectrum.omega_e
     )
@@ -350,21 +379,23 @@ def cmd_chi(config, args):
 
 
 def cmd_schedule(config, args):
-    sec = _section(config, "schedule")
-    kind = _field(sec, "schedule", "kind", str)
-    dts = _grid_values(sec, "schedule", "delta_t")
+    sec = _Section(config).section("schedule", required=True)
+    kind = sec.get("kind", _choice("constant_contrast", "oneoverf"))
+    dts = sec.grid("delta_t")
     if kind == "constant_contrast":
         model = build_spectrum(config)
         if not isinstance(model, OverhauserModel):
             raise ConfigError(
                 "config field 'schedule.kind' constant_contrast needs an overhauser spectrum"
             )
-        target = _field(sec, "schedule", "target", default=2.0)
+        target = sec.get("target", _positive, 2.0)
+        sec.close()
         sched = constant_contrast_schedule(model, dts, target=target)
         notes = {"kind": kind, "target": target}
-    elif kind == "oneoverf":
-        level = _field(sec, "schedule", "level")
-        variant = _field(sec, "schedule", "variant", str, "exact")
+    else:
+        level = sec.get("level", _positive)
+        variant = sec.get("variant", _choice("exact", "literal"), "exact")
+        sec.close()
         sched = oneoverf_schedule(level, dts, variant=variant)
         notes = {
             "kind": kind,
@@ -376,39 +407,39 @@ def cmd_schedule(config, args):
                 "delta_t*exp(W0(-2*level/delta_t^2))"
             ),
         }
-    else:
-        raise ConfigError(f"config field 'schedule.kind' unknown: {kind!r}")
     sched.to_csv(args.out)
     _write_sidecar(args.out, config, notes)
 
 
-def _lags(sec, secname, shortest):
-    """``sec["lags"]`` as counts, or by default those of 1, 2, 3, 5, 8 below ``shortest``."""
-    lags = sec.get("lags")
-    if lags is None:
-        return [m for m in (1, 2, 3, 5, 8) if m < shortest]
-    return _number_list(lags, f"{secname}.lags", _count)
+def _lags(sec):
+    """``sec``'s lags as counts, or None when absent or null, for ``_default_lags``."""
+    return None if sec.raw("lags") is None else sec.numbers("lags", _count)
+
+
+def _default_lags(shortest):
+    """The lags of 1, 2, 3, 5, 8 below ``shortest``, the length of the shortest record."""
+    return [m for m in (1, 2, 3, 5, 8) if m < shortest]
 
 
 def _protocol_from_config(config):
-    sec = _section(config, "protocol")
-    _check_section_keys(sec, "protocol", _PROTOCOL_KEYS)
+    sec = _Section(config).section("protocol", required=True)
     qubit = build_qubit(config)
     prot = Protocol(
-        tau=_field(sec, "protocol", "tau"),
-        cycle_period=_field(sec, "protocol", "cycle_period"),
-        n_cycles=_field(sec, "protocol", "n_cycles", _count),
+        tau=sec.get("tau"),
+        cycle_period=sec.get("cycle_period"),
+        n_cycles=sec.get("n_cycles", _count),
         qubit=qubit,
     )
-    n_records = _field(sec, "protocol", "n_records", _count, 1)
-    lags = _lags(sec, "protocol", prot.n_cycles)
-    grid_sec = _optional_section(config, "grid")
-    _check_section_keys(grid_sec, "grid", _GRID_KEYS)
+    n_records = sec.get("n_records", _count, 1)
+    lags = _lags(sec) or _default_lags(prot.n_cycles)
+    sec.close()
+    grid_sec = _Section(config).section("grid")
     grid = GridSpec(
-        n_modes=_field(grid_sec, "grid", "n_modes", _count, 4096),
-        omega_min=_field(grid_sec, "grid", "omega_min", default=None),
-        omega_max=_field(grid_sec, "grid", "omega_max", default=None),
+        n_modes=grid_sec.get("n_modes", _count, 4096),
+        omega_min=grid_sec.get("omega_min", default=None),
+        omega_max=grid_sec.get("omega_max", default=None),
     )
+    grid_sec.close()
     return prot, n_records, lags, grid
 
 
@@ -452,9 +483,12 @@ def cmd_simulate(config, args):
 
 
 def cmd_correlate(config, args):
-    sec = _section(config, "correlate")
-    path = _field(sec, "correlate", "records", str)
-    timing = {k: sec[k] for k in ("tau", "cycle_period") if sec.get(k) is not None}
+    sec = _Section(config).section("correlate", required=True)
+    path = sec.get("records", str)
+    timing = {k: v for k in ("tau", "cycle_period") if (v := sec.raw(k)) is not None}
+    lags = _lags(sec)
+    eps = sec.get("epsilon", _flip_prob, 0.0)
+    sec.close()
     if len(timing) < 2:
         # fall back to the sidecar written by cmd_simulate
         try:
@@ -466,13 +500,9 @@ def cmd_correlate(config, args):
                 "config fields 'correlate.tau' and 'correlate.cycle_period' are "
                 f"required (no readable sidecar at {path}.json)"
             ) from None
-    records = records_from_csv(
-        path,
-        tau=_field(timing, "correlate", "tau"),
-        cycle_period=_field(timing, "correlate", "cycle_period"),
-    )
-    lags = _lags(sec, "correlate", min(len(r) for r in records))
-    eps = _field(sec, "correlate", "epsilon", default=0.0)
+    timing = _Section(timing, "correlate")
+    records = records_from_csv(path, tau=timing.get("tau"), cycle_period=timing.get("cycle_period"))
+    lags = lags or _default_lags(min(len(r) for r in records))
     curve = correlation_curve(records, lags, correct_epsilon=eps or None)
     curve.to_csv(args.out)
     _write_sidecar(args.out, config, {"n_records": len(records), "epsilon": eps})
@@ -488,58 +518,55 @@ def _load_curve(path):
 
 
 def cmd_fit(config, args):
-    sec = _section(config, "fit")
-    curve = _load_curve(_field(sec, "fit", "input", str))
-    mode = _field(sec, "fit", "mode", str, "fit")
+    sec = _Section(config).section("fit", required=True)
+    curve = _load_curve(sec.get("input", str))
+    mode = sec.get("mode", _choice("alpha", "discriminate", "fit"), "fit")
     if mode == "alpha":
-        window = sec.get("corr_window", [0.02, 0.48])
-        est = estimate_alpha_slope(
-            curve.delta_t,
-            curve.correlation,
-            curve.stderr,
-            corr_window=_number_pair(window, "fit.corr_window"),
-        )
+        window = sec.pair("corr_window", (0.02, 0.48))
+        sec.close()
+        est = estimate_alpha_slope(curve.delta_t, curve.correlation, curve.stderr, window)
         result = est.to_dict()
     elif mode == "discriminate":
         kw = {}
-        if "omega_e_bounds" in sec:
-            kw["omega_e_bounds"] = _number_pair(sec["omega_e_bounds"], "fit.omega_e_bounds")
-        if "gammas" in sec:
-            kw["gammas"] = tuple(_number_list(sec["gammas"], "fit.gammas"))
+        if sec.has("omega_e_bounds"):
+            kw["omega_e_bounds"] = sec.pair("omega_e_bounds")
+        if sec.has("gammas"):
+            kw["gammas"] = tuple(sec.numbers("gammas"))
         if "gammas" in kw and len(set(kw["gammas"])) < 2:
             raise ConfigError("config field 'fit.gammas' must name at least two distinct values")
+        kw.update(omega_l=sec.get("omega_l"), coupling_c=sec.get("coupling_c", default=1.0))
+        kw["qubit"] = build_qubit(config)
+        sec.close()
         decision = discriminate_gamma(
-            curve.delta_t,
-            curve.tau,
-            curve.correlation,
-            curve.stderr,
-            omega_l=_field(sec, "fit", "omega_l"),
-            coupling_c=_field(sec, "fit", "coupling_c", default=1.0),
-            qubit=build_qubit(config),
-            **kw,
+            curve.delta_t, curve.tau, curve.correlation, curve.stderr, **kw
         )
         result = decision.to_dict()
-    elif mode == "fit":
-        family = _field(sec, "fit", "family", str)
-        free = sec.get("free")
-        if not isinstance(free, dict) or not free:
-            raise ConfigError(
-                "config field 'fit.free' must map parameter names to [lower, upper]"
-            )
-        fixed = _optional_section(sec, "fixed", "fit.fixed")
-        _check_spectrum_keys(family, "fit.family", free, "fit.free")
-        _check_spectrum_keys(family, "fit.family", fixed, "fit.fixed")
-        both = sorted(free.keys() & fixed.keys())
+    else:
+        family = sec.get("family", _choice(*_SPECTRUM_KEYS))
+        if not isinstance(sec.raw("free"), dict) or not sec.raw("free"):
+            raise ConfigError("config field 'fit.free' must map parameter names to [lower, upper]")
+        free, fixed = sec.section("free"), sec.section("fixed")
+        free.close(_SPECTRUM_KEYS[family])
+        fixed.close(_SPECTRUM_KEYS[family])
+        both = sorted(free.obj.keys() & fixed.obj.keys())
         if both:
             raise ConfigError(
                 f"config field 'fit.fixed.{both[0]}' is also in fit.free;"
                 " a parameter is free or fixed"
             )
-        params = [FitParam(name, *_number_pair(b, f"fit.free.{name}")) for name, b in free.items()]
-        given = {k: f"fit.fixed.{k}" for k, v in fixed.items() if v is not None}
-        _check_either_or(family, {**given, **{k: f"fit.free.{k}" for k in free}})
+        params = [FitParam(name, *free.pair(name)) for name in free.obj]
+        given = {k: f"fit.fixed.{k}" for k, v in fixed.obj.items() if v is not None}
+        _check_either_or(family, {**given, **{k: f"fit.free.{k}" for k in free.obj}})
+        init = None
+        if sec.raw("init") is not None:
+            init = sec.section("init")
+            init.close(free.obj)
+            init = {k: init.get(k) for k in free.obj}
+        n_starts = sec.get("n_starts", _count, 8)
+        max_eval = sec.get("max_eval", _count, 10000)
+        sec.close()
 
-        def build(values, family=family, fixed=fixed):
+        def build(values, family=family, fixed=fixed.obj):
             spec = {"family": family, **fixed, **values}
             return build_spectrum({"spectrum": spec})
 
@@ -552,31 +579,16 @@ def cmd_fit(config, args):
             params=tuple(params),
             qubit=build_qubit(config),
         )
-        init = sec.get("init")
-        if init is not None:
-            init = _optional_section(sec, "init", "fit.init")
-            unknown = [k for k in init if k not in free]
-            if unknown:
-                raise ConfigError(f"config field 'fit.init.{unknown[0]}' is not in fit.free")
-            init = {k: _field(init, "fit.init", k) for k in free}
-        res = fit(
-            problem,
-            init=init,
-            n_starts=_field(sec, "fit", "n_starts", _count, 8),
-            max_eval=_field(sec, "fit", "max_eval", _count, 10000),
-            seed=args.seed,
-        )
+        res = fit(problem, init=init, n_starts=n_starts, max_eval=max_eval, seed=args.seed)
         result = res.to_dict()
-    else:
-        raise ConfigError(f"config field 'fit.mode' unknown: {mode!r}")
     _write_json(args.out, config, mode=mode, result=result)
 
 
-def _figure_model(sec, secname, rms_default, gamma=1.0, omega_e_scale=1.0):
-    omega_l = _field(sec, secname, "omega_l", default=TWO_PI * 0.1)
-    omega_e = _field(sec, secname, "omega_e", default=TWO_PI * 1.0e4) * omega_e_scale
-    g = _field(sec, secname, "g_factor", default=-0.44)
-    rms = _field(sec, secname, "rms_field", default=rms_default)
+def _figure_model(sec, rms_default, gamma=1.0, omega_e_scale=1.0):
+    omega_l = sec.get("omega_l", default=TWO_PI * 0.1)
+    omega_e = sec.get("omega_e", default=TWO_PI * 1.0e4) * omega_e_scale
+    g = sec.get("g_factor", default=-0.44)
+    rms = sec.get("rms_field", default=rms_default)
     return OverhauserModel.from_rms(rms, omega_l, omega_e, gamma, coupling_from_g(g))
 
 
@@ -584,19 +596,12 @@ def cmd_figure2(config, args):
     # correlator vs delay for a ladder of evolution times; no canonical
     # rms amplitude exists, so the default is an assumption recorded in
     # the sidecar
-    sec = _optional_section(config, "figure2")
+    sec = _Section(config).section("figure2")
     rms_default = 3.0e-5
-    model = _figure_model(sec, "figure2", rms_default)
-    taus = (
-        _number_list(sec["tau"], "figure2.tau")
-        if "tau" in sec
-        else np.geomspace(5.0e-8, 5.0e-6, 5)
-    )
-    dts = (
-        _grid_values(sec, "figure2", "delta_t")
-        if "delta_t" in sec
-        else np.geomspace(1.0e-6, 1.0e2, 41)
-    )
+    model = _figure_model(sec, rms_default)
+    taus = sec.numbers("tau", default=np.geomspace(5.0e-8, 5.0e-6, 5))
+    dts = sec.grid("delta_t", np.geomspace(1.0e-6, 1.0e2, 41))
+    sec.close()
     rows = []
     for tau in taus:
         for dt in dts:
@@ -609,8 +614,8 @@ def cmd_figure2(config, args):
         args.out,
         config,
         {
-            "rms_field": _field(sec, "figure2", "rms_field", default=rms_default),
-            "rms_field_is_assumption": "rms_field" not in sec,
+            "rms_field": sec.get("rms_field", default=rms_default),
+            "rms_field_is_assumption": not sec.has("rms_field"),
         },
     )
 
@@ -618,20 +623,17 @@ def cmd_figure2(config, args):
 def cmd_figure3a(config, args):
     # constant-contrast curves for four spectrum variants sharing the
     # gamma=1 schedule: gamma1, gamma2, doubled cutoff, and no cutoff
-    sec = _optional_section(config, "figure3a")
+    sec = _Section(config).section("figure3a")
     rms_default = 7.0e-3
-    dts = (
-        _grid_values(sec, "figure3a", "delta_t")
-        if "delta_t" in sec
-        else np.geomspace(1.0e-5, 20.0, 40)
-    )
-    target = _field(sec, "figure3a", "target", default=2.0)
-    base = _figure_model(sec, "figure3a", rms_default, gamma=1.0)
+    dts = sec.grid("delta_t", np.geomspace(1.0e-5, 20.0, 40))
+    target = sec.get("target", _positive, 2.0)
+    base = _figure_model(sec, rms_default, gamma=1.0)
+    sec.close()
     sched = constant_contrast_schedule(base, dts, target=target)
     variants = {
         "gamma1": base,
-        "gamma2": _figure_model(sec, "figure3a", rms_default, gamma=2.0),
-        "omega_e_x2": _figure_model(sec, "figure3a", rms_default, omega_e_scale=2.0),
+        "gamma2": _figure_model(sec, rms_default, gamma=2.0),
+        "omega_e_x2": _figure_model(sec, rms_default, omega_e_scale=2.0),
         "no_cutoff": OverhauserModel(
             s0=base.s0,
             omega_l=base.omega_l,
@@ -652,25 +654,22 @@ def cmd_figure3a(config, args):
         {
             "schedule": "constant contrast on the gamma1 variant, shared by all curves",
             "target": target,
-            "rms_field_is_assumption": "rms_field" not in sec,
+            "rms_field_is_assumption": not sec.has("rms_field"),
         },
     )
 
 
 def cmd_figure3b(config, args):
     # pair exponent along the 1/f schedule for slopes around 1
-    sec = _optional_section(config, "figure3b")
-    level = _field(sec, "figure3b", "level", default=1.0e-7)
-    variant = _field(sec, "figure3b", "variant", str, "exact")
-    alphas = _number_list(sec.get("alpha", [0.9, 1.0, 1.1]), "figure3b.alpha")
-    dts = (
-        _grid_values(sec, "figure3b", "delta_t")
-        if "delta_t" in sec
-        else np.geomspace(3.0e-3, 3.0, 16)
-    )
-    amplitude = _field(sec, "figure3b", "amplitude", default=math.pi / level)
-    omega_low = _field(sec, "figure3b", "omega_low", default=1.0e-5)
-    omega_high = _field(sec, "figure3b", "omega_high", default=1.0e8)
+    sec = _Section(config).section("figure3b")
+    level = sec.get("level", _positive, 1.0e-7)
+    variant = sec.get("variant", _choice("exact", "literal"), "exact")
+    alphas = sec.numbers("alpha", default=[0.9, 1.0, 1.1])
+    dts = sec.grid("delta_t", np.geomspace(3.0e-3, 3.0, 16))
+    amplitude = sec.get("amplitude", default=math.pi / level)
+    omega_low = sec.get("omega_low", default=1.0e-5)
+    omega_high = sec.get("omega_high", default=1.0e8)
+    sec.close()
     sched = oneoverf_schedule(level, dts, variant=variant)
     rows = []
     for alpha in alphas:
@@ -730,7 +729,7 @@ def _parser():
             help="JSON config file" + ("" if config_required else " (optional)"),
         )
         sp.add_argument("--out", required=True, help="output artifact path")
-        sp.add_argument("--seed", type=_seed, default=0, help="random seed (simulate)")
+        sp.add_argument("--seed", type=_seed, default=0, help="random seed (simulate, fit mode)")
         sp.add_argument(
             "--freq-units",
             choices=("hz", "rad"),

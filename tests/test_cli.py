@@ -789,6 +789,11 @@ def _fit_names(free, fixed, family="white"):
     return build
 
 
+def _added(command, field, value):
+    """A builder: the ``CONTRACT_CASES`` config of ``command`` with ``field`` added as ``value``."""
+    return lambda d: _with(CONTRACT_CASES[command](d), field, value)
+
+
 WHITE_FREE = {"level": [1e1, 1e5]}
 WHITE_FIXED = {"omega_high": 1e6}
 
@@ -798,8 +803,9 @@ OVERHAUSER_FIXED = {"omega_l": 1.0, "omega_e": 1e4, "coupling_c": 1.0}
 # that the spectrum family does not read was ignored, or, in fit mode,
 # fitted while nothing read it; so was one field of an either/or pair
 # given both ways (rms_field won over s0, a non-null coupling_c over
-# g_factor); so was a key that the protocol, qubit or grid section does
-# not read (a flip probability under protocol ran with no flips)
+# g_factor); so was a key that its section or grid object does not read
+# (a flip probability under protocol ran with no flips, a misspelled
+# correlate.lags ran the default lags, a misspelled spacing a log grid)
 _BAD_SPECTRUM_NAMES = [
     ("chi", _chi_spectrum(dict(OVERHAUSER_SPEC, gama=2)), "spectrum.gama"),
     ("chi", _chi_spectrum({"family": "white", "level": 1.0, **WHITE_FIXED, "s0": 1.0}), "spectrum.s0"),
@@ -843,6 +849,28 @@ _BAD_SPECTRUM_NAMES = [
     ("simulate", _sim_section_key("protocol", "readout_flip_prob"), "protocol.readout_flip_prob"),
     ("simulate", _sim_section_key("qubit", "omega_Q"), "qubit.omega_Q"),
     ("simulate", _sim_section_key("grid", "n_mode"), "grid.n_mode"),
+    ("chi", _added("chi", "chi.omega_q", 5.0), "chi.omega_q"),
+    (
+        "chi",
+        lambda d: _chi(d, {"start": 1e-3, "stop": 1.0, "num": 3, "spcing": "linear"}),
+        "chi.delta_t.spcing",
+    ),
+    (
+        "schedule",
+        lambda d: {
+            "spectrum": dict(OVERHAUSER_SPEC),
+            "schedule": {"kind": "constant_contrast", "delta_t": [1e-3], "targt": 3.0},
+        },
+        "schedule.targt",
+    ),
+    ("schedule", _added("schedule", "schedule.varient", "literal"), "schedule.varient"),
+    ("correlate", _added("correlate", "correlate.lag", [7]), "correlate.lag"),
+    ("fit", lambda d: _fit("alpha", "omega_l")(d, 1.0), "fit.omega_l"),
+    ("fit", lambda d: _fit("discriminate", "gamma")(d, 2.0), "fit.gamma"),
+    ("fit", lambda d: _with(_fit_names(WHITE_FREE, WHITE_FIXED)(d), "fit.n_start", 4), "fit.n_start"),
+    ("figure2", _added("figure2", "figure2.taus", [1e-6]), "figure2.taus"),
+    ("figure3a", _added("figure3a", "figure3a.targt", 3.0), "figure3a.targt"),
+    ("figure3b", _added("figure3b", "figure3b.alphas", [1.1]), "figure3b.alphas"),
 ]
 
 
@@ -1114,6 +1142,17 @@ _FLOAT_BASES = {
     "simulate": ("simulate", CONTRACT_CASES["simulate"]),
     "simulate_overhauser": _spectrum("simulate", OVERHAUSER_SPEC),
     "correlate": ("correlate", CONTRACT_CASES["correlate"]),
+    "simulate_qubit": ("simulate", lambda d: dict(CONTRACT_CASES["simulate"](d), qubit={})),
+    "schedule": ("schedule", CONTRACT_CASES["schedule"]),
+    "schedule_cc": (
+        "schedule",
+        lambda d: {
+            "spectrum": dict(OVERHAUSER_SPEC),
+            "schedule": {"kind": "constant_contrast", "delta_t": [1e-3]},
+        },
+    ),
+    "figure3a": ("figure3a", CONTRACT_CASES["figure3a"]),
+    "figure3b": ("figure3b", CONTRACT_CASES["figure3b"]),
 }
 _BAD_FLOATS = [
     ("chi", "chi.delta_t", True),
@@ -1131,6 +1170,17 @@ _BAD_FLOATS = [
     ("correlate", "correlate.cycle_period", True),
     ("chi_white", "spectrum.level", _HUGE),
     ("chi", "chi.delta_t", [_HUGE]),
+    # values out of range, or an unknown variant, were refused by the
+    # library in messages that named no field, epsilon only after every
+    # record was read, and a figure3b level of 0 divided by zero
+    ("schedule", "schedule.variant", "exactt"),
+    ("figure3b", "figure3b.variant", "exactt"),
+    ("schedule_cc", "schedule.target", 0.0),
+    ("figure3a", "figure3a.target", -2.0),
+    ("correlate", "correlate.epsilon", 0.5),
+    ("simulate_qubit", "qubit.readout_flip_prob", 0.5),
+    ("schedule", "schedule.level", 0.0),
+    ("figure3b", "figure3b.level", 0.0),
 ]
 
 
