@@ -11,6 +11,7 @@ deterministic command-line interface.
 __version__ = "0.1.0"
 
 from .numerics import (  # noqa: F401
+    ParamError,
     QuadratureError,
     QuadratureResult,
     QuadratureSpec,

@@ -14,8 +14,10 @@ the resolved config and the package version; JSON artifacts embed the
 same echo inline.  Bad input, I/O failures and quadrature failures exit
 with status 1 and one ``error:`` line.  A key that its section, or its
 grid object, does not read is bad input, named by its field; ``fit`` reads
-the keys of its ``fit.mode``.  Top-level sections a command does not use
-are allowed, so one config may serve several commands.
+the keys of its ``fit.mode``.  Range rules live in the library alone: its
+``ParamError`` names the parameter, and the section that passed it names
+the config field.  Top-level sections a command does not use are allowed,
+so one config may serve several commands.
 """
 
 import argparse
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,7 +58,7 @@ from .montecarlo import (
     records_to_csv,
     run_protocol,
 )
-from .numerics import QuadratureError
+from .numerics import ParamError, QuadratureError
 from .schedules import (
     build_schedule,
     constant_contrast_schedule,
@@ -141,22 +144,6 @@ def _real(val):
     return out
 
 
-def _positive(val):
-    """A finite JSON number above 0."""
-    out = _real(val)
-    if not out > 0:
-        raise ValueError(f"{val!r} is not positive")
-    return out
-
-
-def _flip_prob(val):
-    """A readout flip probability: a finite JSON number in [0, 0.5)."""
-    out = _real(val)
-    if not 0 <= out < 0.5:
-        raise ValueError(f"{val!r} is not in [0, 0.5)")
-    return out
-
-
 def _choice(*names):
     """The kind that takes one of ``names``."""
     def kind(val):
@@ -187,6 +174,8 @@ class _Section:
     Each accessor records the key it reads, given or not, so the reads list
     the keys a section takes and ``close`` refuses any other.  ``path``
     names the object in messages; the config root has none and stays open.
+    As a context manager, the section turns a ``ParamError`` that refuses
+    one of its reads into a ``ConfigError`` naming the field.
     """
 
     def __init__(self, obj, path=""):
@@ -198,6 +187,13 @@ class _Section:
         """The dotted name of ``key``, which now counts as read."""
         self.read[key] = None
         return f"{self.path}.{key}" if self.path else key
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, tb):
+        if isinstance(err, ParamError) and err.name in self.read:
+            raise ConfigError(f"config field '{self._name(err.name)}': {err}") from None
 
     def has(self, key):
         self._name(key)
@@ -301,9 +297,15 @@ def _check_either_or(family, given):
 def build_spectrum(config):
     """Construct the SpectrumModel described by config['spectrum']."""
     sec = _Section(config).section("spectrum", required=True)
+    with sec:
+        return _spectrum(sec)
+
+
+def _spectrum(sec):
+    """The SpectrumModel of ``sec``, a spectrum object; the caller names its range errors."""
     family = sec.get("family", _choice(*_SPECTRUM_KEYS))
     sec.close(_SPECTRUM_KEYS[family])
-    _check_either_or(family, {k: f"spectrum.{k}" for k, v in sec.obj.items() if v is not None})
+    _check_either_or(family, {k: sec._name(k) for k, v in sec.obj.items() if v is not None})
     if family == "overhauser":
         if sec.raw("coupling_c") is None:
             coupling = coupling_from_g(sec.get("g_factor"))
@@ -336,11 +338,12 @@ def build_qubit(config):
     kw = dict(
         omega_q=sec.get("omega_q", default=0.0),
         coupling_c=sec.get("coupling_c", default=1.0),
-        readout_flip_prob=sec.get("readout_flip_prob", _flip_prob, 0.0),
+        readout_flip_prob=sec.get("readout_flip_prob", default=0.0),
         dead_time=sec.get("dead_time", default=0.0),
     )
     sec.close()
-    return QubitParams(**kw)
+    with sec:
+        return QubitParams(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +364,16 @@ def cmd_chi(config, args):
     header = ["delta_t", "tau", "chi_minus", "chi_plus", "correlation"]
     if tag_regime:
         header.append("regime")
+    with sec:
+        pairs = [EvolutionPair(tau, dt) for tau in taus for dt in dts]
     rows = []
-    for tau in taus:
-        for dt in dts:
-            pair = EvolutionPair(tau, dt)
-            cm, cp = chi_pair(spectrum, pair)
-            corr = correlator_from_chi(cm, cp, pair.tau, qubit.omega_q)
-            row = [dt, tau, cm, cp, corr]
-            if tag_regime:
-                row.append(chi_minus_branch(spectrum, pair.delta_t))
-            rows.append(row)
+    for pair in pairs:
+        cm, cp = chi_pair(spectrum, pair)
+        corr = correlator_from_chi(cm, cp, pair.tau, qubit.omega_q)
+        row = [pair.delta_t, pair.tau, cm, cp, corr]
+        if tag_regime:
+            row.append(chi_minus_branch(spectrum, pair.delta_t))
+        rows.append(row)
     write_csv(args.out, header, rows)
     notes = {"regime_column": tag_regime}
     if isinstance(spectrum, OverhauserModel) and not tag_regime:
@@ -388,15 +391,17 @@ def cmd_schedule(config, args):
             raise ConfigError(
                 "config field 'schedule.kind' constant_contrast needs an overhauser spectrum"
             )
-        target = sec.get("target", _positive, 2.0)
+        target = sec.get("target", default=2.0)
         sec.close()
-        sched = constant_contrast_schedule(model, dts, target=target)
+        with sec:
+            sched = constant_contrast_schedule(model, dts, target=target)
         notes = {"kind": kind, "target": target}
     else:
-        level = sec.get("level", _positive)
-        variant = sec.get("variant", _choice("exact", "literal"), "exact")
+        level = sec.get("level")
+        variant = sec.get("variant", str, "exact")
         sec.close()
-        sched = oneoverf_schedule(level, dts, variant=variant)
+        with sec:
+            sched = oneoverf_schedule(level, dts, variant=variant)
         notes = {
             "kind": kind,
             "level": level,
@@ -421,28 +426,6 @@ def _default_lags(shortest):
     return [m for m in (1, 2, 3, 5, 8) if m < shortest]
 
 
-def _protocol_from_config(config):
-    sec = _Section(config).section("protocol", required=True)
-    qubit = build_qubit(config)
-    prot = Protocol(
-        tau=sec.get("tau"),
-        cycle_period=sec.get("cycle_period"),
-        n_cycles=sec.get("n_cycles", _count),
-        qubit=qubit,
-    )
-    n_records = sec.get("n_records", _count, 1)
-    lags = _lags(sec) or _default_lags(prot.n_cycles)
-    sec.close()
-    grid_sec = _Section(config).section("grid")
-    grid = GridSpec(
-        n_modes=grid_sec.get("n_modes", _count, 4096),
-        omega_min=grid_sec.get("omega_min", default=None),
-        omega_max=grid_sec.get("omega_max", default=None),
-    )
-    grid_sec.close()
-    return prot, n_records, lags, grid
-
-
 def _records_path(out):
     root, ext = os.path.splitext(str(out))
     return root + ".records" + (ext or ".csv")
@@ -450,10 +433,30 @@ def _records_path(out):
 
 def cmd_simulate(config, args):
     spectrum = build_spectrum(config)
-    prot, n_records, lags, grid = _protocol_from_config(config)
-    eps = prot.qubit.readout_flip_prob
-    records = run_protocol(spectrum, prot, n_records, seed=args.seed, grid=grid)
-    raw = correlation_curve(records, lags)
+    sec = _Section(config).section("protocol", required=True)
+    qubit = build_qubit(config)
+    with sec:
+        prot = Protocol(
+            tau=sec.get("tau"),
+            cycle_period=sec.get("cycle_period"),
+            n_cycles=sec.get("n_cycles", _count),
+            qubit=qubit,
+        )
+    n_records = sec.get("n_records", _count, 1)
+    lags = _lags(sec) or _default_lags(prot.n_cycles)
+    sec.close()
+    grid_sec = _Section(config).section("grid")
+    with grid_sec:
+        grid = GridSpec(
+            n_modes=grid_sec.get("n_modes", _count, 4096),
+            omega_min=grid_sec.get("omega_min", default=None),
+            omega_max=grid_sec.get("omega_max", default=None),
+        )
+    grid_sec.close()
+    eps = qubit.readout_flip_prob
+    with sec:
+        records = run_protocol(spectrum, prot, n_records, seed=args.seed, grid=grid)
+        raw = correlation_curve(records, lags)
     header = ["delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"]
     columns = [raw.delta_t, raw.tau, raw.correlation, raw.stderr, raw.n_pairs]
     if eps > 0.0:
@@ -487,7 +490,7 @@ def cmd_correlate(config, args):
     path = sec.get("records", str)
     timing = {k: v for k in ("tau", "cycle_period") if (v := sec.raw(k)) is not None}
     lags = _lags(sec)
-    eps = sec.get("epsilon", _flip_prob, 0.0)
+    eps = sec.get("epsilon", default=0.0)
     sec.close()
     if len(timing) < 2:
         # fall back to the sidecar written by cmd_simulate
@@ -501,9 +504,11 @@ def cmd_correlate(config, args):
                 f"required (no readable sidecar at {path}.json)"
             ) from None
     timing = _Section(timing, "correlate")
-    records = records_from_csv(path, tau=timing.get("tau"), cycle_period=timing.get("cycle_period"))
+    with timing:
+        records = records_from_csv(path, tau=timing.get("tau"), cycle_period=timing.get("cycle_period"))
     lags = lags or _default_lags(min(len(r) for r in records))
-    curve = correlation_curve(records, lags, correct_epsilon=eps or None)
+    with sec:
+        curve = correlation_curve(records, lags, correct_epsilon=eps or None)
     curve.to_csv(args.out)
     _write_sidecar(args.out, config, {"n_records": len(records), "epsilon": eps})
 
@@ -537,9 +542,8 @@ def cmd_fit(config, args):
         kw.update(omega_l=sec.get("omega_l"), coupling_c=sec.get("coupling_c", default=1.0))
         kw["qubit"] = build_qubit(config)
         sec.close()
-        decision = discriminate_gamma(
-            curve.delta_t, curve.tau, curve.correlation, curve.stderr, **kw
-        )
+        with sec:
+            decision = discriminate_gamma(curve.delta_t, curve.tau, curve.correlation, curve.stderr, **kw)
         result = decision.to_dict()
     else:
         family = sec.get("family", _choice(*_SPECTRUM_KEYS))
@@ -554,9 +558,11 @@ def cmd_fit(config, args):
                 f"config field 'fit.fixed.{both[0]}' is also in fit.free;"
                 " a parameter is free or fixed"
             )
-        params = [FitParam(name, *free.pair(name)) for name in free.obj]
-        given = {k: f"fit.fixed.{k}" for k, v in fixed.obj.items() if v is not None}
-        _check_either_or(family, {**given, **{k: f"fit.free.{k}" for k in free.obj}})
+        with free:
+            params = [FitParam(name, *free.pair(name)) for name in free.obj]
+        # the fixed values count as read, so their range errors name fit.fixed
+        given = {k: fixed._name(k) for k, v in fixed.obj.items() if v is not None}
+        _check_either_or(family, {**given, **{k: free._name(k) for k in free.obj}})
         init = None
         if sec.raw("init") is not None:
             init = sec.section("init")
@@ -567,8 +573,8 @@ def cmd_fit(config, args):
         sec.close()
 
         def build(values, family=family, fixed=fixed.obj):
-            spec = {"family": family, **fixed, **values}
-            return build_spectrum({"spectrum": spec})
+            # free values are floats already, so only a fixed value fails to convert
+            return _spectrum(_Section({"family": family, **fixed, **values}, "fit.fixed"))
 
         problem = FitProblem(
             delta_t=curve.delta_t,
@@ -579,17 +585,18 @@ def cmd_fit(config, args):
             params=tuple(params),
             qubit=build_qubit(config),
         )
-        res = fit(problem, init=init, n_starts=n_starts, max_eval=max_eval, seed=args.seed)
+        with sec, free, fixed:
+            res = fit(problem, init=init, n_starts=n_starts, max_eval=max_eval, seed=args.seed)
         result = res.to_dict()
     _write_json(args.out, config, mode=mode, result=result)
 
 
-def _figure_model(sec, rms_default, gamma=1.0, omega_e_scale=1.0):
+def _figure_model(sec, rms):
+    """The gamma = 1 spectrum of a figure section whose rms field is ``rms``."""
     omega_l = sec.get("omega_l", default=TWO_PI * 0.1)
-    omega_e = sec.get("omega_e", default=TWO_PI * 1.0e4) * omega_e_scale
+    omega_e = sec.get("omega_e", default=TWO_PI * 1.0e4)
     g = sec.get("g_factor", default=-0.44)
-    rms = sec.get("rms_field", default=rms_default)
-    return OverhauserModel.from_rms(rms, omega_l, omega_e, gamma, coupling_from_g(g))
+    return OverhauserModel.from_rms(rms, omega_l, omega_e, 1.0, coupling_from_g(g))
 
 
 def cmd_figure2(config, args):
@@ -597,50 +604,38 @@ def cmd_figure2(config, args):
     # rms amplitude exists, so the default is an assumption recorded in
     # the sidecar
     sec = _Section(config).section("figure2")
-    rms_default = 3.0e-5
-    model = _figure_model(sec, rms_default)
+    rms = sec.get("rms_field", default=3.0e-5)
     taus = sec.numbers("tau", default=np.geomspace(5.0e-8, 5.0e-6, 5))
     dts = sec.grid("delta_t", np.geomspace(1.0e-6, 1.0e2, 41))
-    sec.close()
+    with sec:
+        model = _figure_model(sec, rms)
+        sec.close()
+        pairs = [EvolutionPair(tau, dt) for tau in taus for dt in dts]
     rows = []
-    for tau in taus:
-        for dt in dts:
-            pair = EvolutionPair(tau, dt)
-            cm, cp = chi_pair(model, pair)
-            corr = correlator_from_chi(cm, cp, pair.tau)
-            rows.append([dt, tau, corr, cm, "" if pair.is_physical else "unphysical"])
+    for pair in pairs:
+        cm, cp = chi_pair(model, pair)
+        corr = correlator_from_chi(cm, cp, pair.tau)
+        rows.append([pair.delta_t, pair.tau, corr, cm, "" if pair.is_physical else "unphysical"])
     write_csv(args.out, ["delta_t_s", "tau_s", "correlation", "chi_minus", "flags"], rows)
-    _write_sidecar(
-        args.out,
-        config,
-        {
-            "rms_field": sec.get("rms_field", default=rms_default),
-            "rms_field_is_assumption": not sec.has("rms_field"),
-        },
-    )
+    notes = {"rms_field": rms, "rms_field_is_assumption": not sec.has("rms_field")}
+    _write_sidecar(args.out, config, notes)
 
 
 def cmd_figure3a(config, args):
     # constant-contrast curves for four spectrum variants sharing the
     # gamma=1 schedule: gamma1, gamma2, doubled cutoff, and no cutoff
     sec = _Section(config).section("figure3a")
-    rms_default = 7.0e-3
     dts = sec.grid("delta_t", np.geomspace(1.0e-5, 20.0, 40))
-    target = sec.get("target", _positive, 2.0)
-    base = _figure_model(sec, rms_default, gamma=1.0)
-    sec.close()
-    sched = constant_contrast_schedule(base, dts, target=target)
+    target = sec.get("target", default=2.0)
+    with sec:
+        base = _figure_model(sec, sec.get("rms_field", default=7.0e-3))
+        sec.close()
+        sched = constant_contrast_schedule(base, dts, target=target)
     variants = {
         "gamma1": base,
-        "gamma2": _figure_model(sec, rms_default, gamma=2.0),
-        "omega_e_x2": _figure_model(sec, rms_default, omega_e_scale=2.0),
-        "no_cutoff": OverhauserModel(
-            s0=base.s0,
-            omega_l=base.omega_l,
-            omega_e=math.inf,
-            gamma=1.0,
-            coupling_c=base.coupling_c,
-        ),
+        "gamma2": replace(base, gamma=2.0),
+        "omega_e_x2": replace(base, omega_e=2.0 * base.omega_e),
+        "no_cutoff": replace(base, omega_e=math.inf),
     }
     rows = []
     for name, model in variants.items():
@@ -662,20 +657,23 @@ def cmd_figure3a(config, args):
 def cmd_figure3b(config, args):
     # pair exponent along the 1/f schedule for slopes around 1
     sec = _Section(config).section("figure3b")
-    level = sec.get("level", _positive, 1.0e-7)
-    variant = sec.get("variant", _choice("exact", "literal"), "exact")
+    level = sec.get("level", default=1.0e-7)
+    variant = sec.get("variant", str, "exact")
     alphas = sec.numbers("alpha", default=[0.9, 1.0, 1.1])
     dts = sec.grid("delta_t", np.geomspace(3.0e-3, 3.0, 16))
-    amplitude = sec.get("amplitude", default=math.pi / level)
-    omega_low = sec.get("omega_low", default=1.0e-5)
-    omega_high = sec.get("omega_high", default=1.0e8)
-    sec.close()
-    sched = oneoverf_schedule(level, dts, variant=variant)
+    with sec:
+        # the schedule refuses a bad level before the default amplitude divides by it
+        sched = oneoverf_schedule(level, dts, variant=variant)
+        amplitude = sec.get("amplitude", default=math.pi / level)
+        omega_low = sec.get("omega_low", default=1.0e-5)
+        omega_high = sec.get("omega_high", default=1.0e8)
+        sec.close()
+        models = [
+            PowerLawModel(amplitude=amplitude, alpha=a, omega_low=omega_low, omega_high=omega_high)
+            for a in alphas
+        ]
     rows = []
-    for alpha in alphas:
-        model = PowerLawModel(
-            amplitude=amplitude, alpha=alpha, omega_low=omega_low, omega_high=omega_high
-        )
+    for alpha, model in zip(alphas, models):
         for pair in sched.pairs():
             cm, cp = chi_pair(model, pair)
             corr = correlator_from_chi(cm, cp, pair.tau)

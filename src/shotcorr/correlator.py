@@ -53,6 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import (
+    ParamError,
     QuadratureError,
     QuadratureSpec,
     filon_cos_integral,
@@ -104,9 +105,9 @@ class EvolutionPair:
     def __post_init__(self):
         require_finite(self, "tau", "delta_t")
         if not self.tau > 0:
-            raise ValueError("tau must be positive")
+            raise ParamError("tau", "tau must be positive")
         if self.delta_t < 0:
-            raise ValueError("delta_t must be nonnegative")
+            raise ParamError("delta_t", "delta_t must be nonnegative")
 
     @property
     def is_physical(self) -> bool:
@@ -133,9 +134,9 @@ class QubitParams:
     def __post_init__(self):
         require_finite(self, "omega_q", "coupling_c", "readout_flip_prob", "dead_time")
         if not 0 <= self.readout_flip_prob < 0.5:
-            raise ValueError("readout_flip_prob must lie in [0, 0.5)")
+            raise ParamError("readout_flip_prob", "readout_flip_prob must lie in [0, 0.5)")
         if self.dead_time < 0:
-            raise ValueError("dead_time must be nonnegative")
+            raise ParamError("dead_time", "dead_time must be nonnegative")
 
 
 def filter_F(omega, pair: EvolutionPair):
@@ -642,5 +643,5 @@ def correct_fidelity(raw_correlation, epsilon: float):
     error too.  Takes a scalar or a NumPy array of estimates.
     """
     if not 0 <= epsilon < 0.5:
-        raise ValueError("epsilon must lie in [0, 0.5)")
+        raise ParamError("epsilon", "epsilon must lie in [0, 0.5)")
     return raw_correlation / (1.0 - 2.0 * epsilon) ** 2

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .correlator import ChiPlan, EvolutionPair, QubitParams, chi_pair, correlator_from_chi
-from .numerics import require_finite
+from .numerics import ParamError, require_finite
 from .spectra import OverhauserModel, SpectrumModel
 
 __all__ = [
@@ -71,9 +71,9 @@ class FitParam:
     def __post_init__(self):
         require_finite(self, "lower", "upper")
         if not self.upper > self.lower:
-            raise ValueError(f"{self.name}: upper bound must exceed lower")
+            raise ParamError(self.name, f"{self.name}: upper bound must exceed lower")
         if self.log_scale and not self.lower > 0:
-            raise ValueError(f"{self.name}: log-scale parameters need positive bounds")
+            raise ParamError(self.name, f"{self.name}: log-scale parameters need positive bounds")
 
 
 def _curve_arrays(delta_t, tau, correlation, stderr):
@@ -226,7 +226,7 @@ def fit(
     verdict on the winning start.
     """
     if n_starts < 0 or (n_starts == 0 and init is None):
-        raise ValueError(f"n_starts must be at least 1, or 0 with init; got {n_starts}")
+        raise ParamError("n_starts", f"n_starts must be at least 1, or 0 with init; got {n_starts}")
     from scipy import optimize
     from scipy.stats import qmc
 
@@ -250,10 +250,10 @@ def fit(
     if init is not None:
         missing = [p.name for p in pars if p.name not in init]
         if missing:
-            raise ValueError(f"init missing free parameters: {', '.join(missing)}")
+            raise ParamError("init", f"init missing free parameters: {', '.join(missing)}")
         x_init = np.array([_to_internal(init[p.name], p) for p in pars])
         if np.any(x_init < lo) or np.any(x_init > hi):
-            raise ValueError("init lies outside the parameter bounds")
+            raise ParamError("init", "init lies outside the parameter bounds")
         starts = np.vstack([x_init, starts])
     budget = max(max_eval // max(n_starts, 1), 50)
     runs = [
@@ -406,7 +406,7 @@ def discriminate_gamma(
     """
     gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
-        raise ValueError("gammas must name at least one cutoff shape")
+        raise ParamError("gammas", "gammas must name at least one cutoff shape")
     dt, tv, corr, se = _curve_arrays(delta_t, tau, correlation, stderr)
     if len(dt) < 4:
         raise ValueError("need at least 4 points to compare cutoff shapes")
@@ -415,7 +415,7 @@ def discriminate_gamma(
         omega_e_bounds = (max(1e-2 / dt.max(), 3.0 * omega_l), 1e2 / dt.min())
     lo_e, hi_e = omega_e_bounds
     if not (hi_e > lo_e > omega_l):
-        raise ValueError("omega_e_bounds must be above omega_l and increasing")
+        raise ParamError("omega_e_bounds", "omega_e_bounds must be above omega_l and increasing")
     from scipy import optimize
 
     we_top = hi_e * 10.0 ** (_FD_STEP * max(1.0, abs(math.log10(hi_e))))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import csvio
 from .correlator import QubitParams, correct_fidelity
-from .numerics import require_finite
+from .numerics import ParamError, require_finite
 from .spectra import SpectrumModel, window_top
 
 __all__ = [
@@ -75,15 +75,15 @@ class GridSpec:
         given = [k for k in ("omega_min", "omega_max") if getattr(self, k) is not None]
         require_finite(self, *given)
         if self.n_modes < 256:
-            raise ValueError("n_modes must be at least 256")
+            raise ParamError("n_modes", "n_modes must be at least 256")
         if self.omega_min is not None and not self.omega_min > 0:
-            raise ValueError("omega_min must be positive")
+            raise ParamError("omega_min", "omega_min must be positive")
         if (
             self.omega_min is not None
             and self.omega_max is not None
             and not self.omega_max > self.omega_min
         ):
-            raise ValueError("omega_max must exceed omega_min")
+            raise ParamError("omega_max", "omega_max must exceed omega_min")
 
     def resolve(self, spectrum: SpectrumModel, duration: float):
         lo = self.omega_min
@@ -167,14 +167,15 @@ class Protocol:
     def __post_init__(self):
         require_finite(self, "tau", "cycle_period")
         if not self.tau > 0:
-            raise ValueError("tau must be positive")
+            raise ParamError("tau", "tau must be positive")
         if not self.cycle_period >= self.tau + self.qubit.dead_time:
-            raise ValueError(
+            raise ParamError(
+                "cycle_period",
                 "cycle_period must cover tau plus dead_time "
                 f"({self.cycle_period} < {self.tau} + {self.qubit.dead_time})"
             )
         if self.n_cycles < 2:
-            raise ValueError("n_cycles must be at least 2")
+            raise ParamError("n_cycles", "n_cycles must be at least 2")
 
     @property
     def duration(self) -> float:
@@ -183,13 +184,18 @@ class Protocol:
 
 @dataclass(frozen=True, eq=False)
 class ShotRecord:
-    """Outcomes (+1/-1) of one simulated record."""
+    """Outcomes (+1/-1) of one record, taken every cycle_period with tau <= cycle_period."""
 
     outcomes: np.ndarray
     tau: float
     cycle_period: float
 
     def __post_init__(self):
+        require_finite(self, "tau", "cycle_period")
+        if not self.tau > 0:
+            raise ParamError("tau", "tau must be positive")
+        if not self.cycle_period >= self.tau:
+            raise ParamError("cycle_period", "cycle_period must be at least tau")
         out = np.asarray(self.outcomes)
         if out.ndim != 1:
             raise ValueError("outcomes must be 1-d")
@@ -492,7 +498,7 @@ def run_protocol(
     written, by every record.
     """
     if n_records < 1:
-        raise ValueError("n_records must be positive")
+        raise ParamError("n_records", "n_records must be positive")
     grid = grid if grid is not None else GridSpec()
     shared = _protocol_share(spectrum, protocol, grid, independent_cycles)
     return [
@@ -533,21 +539,22 @@ def estimate_autocorrelation(
     """
     lags = np.asarray(lags)
     if lags.ndim != 1 or len(lags) == 0:
-        raise ValueError("lags must be a nonempty 1-d sequence")
+        raise ParamError("lags", "lags must be a nonempty 1-d sequence")
     bad = [m for m in lags.tolist() if not float(m).is_integer()]
     if bad:
-        raise ValueError(f"lags must be whole numbers of cycles, got {bad}")
+        raise ParamError("lags", f"lags must be whole numbers of cycles, got {bad}")
     lags = lags.astype(int)
     if np.any(lags < 1):
-        raise ValueError("lags must be >= 1")
+        raise ParamError("lags", "lags must be >= 1")
     if not records:
         raise ValueError("no records given")
     shortest = min(len(r) for r in records)
     if np.any(lags >= shortest):
-        raise ValueError("lag exceeds record length")
+        raise ParamError("lags", "lag exceeds record length")
     if len(records) < 8 and np.any(lags > shortest - 2):
         m = int(lags[lags > shortest - 2][0])
-        raise ValueError(
+        raise ParamError(
+            "lags",
             f"lag {m} leaves one product in a record of {shortest} cycles; with"
             " fewer than 8 records the error bar needs at least 2 per record"
         )

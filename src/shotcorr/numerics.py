@@ -25,7 +25,8 @@ argument; the window of an integral of S is the spectrum's
 and the panel budget.
 
 Also here: real Lambert W on both real branches, a gamma wrapper, a
-bracketed root finder, and the finiteness check the model classes share.
+bracketed root finder, the finiteness check the model classes share, and
+``ParamError``, the ValueError of every check that refuses a parameter.
 Everything validates its domain and reports an honest error estimate or
 raises ``QuadratureError``.
 
@@ -56,15 +57,24 @@ __all__ = [
     "gamma_fn",
     "find_root",
     "require_finite",
+    "ParamError",
 ]
 
 
+class ParamError(ValueError):
+    """A ValueError that refuses one parameter, whose name ``name`` holds."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
 def require_finite(obj, *names):
-    """Raise ValueError naming the first attribute in ``names`` of ``obj`` that is not finite."""
+    """Raise ParamError naming the first attribute in ``names`` of ``obj`` that is not finite."""
     for name in names:
         value = getattr(obj, name)
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise ParamError(name, f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

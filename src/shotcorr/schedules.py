@@ -36,13 +36,13 @@ Two rules are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import csvio
 from .correlator import EvolutionPair, chi_minus
-from .numerics import lambert_w, lambert_w_m1
+from .numerics import ParamError, lambert_w, lambert_w_m1
 from .spectra import OverhauserModel
 
 __all__ = [
@@ -117,9 +117,9 @@ def tau_constant_contrast(model: OverhauserModel, delta_t: float, target: float 
     delta_t sits between 1/omega_e and 1/omega_l of the reference model.
     """
     if not target > 0:
-        raise ValueError("target must be positive")
+        raise ParamError("target", "target must be positive")
     if not delta_t > 0:
-        raise ValueError("delta_t must be positive")
+        raise ParamError("delta_t", "delta_t must be positive")
     if not isinstance(model, OverhauserModel):
         raise TypeError("tau_constant_contrast needs an OverhauserModel reference")
     denom = model.coupling_c**2 * model.s0 * model.omega_l**2 * delta_t
@@ -128,10 +128,16 @@ def tau_constant_contrast(model: OverhauserModel, delta_t: float, target: float 
     return math.sqrt(target / denom)
 
 
+def _dt_hat(delta_t: float, variant: str) -> float:
+    """delta_t as the Lambert argument takes it: times e^{3/2} for "exact", as is for "literal"."""
+    if variant not in ("exact", "literal"):
+        raise ParamError("variant", f"unknown variant {variant!r}")
+    return math.exp(1.5) * delta_t if variant == "exact" else delta_t
+
+
 def _oneoverf_min_dt(level: float, variant: str) -> float:
     # Lambert argument hits -1/e at dt_hat = sqrt(2 level e).
-    shift = math.exp(1.5) if variant == "exact" else 1.0
-    return math.sqrt(2.0 * level * math.e) / shift
+    return math.sqrt(2.0 * level * math.e) / _dt_hat(1.0, variant)
 
 
 def tau_oneoverf(level: float, delta_t: float, variant: str = "exact") -> float:
@@ -149,18 +155,14 @@ def tau_oneoverf(level: float, delta_t: float, variant: str = "exact") -> float:
         Lambert-W argument would fall below -1/e).
     """
     if not level > 0:
-        raise ValueError("level must be positive")
+        raise ParamError("level", "level must be positive")
     if not delta_t > 0:
-        raise ValueError("delta_t must be positive")
-    if variant == "exact":
-        dt_hat = math.exp(1.5) * delta_t
-    elif variant == "literal":
-        dt_hat = delta_t
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ParamError("delta_t", "delta_t must be positive")
+    dt_hat = _dt_hat(delta_t, variant)
     x = -2.0 * level / dt_hat**2
     if x < -1.0 / math.e * (1 + 1e-12):
-        raise ValueError(
+        raise ParamError(
+            "delta_t",
             f"delta_t={delta_t:g} too short for level={level:g}; "
             f"need delta_t >= {_oneoverf_min_dt(level, variant):g}"
         )
@@ -191,9 +193,7 @@ def constant_contrast_schedule(
     dt = np.asarray(delta_t, dtype=float)
     tau = np.array([tau_constant_contrast(model, d, target) for d in dt])
     sched = build_schedule(dt, tau, model)
-    object.__setattr__(sched, "target_kind", "linear_chi_minus")
-    object.__setattr__(sched, "target_value", float(target))
-    return sched
+    return replace(sched, target_kind="linear_chi_minus", target_value=float(target))
 
 
 def oneoverf_schedule(level: float, delta_t, variant: str = "exact") -> Schedule:
@@ -209,15 +209,13 @@ def oneoverf_schedule(level: float, delta_t, variant: str = "exact") -> Schedule
     min_dt = _oneoverf_min_dt(level, variant) if level > 0 else math.nan
     bad = [f"{d:g}" for d in dt if d > 0 and d < min_dt * (1 - 1e-12)]
     if bad:
-        raise ValueError(
+        raise ParamError(
+            "delta_t",
             f"delta_t values too short for level={level:g} "
             f"(need >= {min_dt:g}): {', '.join(bad)}"
         )
     tau = np.array([tau_oneoverf(level, d, variant) for d in dt])
-    sched = build_schedule(dt, tau)
-    object.__setattr__(sched, "target_kind", "oneoverf_level")
-    object.__setattr__(sched, "target_value", float(level))
-    return sched
+    return replace(build_schedule(dt, tau), target_kind="oneoverf_level", target_value=float(level))
 
 
 def chi_minus_profile(spectrum, schedule: Schedule, quad=None) -> np.ndarray:

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import csvio
-from .numerics import QuadratureSpec, filon_cos_integral, require_finite
+from .numerics import ParamError, QuadratureSpec, filon_cos_integral, require_finite
 
 __all__ = [
     "SpectrumModel",
@@ -146,15 +146,15 @@ class OverhauserModel(SpectrumModel):
     def __post_init__(self):
         require_finite(self, "s0", "omega_l", "gamma", "coupling_c")
         if not self.s0 >= 0:
-            raise ValueError("s0 must be nonnegative")
+            raise ParamError("s0", "s0 must be nonnegative")
         if not self.omega_l > 0:
-            raise ValueError("omega_l must be positive")
+            raise ParamError("omega_l", "omega_l must be positive")
         if not self.omega_e > self.omega_l:
-            raise ValueError("omega_e must exceed omega_l")
+            raise ParamError("omega_e", "omega_e must exceed omega_l")
         if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+            raise ParamError("gamma", "gamma must be positive")
         if not self.coupling_c > 0:
-            raise ValueError("coupling_c must be positive")
+            raise ParamError("coupling_c", "coupling_c must be positive")
 
     @classmethod
     def from_rms(cls, rms_field, omega_l, omega_e, gamma, coupling_c):
@@ -165,9 +165,10 @@ class OverhauserModel(SpectrumModel):
         test suite bounds against quadrature.
         """
         if not rms_field > 0:
-            raise ValueError("rms_field must be positive")
-        s0 = 2.0 * rms_field**2 / omega_l
-        return cls(s0, omega_l, omega_e, gamma, coupling_c)
+            raise ParamError("rms_field", "rms_field must be positive")
+        # s0 = 0 passes, so the constructor refuses a bad omega_l before it divides
+        model = cls(0.0, omega_l, omega_e, gamma, coupling_c)
+        return replace(model, s0=2.0 * rms_field**2 / omega_l)
 
     @property
     def cutoff_enabled(self) -> bool:
@@ -244,9 +245,9 @@ class WhiteModel(SpectrumModel):
     def __post_init__(self):
         require_finite(self, "level", "omega_high")
         if self.level < 0:
-            raise ValueError("level must be nonnegative")
+            raise ParamError("level", "level must be nonnegative")
         if not self.omega_high > 0:
-            raise ValueError("omega_high must be positive")
+            raise ParamError("omega_high", "omega_high must be positive")
 
     def evaluate(self, omega):
         w = _check_omega(omega)
@@ -278,13 +279,13 @@ class PowerLawModel(SpectrumModel):
     def __post_init__(self):
         require_finite(self, "amplitude", "alpha", "omega_low", "omega_high")
         if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
+            raise ParamError("amplitude", "amplitude must be positive")
         if not 0 <= self.alpha < 3:
-            raise ValueError("alpha must lie in [0, 3)")
+            raise ParamError("alpha", "alpha must lie in [0, 3)")
         if not self.omega_low > 0:
-            raise ValueError("omega_low must be positive")
+            raise ParamError("omega_low", "omega_low must be positive")
         if not self.omega_high > self.omega_low:
-            raise ValueError("omega_high must exceed omega_low")
+            raise ParamError("omega_high", "omega_high must exceed omega_low")
 
     def evaluate(self, omega):
         w = _check_omega(omega)
@@ -322,15 +323,15 @@ class TabulatedModel(SpectrumModel):
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("points must be an (n, 2) array with n >= 2")
+            raise ParamError("points", "points must be an (n, 2) array with n >= 2")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+            raise ParamError("points", "points must be finite")
         if not np.all(np.diff(pts[:, 0]) > 0):
-            raise ValueError("table frequencies must be strictly increasing")
+            raise ParamError("points", "table frequencies must be strictly increasing")
         if not pts[0, 0] > 0:
-            raise ValueError("table frequencies must be positive")
+            raise ParamError("points", "table frequencies must be positive")
         if not np.all(pts[:, 1] >= 0):
-            raise ValueError("table densities must be nonnegative")
+            raise ParamError("points", "table densities must be nonnegative")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_log_w", np.log(pts[:, 0]))
         with np.errstate(divide="ignore"):

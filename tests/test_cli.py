@@ -14,7 +14,7 @@ import pytest
 from shotcorr import cli, correlator
 from shotcorr.cli import main
 from shotcorr.correlator import EvolutionPair, autocorrelation_analytic
-from shotcorr.numerics import QuadratureError
+from shotcorr.numerics import ParamError, QuadratureError
 from shotcorr.schedules import tau_constant_contrast
 from shotcorr.spectra import OverhauserModel, WhiteModel, coupling_from_g
 
@@ -1250,6 +1250,95 @@ class TestFloatFields:
             assert run_cli(["chi", "--config", cfg, "--out", tmp_path / f"{name}.csv"]) == 0
             rows.append((tmp_path / f"{name}.csv").read_bytes())
         assert rows[0] == rows[1] == rows[2]
+
+
+def _set(build, field, value):
+    """A builder: the config of ``build`` with the dotted ``field`` set to ``value``."""
+    return lambda d: _with(build(d), field, value)
+
+
+def _fit_mode(tmp_path):
+    return _fixed(tmp_path, dict(WHITE_FIXED))
+
+
+def _discriminate(tmp_path):
+    return _fit("discriminate", "omega_l")(tmp_path, 1.0)
+
+
+_SIMULATE = CONTRACT_CASES["simulate"]
+_CORRELATE = CONTRACT_CASES["correlate"]
+
+# (command, config builder, the field the message must name): the
+# library refused each value in a message that named the bare parameter
+# (or, at figure2.omega_l = 0, with a ZeroDivisionError), and correlate
+# took impossible timing and wrote its artifact
+_OUT_OF_RANGE = [
+    ("simulate", _set(_SIMULATE, "protocol.n_records", 0), "protocol.n_records"),
+    ("simulate", _set(_SIMULATE, "protocol.n_cycles", 1), "protocol.n_cycles"),
+    ("simulate", _set(_SIMULATE, "protocol.cycle_period", 1e-4), "protocol.cycle_period"),
+    ("simulate", _set(_SIMULATE, "grid.n_modes", 0), "grid.n_modes"),
+    ("simulate", _set(_FLOAT_BASES["simulate_qubit"][1], "qubit.dead_time", -1.0), "qubit.dead_time"),
+    ("chi", _set(_FLOAT_BASES["chi"][1], "chi.tau", -1e-4), "chi.tau"),
+    ("chi", _set(_FLOAT_BASES["chi"][1], "chi.delta_t", [-1e-3]), "chi.delta_t"),
+    ("chi", _set(_FLOAT_BASES["chi"][1], "spectrum.omega_e", 0.1), "spectrum.omega_e"),
+    ("chi", _set(_FLOAT_BASES["chi"][1], "spectrum.s0", -1.0), "spectrum.s0"),
+    ("chi", _set(_FLOAT_BASES["chi_power_law"][1], "spectrum.alpha", 3.5), "spectrum.alpha"),
+    ("schedule", _set(CONTRACT_CASES["schedule"], "schedule.delta_t", [1e-5]), "schedule.delta_t"),
+    ("correlate", _set(_CORRELATE, "correlate.lags", [0]), "correlate.lags"),
+    ("correlate", _set(_CORRELATE, "correlate.tau", -1.0), "correlate.tau"),
+    ("correlate", _set(_CORRELATE, "correlate.cycle_period", 0.0), "correlate.cycle_period"),
+    ("correlate", _set(_CORRELATE, "correlate.tau", 2e-3), "correlate.cycle_period"),
+    ("fit", _set(_fit_mode, "fit.free.level", [1e5, 1e1]), "fit.free.level"),
+    ("fit", _set(_fit_mode, "fit.fixed.omega_high", -1.0), "fit.fixed.omega_high"),
+    ("fit", _set(_fit_mode, "fit.init", {"level": 1e7}), "fit.init"),
+    ("fit", _set(_fit_mode, "fit.n_starts", 0), "fit.n_starts"),
+    ("fit", _set(_discriminate, "fit.omega_e_bounds", [1e3, 1e2]), "fit.omega_e_bounds"),
+    ("fit", _set(_discriminate, "fit.omega_l", -1.0), "fit.omega_l"),
+    ("figure2", _set(CONTRACT_CASES["figure2"], "figure2.tau", [-1e-6]), "figure2.tau"),
+    ("figure2", _set(CONTRACT_CASES["figure2"], "figure2.omega_l", 0.0), "figure2.omega_l"),
+    ("figure3a", _set(CONTRACT_CASES["figure3a"], "figure3a.omega_e", 0.1), "figure3a.omega_e"),
+]
+
+
+class TestRangeErrors:
+    @pytest.mark.parametrize(
+        "command, build, field", _OUT_OF_RANGE, ids=[case[2] for case in _OUT_OF_RANGE]
+    )
+    def test_out_of_range_names_field(self, tmp_path, capsys, command, build, field):
+        cfg = write_config(tmp_path / "c.json", build(tmp_path))
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_sidecar_timing_named_alike(self, tmp_path, capsys):
+        # timing from the records sidecar is refused under its correlate field
+        records = _records_file(tmp_path / "in.records.csv")
+        notes = {"tau": 2e-3, "cycle_period": 1e-3}
+        (tmp_path / "in.records.csv.json").write_text(json.dumps({"notes": notes}))
+        cfg = write_config(tmp_path / "c.json", {"correlate": {"records": str(records)}})
+        assert run_cli(["correlate", "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config field 'correlate.cycle_period': cycle_period must be at least tau\n"
+
+    def test_fit_fixed_value_named_in_fit(self, tmp_path, capsys):
+        # fit mode builds its spectra from fit.fixed, never from a spectrum section
+        cfg = write_config(tmp_path / "c.json", _set(_fit_mode, "fit.fixed.omega_high", "x")(tmp_path))
+        assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.out"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config field 'fit.fixed.omega_high' has invalid value 'x'\n"
+
+    def test_only_read_names_are_renamed(self):
+        sec = cli._Section({"tau": 1e-3}, "chi")
+        sec.get("tau")
+        err = ParamError("delta_t", "delta_t must be nonnegative")
+        with pytest.raises(ParamError) as info:
+            with sec:
+                raise err
+        assert info.value is err and str(info.value) == "delta_t must be nonnegative"
+        with pytest.raises(cli.ConfigError, match=r"^config field 'chi\.tau': tau must be positive$"):
+            with sec:
+                raise ParamError("tau", "tau must be positive")
 
 
 # run in a fresh interpreter: sys.argv[1] is a JSON list of CLI argument
