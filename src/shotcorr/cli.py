@@ -39,7 +39,6 @@ from .correlator import (
     chi_minus_branch,
     chi_pair,
     correlator_from_chi,
-    correct_fidelity,
 )
 from .csvio import HeaderError, atomic_write, write_csv
 from .fitting import (
@@ -337,7 +336,6 @@ def build_qubit(config):
     sec = _Section(config).section("qubit")
     kw = dict(
         omega_q=sec.get("omega_q", default=0.0),
-        coupling_c=sec.get("coupling_c", default=1.0),
         readout_flip_prob=sec.get("readout_flip_prob", default=0.0),
         dead_time=sec.get("dead_time", default=0.0),
     )
@@ -453,32 +451,16 @@ def cmd_simulate(config, args):
             omega_max=grid_sec.get("omega_max", default=None),
         )
     grid_sec.close()
-    eps = qubit.readout_flip_prob
     with sec:
         records = run_protocol(spectrum, prot, n_records, seed=args.seed, grid=grid)
-        raw = correlation_curve(records, lags)
-    header = ["delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"]
-    columns = [raw.delta_t, raw.tau, raw.correlation, raw.stderr, raw.n_pairs]
-    if eps > 0.0:
-        # the corrected estimates take the lead columns; the raw ones follow
-        header += ["correlation_raw", "stderr_raw"]
-        columns[2:4] = [correct_fidelity(raw.correlation, eps), correct_fidelity(raw.stderr, eps)]
-        columns += [raw.correlation, raw.stderr]
+        curve = correlation_curve(records, lags, correct_epsilon=qubit.readout_flip_prob)
     rec_path = _records_path(args.out)
     records_to_csv(records, rec_path)
-    _write_sidecar(
-        rec_path,
-        config,
-        {
-            "tau": prot.tau,
-            "cycle_period": prot.cycle_period,
-            "n_records": n_records,
-            "seed": args.seed,
-        },
-    )
-    write_csv(args.out, header, zip(*columns))
+    timing = {"tau": prot.tau, "cycle_period": prot.cycle_period}
+    _write_sidecar(rec_path, config, dict(timing, n_records=n_records, seed=args.seed))
+    curve.to_csv(args.out)
     notes = {"seed": args.seed, "records_csv": os.path.basename(rec_path)}
-    if eps > 0.0:
+    if curve.correlation_raw is not None:
         notes["fidelity"] = (
             "correlation/stderr are corrected by (1-2*epsilon)^-2; raw columns appended"
         )
@@ -508,7 +490,7 @@ def cmd_correlate(config, args):
         records = records_from_csv(path, tau=timing.get("tau"), cycle_period=timing.get("cycle_period"))
     lags = lags or _default_lags(min(len(r) for r in records))
     with sec:
-        curve = correlation_curve(records, lags, correct_epsilon=eps or None)
+        curve = correlation_curve(records, lags, correct_epsilon=eps)
     curve.to_csv(args.out)
     _write_sidecar(args.out, config, {"n_records": len(records), "epsilon": eps})
 

@@ -119,7 +119,6 @@ class QubitParams:
     """Qubit and readout settings for correlator and simulator.
 
     omega_q : residual splitting during free evolution, rad/s.
-    coupling_c : detuning per field unit, rad/(s T); bookkeeping only.
     readout_flip_prob : probability epsilon that a shot is recorded
         flipped; must stay below 0.5 for the correction to make sense.
     dead_time : minimum gap between the end of one shot and the start of
@@ -127,12 +126,11 @@ class QubitParams:
     """
 
     omega_q: float = 0.0
-    coupling_c: float = 1.0
     readout_flip_prob: float = 0.0
     dead_time: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "omega_q", "coupling_c", "readout_flip_prob", "dead_time")
+        require_finite(self, "omega_q", "readout_flip_prob", "dead_time")
         if not 0 <= self.readout_flip_prob < 0.5:
             raise ParamError("readout_flip_prob", "readout_flip_prob must lie in [0, 0.5)")
         if self.dead_time < 0:

@@ -407,6 +407,8 @@ def discriminate_gamma(
     gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
         raise ParamError("gammas", "gammas must name at least one cutoff shape")
+    if not all(0 < g < math.inf for g in gammas):
+        raise ParamError("gammas", f"gammas must be positive and finite, got {list(gammas)}")
     dt, tv, corr, se = _curve_arrays(delta_t, tau, correlation, stderr)
     if len(dt) < 4:
         raise ValueError("need at least 4 points to compare cutoff shapes")
@@ -436,7 +438,7 @@ def discriminate_gamma(
             n_sweeps += 1
             last.clear()
             spectrum = OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
-            # cutoff_factor bit for bit: below zero_above it needs no mask
+            # cutoff_factor bit for bit, on the nodes below zero_above
             for part in plan.live(spectrum):
                 z = values[part]
                 np.divide(plan.nodes[part], omega_e, out=z)

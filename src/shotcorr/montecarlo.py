@@ -380,11 +380,7 @@ def _phase_table(omega: np.ndarray, protocol: Protocol):
     long-double reference, the largest phasor error was 1.8e-9 with
     products against 3.9e-9 with cos and sin of every argument at 1000
     cycles, 3.5e-8 against 9.7e-8 at 20 000 and 1.8e-7 against 5.6e-7 at
-    100 000.  On a 2-core x86-64 machine the table took 3.9-4.6 ms to
-    build at 1000 cycles against 10.4-12.1 ms, and 22-29 ms against
-    117-143 ms at 100 000 cycles; in a 100 000-cycle, 4-record run the
-    process held 81 MB RSS after the build against 96 MB, below the
-    97 MB peak that both reach while the records run.
+    100 000.
     """
     n, dt = protocol.n_cycles, protocol.cycle_period
     block = 1 << math.isqrt(n - 1).bit_length()
@@ -525,17 +521,14 @@ def _blocking_stderr(x: np.ndarray) -> float:
     return best
 
 
-def estimate_autocorrelation(
-    records: list[ShotRecord], lags, correct_epsilon: float | None = None
-):
+def estimate_autocorrelation(records: list[ShotRecord], lags):
     """Mean outcome product at each cycle lag, with honest uncertainties.
 
     Returns (correlation, stderr, n_pairs) arrays over the lags.  With
     eight or more records the spread of per-record means sets the error
     bar (records are independent by construction); fewer records fall
     back to blocking on the product series, which needs two products
-    per record at every lag.  ``correct_epsilon`` divides out a known
-    readout flip probability.
+    per record at every lag.
     """
     lags = np.asarray(lags)
     if lags.ndim != 1 or len(lags) == 0:
@@ -579,9 +572,6 @@ def estimate_autocorrelation(
         else:
             per_rec = [_blocking_stderr(p) for p in prods]
             stderr[j] = math.sqrt(sum(se**2 for se in per_rec)) / len(records)
-    if correct_epsilon:
-        corr = correct_fidelity(corr, correct_epsilon)
-        stderr = correct_fidelity(stderr, correct_epsilon)
     return corr, stderr, n_pairs
 
 
@@ -594,10 +584,18 @@ class CorrelationCurve:
     correlation: np.ndarray
     stderr: np.ndarray
     n_pairs: np.ndarray
+    # the uncorrected estimates of a curve corrected for readout flips
+    correlation_raw: np.ndarray | None = None
+    stderr_raw: np.ndarray | None = None
 
     def to_csv(self, path):
-        rows = zip(self.delta_t, self.tau, self.correlation, self.stderr, self.n_pairs)
-        csvio.write_csv(path, _CURVE_HEADER, rows)
+        """The five curve columns, then ``correlation_raw,stderr_raw`` if corrected."""
+        header = _CURVE_HEADER
+        columns = [self.delta_t, self.tau, self.correlation, self.stderr, self.n_pairs]
+        if self.correlation_raw is not None:
+            header += ("correlation_raw", "stderr_raw")
+            columns += [self.correlation_raw, self.stderr_raw]
+        csvio.write_csv(path, header, zip(*columns))
 
     @classmethod
     def from_csv(cls, path):
@@ -609,15 +607,20 @@ class CorrelationCurve:
 def correlation_curve(
     records: list[ShotRecord], lags, correct_epsilon: float | None = None
 ) -> CorrelationCurve:
-    """Package the lag estimates of a batch of same-protocol records."""
-    if not records:
-        raise ValueError("no records given")
-    tau = records[0].tau
-    dt = records[0].cycle_period
+    """Package the lag estimates of a batch of same-protocol records.
+
+    A nonzero ``correct_epsilon``, a known readout flip probability, is
+    divided out by ``correct_fidelity``; the curve keeps the raw estimates.
+    """
+    corr, stderr, n_pairs = estimate_autocorrelation(records, lags)
+    tau, dt = records[0].tau, records[0].cycle_period
     for rec in records:
         if rec.tau != tau or rec.cycle_period != dt:
             raise ValueError("records mix different protocols")
-    corr, stderr, n_pairs = estimate_autocorrelation(records, lags, correct_epsilon)
+    raw = (None, None)
+    if correct_epsilon:
+        raw = (corr, stderr)
+        corr, stderr = (correct_fidelity(x, correct_epsilon) for x in raw)
     # whole numbers: estimate_autocorrelation refuses any other lag
     lags = np.asarray(lags, dtype=int)
-    return CorrelationCurve(lags * dt, np.full(len(lags), tau), corr, stderr, n_pairs)
+    return CorrelationCurve(lags * dt, np.full(len(lags), tau), corr, stderr, n_pairs, *raw)

@@ -159,7 +159,11 @@ def tau_oneoverf(level: float, delta_t: float, variant: str = "exact") -> float:
     if not delta_t > 0:
         raise ParamError("delta_t", "delta_t must be positive")
     dt_hat = _dt_hat(delta_t, variant)
-    x = -2.0 * level / dt_hat**2
+    try:  # dt_hat**2 past the float range: a float's ** raises, numpy's gives inf
+        with np.errstate(over="ignore"):
+            x = -2.0 * level / dt_hat**2
+    except OverflowError:
+        x = -0.0
     if x < -1.0 / math.e * (1 + 1e-12):
         raise ParamError(
             "delta_t",
@@ -167,6 +171,10 @@ def tau_oneoverf(level: float, delta_t: float, variant: str = "exact") -> float:
             f"need delta_t >= {_oneoverf_min_dt(level, variant):g}"
         )
     if variant == "exact":
+        if not x < 0:
+            raise ParamError(
+                "delta_t", f"delta_t={delta_t:g} too long for level={level:g}; the Lambert argument is 0"
+            )
         return dt_hat * math.exp(0.5 * lambert_w_m1(x))
     return delta_t * math.exp(lambert_w(x))
 

@@ -437,11 +437,8 @@ class TestCorrelateCommand:
         )
         out = tmp_path / "curve2.csv"
         assert run_cli(["correlate", "--config", corr_cfg, "--out", out]) == 0
-        redone = read_rows(out)
-        original = read_rows(curve)
-        for a, b in zip(original, redone):
-            for key in ("delta_t_s", "tau_s", "correlation", "stderr", "n_pairs"):
-                assert a[key] == b[key]
+        # the raw columns included: both commands write the curve one way
+        assert out.read_bytes() == curve.read_bytes()
 
     def test_tau_read_from_sidecar(self, tmp_path):
         sim_cfg = write_config(tmp_path / "sim.json", TestSimulateCommand().sim_config())
@@ -848,6 +845,7 @@ _BAD_SPECTRUM_NAMES = [
     ),
     ("simulate", _sim_section_key("protocol", "readout_flip_prob"), "protocol.readout_flip_prob"),
     ("simulate", _sim_section_key("qubit", "omega_Q"), "qubit.omega_Q"),
+    ("simulate", _sim_section_key("qubit", "coupling_c"), "qubit.coupling_c"),
     ("simulate", _sim_section_key("grid", "n_mode"), "grid.n_mode"),
     ("chi", _added("chi", "chi.omega_q", 5.0), "chi.omega_q"),
     (
@@ -1151,8 +1149,10 @@ _FLOAT_BASES = {
             "schedule": {"kind": "constant_contrast", "delta_t": [1e-3]},
         },
     ),
+    "figure2": ("figure2", CONTRACT_CASES["figure2"]),
     "figure3a": ("figure3a", CONTRACT_CASES["figure3a"]),
     "figure3b": ("figure3b", CONTRACT_CASES["figure3b"]),
+    "chi_s0_1e300": _spectrum("chi", dict(OVERHAUSER_SPEC, s0=1e300)),
 }
 _BAD_FLOATS = [
     ("chi", "chi.delta_t", True),
@@ -1181,6 +1181,12 @@ _BAD_FLOATS = [
     ("simulate_qubit", "qubit.readout_flip_prob", 0.5),
     ("schedule", "schedule.level", 0.0),
     ("figure3b", "figure3b.level", 0.0),
+    # a level that overflows ended in an OverflowError traceback, and a
+    # Lambert argument that underflows to 0 in a message naming no field
+    ("figure2", "figure2.rms_field", 1e200),
+    ("chi_s0_1e300", "spectrum.coupling_c", 1e300),
+    ("schedule_cc", "spectrum.coupling_c", 1e200),
+    ("schedule", "schedule.delta_t", [1e200]),
 ]
 
 
@@ -1297,6 +1303,14 @@ _OUT_OF_RANGE = [
     ("figure2", _set(CONTRACT_CASES["figure2"], "figure2.tau", [-1e-6]), "figure2.tau"),
     ("figure2", _set(CONTRACT_CASES["figure2"], "figure2.omega_l", 0.0), "figure2.omega_l"),
     ("figure3a", _set(CONTRACT_CASES["figure3a"], "figure3a.omega_e", 0.1), "figure3a.omega_e"),
+    # discriminate_gamma refused a bad shape as gamma, a key fit does not
+    # read, and a zero g_factor was refused as spectrum.coupling_c
+    ("fit", _set(_discriminate, "fit.gammas", [-1, 2]), "fit.gammas"),
+    (
+        "chi",
+        _set(_set(_FLOAT_BASES["chi"][1], "spectrum.coupling_c", None), "spectrum.g_factor", 0.0),
+        "spectrum.g_factor",
+    ),
 ]
 
 

@@ -705,7 +705,7 @@ class TestQubitParams:
         with pytest.raises(ValueError):
             QubitParams(dead_time=-1.0)
 
-    @pytest.mark.parametrize("field", ["omega_q", "coupling_c", "readout_flip_prob", "dead_time"])
+    @pytest.mark.parametrize("field", ["omega_q", "readout_flip_prob", "dead_time"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):

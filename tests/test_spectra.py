@@ -84,9 +84,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_overhauser_cutoff_keeps_the_bits_of_exp(self, gamma):
-        # the cutoff skips exp where it underflows to 0 and writes +0.0;
-        # the product must be bit for bit the one-line formula, at the
-        # edges of exp's normal, subnormal and zero ranges and past them
+        # evaluate and the knee times the cutoff must be bit for bit the
+        # one-line formula, at the edges of exp's normal, subnormal and
+        # zero ranges and past them
         m = OverhauserModel(s0=2.0e-4, omega_l=0.5, omega_e=1.0e4, gamma=gamma, coupling_c=3.0)
         z = np.array([0.0, 700.0, 708.5, 745.1, 745.2, 746.0, 1.0e6, math.inf])
         w = 1.0e4 * z ** (1.0 / gamma)
