@@ -374,7 +374,11 @@ class ChiPlan:
     that is not among the plan's breakpoints, goes through ``chi_pair``
     whole; so does, for every spectrum, a pair whose grids would exceed
     ``quad.max_panels``.  ``fallbacks`` counts the points sent to
-    ``chi_pair``.
+    ``chi_pair``, and ``sent`` holds the indices the last ``apply`` sent.
+
+    Derivatives.  chi is linear in S, so ``design(spectrum, rows)``,
+    the sums ``apply`` returns with the derivative of S along a parameter
+    in place of S, is the derivative of the plan's chi.
     """
 
     def __init__(self, pairs, omega_max: float, breakpoints=(), quad=None):
@@ -400,6 +404,7 @@ class ChiPlan:
         starts = np.cumsum([0] + [len(nodes) for nodes, _ in blocks]).tolist()
         self._blocks = [(a, self.nodes[a:b]) for a, b in zip(starts, starts[1:])]
         self._live = (None, [])
+        self.sent = np.empty(0, dtype=int)
 
     @classmethod
     def covering(cls, pairs, spectra, quad=None) -> "ChiPlan":
@@ -458,10 +463,27 @@ class ChiPlan:
             within = np.abs(fine - coarse) <= quad.rel_tol * np.abs(fine) + quad.abs_tol
             chi[:, self._served] = fine
             adaptive[self._served] = ~within.all(axis=0)
-        for i in np.flatnonzero(adaptive):
+        self.sent = np.flatnonzero(adaptive)
+        for i in self.sent:
             chi[:, i] = chi_pair(spectrum, self.pairs[i], self.quad)
-        self.fallbacks += int(adaptive.sum())
+        self.fallbacks += len(self.sent)
         return chi[0], chi[1]
+
+    def design(self, spectrum: SpectrumModel, rows) -> tuple[np.ndarray, np.ndarray]:
+        """``apply``'s level-2 sums with ``rows`` on ``nodes`` in place of S.
+
+        ``rows`` is read on ``live(spectrum)`` alone, like ``apply``'s
+        ``values``.  chi is linear in S, so with ``rows`` the derivative
+        of S along a parameter this is the derivative of the plan's
+        (chi_minus, chi_plus).  Points the plan does not serve for
+        ``spectrum`` are NaN; a point in ``sent`` gets the plan's sum,
+        not the derivative of what ``chi_pair`` returned for it.
+        """
+        out = np.full((2, len(self.pairs)), np.nan)
+        if len(self._served) and self._serves(spectrum):
+            fine = self.live(spectrum)[len(self._served) :]
+            out[:, self._served] = np.array([self._weights[:, p].dot(rows[p]) for p in fine]).T
+        return out[0], out[1]
 
 
 def _kinks(spectrum, omega_max):

@@ -4,9 +4,9 @@ Three entry points:
 
 ``fit``
     generic bounded weighted-least-squares fit of any spectrum family to
-    a correlation curve: the trust-region-reflective least-squares
-    solver on the weighted residuals from each point of a Sobol
-    multistart, log-scaled coordinates for positive parameters, and the
+    a correlation curve: the bounded Gauss-Newton solver ``_solve`` on
+    the weighted residuals from each point of a Sobol multistart,
+    log-scaled coordinates for positive parameters, and the
     Gauss-Newton covariance (J^T J)^-1 of the final residual Jacobian.
 
 ``discriminate_gamma``
@@ -16,7 +16,8 @@ Three entry points:
     scan profiles it out with no extra quadrature; only the cutoff
     frequency needs integral re-evaluation, which one ``ChiPlan`` per
     call turns into a weighted sum per sweep.  The scan's best point
-    starts the solver ``fit`` uses, and ``fit``'s covariance follows.
+    starts the solver ``fit`` uses, on exact Jacobian columns from the
+    same plan, and ``fit``'s covariance follows.
 
 ``estimate_alpha_slope``
     reads the power-law exponent straight off the decay of the
@@ -26,18 +27,17 @@ Three entry points:
     regression then gives alpha; a companion fit that is linear in
     ln(delta_t) flags the logarithmic growth of the alpha = 1 edge case.
 
-scipy is imported inside the two fitters that use it, not with this
-module: ``scipy.optimize`` (about 0.5 s to import) by ``fit`` and
-``discriminate_gamma``, ``scipy.stats.qmc`` (about 0.5 s more) by ``fit``
-alone.  The CLI imports this module for every command, and only the
-``fit`` command needs either.
+Both fitters finish on ``_solve``, so no scipy solver is loaded.
+``fit`` imports ``scipy.stats.qmc`` (about 1 s with what it loads) for
+its Sobol starts inside the function, not with this module: the CLI
+imports this module for every command.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -195,8 +195,106 @@ def _from_internal(x, par: FitParam):
 
 
 # finite-difference step of the residual Jacobians in internal
-# coordinates, relative to max(1, |x|) as least_squares applies diff_step
+# coordinates, relative to max(1, |x|)
 _FD_STEP = 1e-4
+
+# step sizes relative to max(1, |x|) in every coordinate: one below
+# _STEP_TOL ends _solve; below _ROUNDING_STEP (sqrt of the float epsilon)
+# a step changes the cost by less than its rounding
+_STEP_TOL = 1e-15
+_ROUNDING_STEP = 1.5e-8
+
+_SOLVE_MESSAGES = {
+    0: "evaluation budget exhausted",
+    1: "converged: step below 1e-15 of x",
+    2: "converged: Gauss-Newton steps below 1.5e-8 of x stopped shrinking",
+    3: "converged: damped steps shrank below 1.5e-8 of x",
+}
+
+
+class _Solution(NamedTuple):
+    """Where ``_solve`` stopped; ``status`` > 0 is success."""
+
+    x: np.ndarray
+    cost: float
+    jac: np.ndarray
+    status: int
+    nfev: int
+
+
+def _solve(fun, jac, x0, lo, hi, max_nfev) -> _Solution:
+    """Bounded Gauss-Newton least squares with Levenberg damping.
+
+    ``fun(x)`` returns the residuals r, and ``jac(x, r)`` their Jacobian
+    J at a point ``fun`` was just called at; J is asked for only at the
+    points the solver keeps.  The cost is r.r / 2.
+
+    A coordinate on a bound is held there while the gradient J^T r pushes
+    it outward.  The step solves the free block of J p = -r in the
+    least-squares sense (``lstsq``, so a column near 0 gets no wild
+    step), with lam I added to J^T J, and is clipped to the box.  lam
+    starts at 0.  A step that raises the cost is retried with lam grown
+    tenfold until the step is at most half as long; a kept step divides
+    lam by ten (below 1e-3, to 0).  Undamped steps below
+    ``_ROUNDING_STEP``, whose effect on the cost is rounding, are kept
+    while the step from their end is shorter, so they polish x to the
+    Gauss-Newton fixed point whatever the rounding of the cost.
+
+    Stops: an undamped step below ``_STEP_TOL`` (status 1), polishing
+    steps that stop shrinking (status 2), a damped step below
+    ``_ROUNDING_STEP`` (status 3), or ``max_nfev`` calls of ``fun``
+    (status 0).  All sizes are relative to max(1, |x|), in every
+    coordinate.
+    """
+
+    def target(x, r, J, mu):
+        grad = J.T @ r
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        a, b = J[:, free], -r
+        if mu:
+            lam = mu * max(float(np.max(np.sum(a * a, axis=0), initial=0.0)), 1e-300)
+            a = np.vstack([a, math.sqrt(lam) * np.eye(a.shape[1])])
+            b = np.concatenate([b, np.zeros(a.shape[1])])
+        step = np.zeros_like(x)
+        step[free] = np.linalg.lstsq(a, b, rcond=None)[0]
+        return np.clip(x + step, lo, hi)
+
+    def size(x, y):
+        return float(np.max(np.abs(y - x) / np.maximum(1.0, np.abs(x))))
+
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = fun(x)
+    nfev, cost, mu, J = 1, 0.5 * float(r @ r), 0.0, jac(x, r)
+    x_new = target(x, r, J, mu)
+    while True:
+        step = size(x, x_new)
+        if step <= (_ROUNDING_STEP if mu else _STEP_TOL):
+            status = 3 if mu else 1
+            break
+        if nfev >= max_nfev:
+            status = 0
+            break
+        r_new = fun(x_new)
+        nfev += 1
+        cost_new = 0.5 * float(r_new @ r_new)
+        if mu or step > _ROUNDING_STEP:
+            if not cost_new <= cost:
+                # damp until the step is at most half the one that failed
+                while size(x, x_new) > 0.5 * step:
+                    mu = max(10.0 * mu, 1e-3)
+                    x_new = target(x, r, J, mu)
+                continue
+            mu = 0.1 * mu if mu > 1e-3 else 0.0
+            x, r, J, cost = x_new, r_new, jac(x_new, r_new), cost_new
+            x_new = target(x, r, J, mu)
+        else:
+            J_new = jac(x_new, r_new)
+            x_next = target(x_new, r_new, J_new, 0.0)
+            if size(x_new, x_next) >= step:
+                status = 2
+                break
+            x, r, J, cost, x_new = x_new, r_new, J_new, cost_new, x_next
+    return _Solution(x, cost, J, status, nfev)
 
 
 def fit(
@@ -209,11 +307,12 @@ def fit(
 ) -> FitResult:
     """Bounded multistart least-squares fit of the problem's free parameters.
 
-    Each start runs the trust-region-reflective solver (Branch, Coleman
-    & Li 1999) on the weighted residuals (predict - correlation) / stderr
-    inside the (possibly log-scaled) bound box, with a forward-difference
-    Jacobian, and may spend ``max_eval // n_starts`` (at least 50)
-    evaluations outside the Jacobian.  The starts are ``init`` when given
+    Each start runs ``_solve`` on the weighted residuals
+    (predict - correlation) / stderr inside the (possibly log-scaled)
+    bound box, with forward-difference Jacobian columns (a step of
+    ``_FD_STEP`` * max(1, |x|), inward at an upper bound), and may spend
+    ``max_eval // n_starts`` (at least 50) evaluations outside the
+    Jacobian.  The starts are ``init`` when given
     (natural-unit values for every free parameter, inside the bounds),
     then a scrambled Sobol sample of the box; the lowest cost wins, and
     ``chi2`` is twice that cost.
@@ -227,7 +326,6 @@ def fit(
     """
     if n_starts < 0 or (n_starts == 0 and init is None):
         raise ParamError("n_starts", f"n_starts must be at least 1, or 0 with init; got {n_starts}")
-    from scipy import optimize
     from scipy.stats import qmc
 
     pars = problem.params
@@ -243,6 +341,14 @@ def fit(
         n_eval += 1
         return _residuals(problem, unpack(x), quad)
 
+    def forward_differences(x, r):
+        jac = np.empty((len(r), len(x)))
+        for j, h in enumerate(_FD_STEP * np.maximum(1.0, np.abs(x))):
+            xh = x.copy()
+            xh[j] = x[j] + h if x[j] + h <= hi[j] else x[j] - h
+            jac[:, j] = (residuals(xh) - r) / (xh[j] - x[j])
+        return jac
+
     sampler = qmc.Sobol(len(pars), scramble=True, seed=seed)
     # the first n points of a power-of-two draw: what random(n) gives,
     # without scipy's warning about unbalanced Sobol' samples
@@ -256,12 +362,7 @@ def fit(
             raise ParamError("init", "init lies outside the parameter bounds")
         starts = np.vstack([x_init, starts])
     budget = max(max_eval // max(n_starts, 1), 50)
-    runs = [
-        optimize.least_squares(
-            residuals, x0, bounds=(lo, hi), method="trf", diff_step=_FD_STEP, max_nfev=budget
-        )
-        for x0 in starts
-    ]
+    runs = [_solve(residuals, forward_differences, x0, lo, hi, budget) for x0 in starts]
     best = min(runs, key=lambda r: r.cost)
     return FitResult(
         values=unpack(best.x),
@@ -269,8 +370,8 @@ def fit(
         chi2=2.0 * best.cost,
         n_points=len(problem.delta_t),
         n_eval=n_eval,
-        success=bool(best.status > 0),
-        message=best.message,
+        success=best.status > 0,
+        message=_SOLVE_MESSAGES[best.status],
     )
 
 
@@ -326,6 +427,9 @@ def _profiled_residuals(u, w, corr, se, tau, omega_q, level):
 _PROFILE_HALF_WIDTHS = (6.0, 0.125, 0.0025)
 _PROFILE_OFFSETS = np.linspace(-1.0, 1.0, 97)
 
+# calls of the residuals that _solve may make per cutoff shape
+_DISCRIMINATE_BUDGET = 200
+
 
 def _level_profile(u, w, corr, se, tau, omega_q):
     """Each scan point's best log10 level, its chi2, and its level box.
@@ -378,13 +482,23 @@ def discriminate_gamma(
     the residuals over a grid of (scan point, log10 level): 97 levels
     across six decades either side of the level that explains the
     largest chi on its own, then two passes of 97 narrowing around each
-    point's best (``_level_profile``).  ``fit``'s trust-region-reflective
-    solver then polishes (log10 s0, log10 omega_e) inside
-    ``omega_e_bounds`` and the best scan point's level box, with a
-    central-difference Jacobian; ``chi2`` is twice its final cost and
-    the covariance the Gauss-Newton (J^T J)^-1 of its final Jacobian.
-    A level-only step reuses the last sweep, so each Jacobian costs two
-    sweeps for the cutoff column and none for the level.  The curve must
+    point's best (``_level_profile``).  ``_solve``, the solver ``fit``
+    uses, then polishes (log10 s0, log10 omega_e) inside
+    ``omega_e_bounds`` and the best scan point's level box; ``chi2`` is
+    twice its final cost and the covariance the Gauss-Newton (J^T J)^-1
+    of its final Jacobian.  The Jacobian is exact: with e- =
+    exp(-chi-/2) and e+ = cos(2 omega_q tau) exp(-chi+/2), the level
+    column is -(ln 10 / 4)(e- chi- + e+ chi+) / stderr, and the cutoff
+    column is -(s0 / 4)(e- dchi- + e+ dchi+) / stderr, where ``plan.design``
+    sums dS/dlog10(omega_e) = S gamma z ln 10, z = (omega/omega_e)**gamma,
+    into the unit-level dchi.  A point the plan sends to ``chi_pair``
+    takes its dchi from a central difference of ``chi_pair`` at
+    +-``_FD_STEP`` * max(1, |log10 omega_e|).  Each solver step is one
+    sweep with its Jacobian, and a level-only step reuses the last one.
+    The solver stops on its step, not on a cost test, so a relative
+    change of 1e-15 in the correlation moves the values and covariance
+    by rounding (about 1e-14), not by a stopping point one step away.
+    The curve must
     pass the checks ``FitProblem`` makes (positive stderr, delta_t and
     tau, finite correlation); a bad one raises ValueError.  Each
     distinct shape in ``gammas`` is fitted once.  Each candidate's
@@ -401,8 +515,8 @@ def discriminate_gamma(
     untouched.  The plan sums each block as one product over those
     nodes; ``chi_pair`` serves only the points it hands back.  The
     solver keeps log10(omega_e) inside the bounds, but 10**log10(hi)
-    can round past hi, so the window reaches one Jacobian step above
-    the top of ``omega_e_bounds``.
+    can round past hi, so the window reaches one ``_FD_STEP`` above the
+    top of ``omega_e_bounds``.
     """
     gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
@@ -418,62 +532,95 @@ def discriminate_gamma(
     lo_e, hi_e = omega_e_bounds
     if not (hi_e > lo_e > omega_l):
         raise ParamError("omega_e_bounds", "omega_e_bounds must be above omega_l and increasing")
-    from scipy import optimize
-
     we_top = hi_e * 10.0 ** (_FD_STEP * max(1.0, abs(math.log10(hi_e))))
     plan = ChiPlan.covering(
         [EvolutionPair(t, d) for t, d in zip(tv, dt)],
         [OverhauserModel(1.0, omega_l, we_top, g, coupling_c) for g in gammas],
         quad,
     )
-    # per-gamma count of full-curve chi sweeps; ``last`` holds the last sweep
-    n_sweeps, last = 0, {}
+    n_sweeps = 0
     # S = knee * cutoff on the plan's nodes; only the cutoff moves per sweep
     knee = OverhauserModel(1.0, omega_l, we_top, 1.0, coupling_c).knee_factor(plan.nodes)
     values = np.empty(len(plan.nodes))
+    slopes = np.empty(len(plan.nodes))
 
-    def unit_chis(gamma, omega_e):
+    def sweep(gamma, omega_e, jac=False):
+        """Unit-level (chi_minus, chi_plus); with ``jac`` their log10(omega_e) slopes too."""
         nonlocal n_sweeps
-        if (gamma, omega_e) not in last:
-            n_sweeps += 1
-            last.clear()
-            spectrum = OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
-            # cutoff_factor bit for bit, on the nodes below zero_above
-            for part in plan.live(spectrum):
-                z = values[part]
-                np.divide(plan.nodes[part], omega_e, out=z)
-                z **= gamma
-                np.negative(z, out=z)
-                np.exp(z, out=z)
-                z *= knee[part]
-            last[gamma, omega_e] = plan.apply(spectrum, values)
-        return last[gamma, omega_e]
+        n_sweeps += 1
+        spectrum = OverhauserModel(1.0, omega_l, omega_e, gamma, coupling_c)
+        # cutoff_factor bit for bit, on the nodes below zero_above; there
+        # dS/dlog10(omega_e) = S * gamma * z * ln 10, with z = (omega/omega_e)**gamma
+        for part in plan.live(spectrum):
+            z = values[part]
+            np.divide(plan.nodes[part], omega_e, out=z)
+            z **= gamma
+            if jac:
+                np.multiply(z, gamma * math.log(10.0), out=slopes[part])
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z *= knee[part]
+            if jac:
+                slopes[part] *= z
+        chis = plan.apply(spectrum, values)
+        if not jac:
+            return chis
+        du, dw = plan.design(spectrum, slopes)
+        # points apply sent to chi_pair: central differences of chi_pair
+        x = math.log10(omega_e)
+        h = _FD_STEP * max(1.0, abs(x))
+        for i in plan.sent:
+            up, down = (
+                chi_pair(OverhauserModel(1.0, omega_l, 10.0**xe, gamma, coupling_c), plan.pairs[i], quad)
+                for xe in (x + h, x - h)
+            )
+            du[i], dw[i] = np.subtract(up, down) / (2.0 * h)
+        return chis, (du, dw)
 
+    cos2 = np.cos(2.0 * omega_q * tv)
     fits = {}
     for gamma in gammas:
         n_sweeps = 0
         # the 25-point scan's best point, level profiled out, is the start
         scan = np.geomspace(lo_e, hi_e, 25)
-        u, w = np.array([unit_chis(gamma, we) for we in scan]).transpose(1, 0, 2)
+        u, w = np.array([sweep(gamma, we) for we in scan]).transpose(1, 0, 2)
         chi2, t, t_lo, t_hi = _level_profile(u, w, corr, se, tv, omega_q)
         i = int(np.argmin(chi2))
+        last = {}
 
-        def residuals(x, gamma=gamma):
-            u, w = unit_chis(gamma, 10.0 ** x[1])
+        def unit(x, gamma=gamma):
+            # a level-only step reuses the last sweep
+            omega_e = 10.0 ** x[1]
+            if omega_e not in last:
+                last.clear()
+                last[omega_e] = sweep(gamma, omega_e, jac=True)
+            return last[omega_e]
+
+        def residuals(x):
+            (u, w), _ = unit(x)
             return _profiled_residuals(u, w, corr, se, tv, omega_q, 10.0 ** x[0])
 
+        def jacobian(x, r):
+            (u, w), (du, dw) = unit(x)
+            level = 10.0 ** x[0]
+            e_minus, e_plus = np.exp(-level * u / 2.0), cos2 * np.exp(-level * w / 2.0)
+            return -0.25 / se[:, None] * np.column_stack(
+                [
+                    math.log(10.0) * level * (e_minus * u + e_plus * w),
+                    level * (e_minus * du + e_plus * dw),
+                ]
+            )
+
         x0 = (t[i], math.log10(scan[i]))
-        box = ([t_lo[i], math.log10(lo_e)], [t_hi[i], math.log10(hi_e)])
-        res = optimize.least_squares(
-            residuals, x0, jac="3-point", bounds=box, method="trf", diff_step=_FD_STEP
-        )
+        lo, hi = np.array([t_lo[i], math.log10(lo_e)]), np.array([t_hi[i], math.log10(hi_e)])
+        res = _solve(residuals, jacobian, x0, lo, hi, _DISCRIMINATE_BUDGET)
         fits[gamma] = FitResult(
             values={"s0": 10.0 ** res.x[0], "omega_e": 10.0 ** res.x[1]},
             cov=_covariance(res.jac, res.x, (True, True)),
             chi2=2.0 * res.cost,
             n_points=len(dt),
             n_eval=n_sweeps,
-            success=bool(res.status > 0),
+            success=res.status > 0,
             message=f"profiled fit, gamma={gamma:g}",
         )
 

@@ -33,8 +33,9 @@ raises ``QuadratureError``.
 scipy is imported where it is first used, not with this module:
 ``spherical_jn`` inside the Filon weights and ``brentq`` inside
 ``find_root``.  Importing ``scipy.optimize`` alone takes about half a
-second, and most commands never reach a root find, so a module-level
-import would charge every command start-up for it.
+second, and no command reaches a root find (the fitters run
+``fitting._solve``), so a module-level import would charge every
+command start-up for it.
 """
 
 from __future__ import annotations

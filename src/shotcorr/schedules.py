@@ -122,10 +122,15 @@ def tau_constant_contrast(model: OverhauserModel, delta_t: float, target: float 
         raise ParamError("delta_t", "delta_t must be positive")
     if not isinstance(model, OverhauserModel):
         raise TypeError("tau_constant_contrast needs an OverhauserModel reference")
-    denom = model.coupling_c**2 * model.s0 * model.omega_l**2 * delta_t
-    if not denom > 0:
+    weight = model.coupling_c**2 * model.s0 * model.omega_l**2
+    if not weight > 0:
         raise ValueError("reference model has zero spectral weight")
-    return math.sqrt(target / denom)
+    # Python floats: a product past the float range is inf or 0, with no warning
+    denom = weight * float(delta_t)
+    tau = math.sqrt(float(target) / denom) if denom > 0 else math.inf
+    if not 0 < tau < math.inf:
+        raise ParamError("delta_t", f"delta_t {delta_t:g} puts tau outside the float range")
+    return tau
 
 
 def _dt_hat(delta_t: float, variant: str) -> float:

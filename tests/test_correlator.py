@@ -359,6 +359,15 @@ class TestChiPlan:
             assert np.stack(plan.apply(model, values)).tobytes() == ref.tobytes()
         assert plan.fallbacks == 0
 
+    @_PLAN_MODELS
+    def test_design_of_s_is_apply(self, model):
+        # the plan's chi is linear in S: its sums with S in place of a
+        # derivative are apply's values, bit for bit
+        plan = _model_plan(model)
+        ref = np.stack(plan.apply(model))
+        assert len(plan.sent) == 0
+        assert np.stack(plan.design(model, model.evaluate(plan.nodes))).tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
     def test_reads_s_only_below_the_zero_edge(self, gamma):
         # a plan built for a hundredfold cutoff reaches past the zero edge

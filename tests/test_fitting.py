@@ -631,6 +631,77 @@ class TestDiscriminateGamma:
         assert str(from_discriminate.value) == str(from_problem.value)
 
 
+class TestDiscriminateSolver:
+    """The residual Jacobian and the stopping point of discriminate_gamma's fits."""
+
+    @staticmethod
+    def _capture(monkeypatch):
+        """Record (residuals, Jacobian, solution) of every _solve call."""
+        runs = []
+        original = fitting._solve
+
+        def capturing(fun, jac, x0, lo, hi, max_nfev):
+            sol = original(fun, jac, x0, lo, hi, max_nfev)
+            runs.append((fun, jac, sol))
+            return sol
+
+        monkeypatch.setattr(fitting, "_solve", capturing)
+        return runs
+
+    def test_exact_columns_match_central_differences(self, monkeypatch):
+        runs = self._capture(monkeypatch)
+        dts, taus, corr, se, wl, c = _constant_contrast_curve(noise_seed=3)
+        discriminate_gamma(dts, taus, corr, se, omega_l=wl, coupling_c=c, quad=QUICK)
+        assert len(runs) == 2
+        h = 1.0e-4
+        for fun, jac, sol in runs:
+            exact = jac(sol.x, fun(sol.x))
+            for j, step in enumerate(h * np.eye(2)):
+                central = (fun(sol.x + step) - fun(sol.x - step)) / (2.0 * h)
+                np.testing.assert_allclose(exact[:, j], central, rtol=1e-6, atol=0.0)
+
+    def test_forced_fallback_columns(self, monkeypatch):
+        # a plan that serves no spectrum sends every point of every sweep
+        # through chi_pair; the columns come from central differences of
+        # chi_pair and agree with the plan's exact ones
+        dts, taus, corr, se, wl, c = _constant_contrast_curve(noise_seed=3)
+        exact = discriminate_gamma(dts, taus, corr, se, omega_l=wl, coupling_c=c, gammas=(2.0,))
+        plans = []
+
+        def serves_nothing(plan, spectrum):
+            plans.append(plan)
+            return False
+
+        monkeypatch.setattr(correlator.ChiPlan, "_serves", serves_nothing)
+        runs = self._capture(monkeypatch)
+        forced = discriminate_gamma(dts, taus, corr, se, omega_l=wl, coupling_c=c, gammas=(2.0,))
+        ((_, _, sol),) = runs
+        assert np.all(np.isfinite(sol.jac)) and sol.status > 0
+        res, ref = forced.fits[2.0], exact.fits[2.0]
+        assert plans[0].fallbacks == len(dts) * res.n_eval
+        for name, value in ref.values.items():
+            assert res.values[name] == pytest.approx(value, rel=1e-7)
+        np.testing.assert_allclose(res.cov, ref.cov, rtol=1e-5, atol=0.0)
+
+    @pytest.mark.parametrize("noise_seed", [14, 18, 19])
+    def test_no_knife_edge(self, noise_seed):
+        # a relative change of 1e-15 in the correlation moved the values
+        # and covariance of these fits by 1.4e-12 to 1.8e-12 when the
+        # solver stopped on a cost test and took finite-difference columns
+        dts, taus, corr, se, wl, c = _constant_contrast_curve(noise_seed=noise_seed)
+
+        def entries(correlation):
+            decision = discriminate_gamma(dts, taus, correlation, se, omega_l=wl, coupling_c=c, quad=QUICK)
+            return np.array(
+                [v for f in decision.fits.values() for v in [*f.values.values(), *f.cov.ravel()]]
+            )
+
+        base = entries(corr)
+        for scale in (1.0 + 1e-15, 1.0 - 1e-15):
+            moved = np.abs(entries(corr * scale) - base) / np.abs(base)
+            assert moved.max() <= 1e-13
+
+
 class TestLevelProfile:
     TAU = np.full(4, 1.0e-5)
     SE = np.full(4, 1.0e-3)
