@@ -388,7 +388,8 @@ class ChiPlan:
         self.quad = _quad(quad)
         self.fallbacks = 0
         served, parts = [], tuple([] for _ in _PLAN_LEVELS)
-        for i, pair in enumerate(self.pairs):
+        # an empty window has no nodes, so the plan serves no pair
+        for i, pair in enumerate(self.pairs if self.omega_max > 0 else ()):
             try:
                 rows = self._rows(_pair_regions(pair.tau, pair.delta_t, self.omega_max))
             except QuadratureError:
@@ -408,10 +409,11 @@ class ChiPlan:
 
     @classmethod
     def covering(cls, pairs, spectra, quad=None) -> "ChiPlan":
-        """A plan whose window and breakpoints serve every one of ``spectra``."""
+        """A plan whose window covers every one of ``spectra``, on the kinks all of them share."""
         spectra = list(spectra)
-        omega_max = max(window_top(s) for s in spectra)
-        return cls(pairs, omega_max, {p for s in spectra for p in _kinks(s, omega_max)}, quad)
+        omega_max = max((window_top(s) for s in spectra), default=0.0)
+        kinks = [_kinks(s, omega_max) for s in spectra]
+        return cls(pairs, omega_max, set.intersection(*kinks) if kinks else (), quad)
 
     def _rows(self, regions):
         """``regions`` as (nodes, weights) per level, one weight row per output."""

@@ -4,10 +4,11 @@ Three entry points:
 
 ``fit``
     generic bounded weighted-least-squares fit of any spectrum family to
-    a correlation curve: the bounded Gauss-Newton solver ``_solve`` on
-    the weighted residuals from each point of a Sobol multistart,
-    log-scaled coordinates for positive parameters, and the
-    Gauss-Newton covariance (J^T J)^-1 of the final residual Jacobian.
+    a correlation curve: the bounded Gauss-Newton solver ``_solve`` from
+    each point of a Latin-hypercube multistart, on one ``ChiPlan`` per
+    call sized for the family at the corners of the bound box, log-scaled
+    coordinates for positive parameters, and the Gauss-Newton covariance
+    (J^T J)^-1 of the final residual Jacobian.
 
 ``discriminate_gamma``
     decides between cutoff shape exponents (exponential vs Gaussian) by
@@ -27,14 +28,13 @@ Three entry points:
     regression then gives alpha; a companion fit that is linear in
     ln(delta_t) flags the logarithmic growth of the alpha = 1 edge case.
 
-Both fitters finish on ``_solve``, so no scipy solver is loaded.
-``fit`` imports ``scipy.stats.qmc`` (about 1 s with what it loads) for
-its Sobol starts inside the function, not with this module: the CLI
-imports this module for every command.
+Both fitters finish on ``_solve``, and ``fit`` draws its starts with
+numpy, so neither loads ``scipy.optimize`` or ``scipy.stats``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -138,8 +138,7 @@ class FitResult:
 
     @property
     def reduced_chi2(self) -> float:
-        dof = self.n_points - len(self.values)
-        return self.chi2 / dof if dof > 0 else math.nan
+        return self.chi2 / self.dof if self.dof > 0 else math.nan
 
     def errors(self) -> dict:
         d = np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
@@ -176,22 +175,10 @@ def predict(problem: FitProblem, values: dict, quad=None) -> np.ndarray:
     )
 
 
-def _residuals(problem: FitProblem, values: dict, quad=None) -> np.ndarray:
-    return (predict(problem, values, quad) - problem.correlation) / problem.stderr
-
-
 def chi_squared(problem: FitProblem, values: dict, quad=None) -> float:
-    """Weighted squared residual sum for one parameter set."""
-    resid = _residuals(problem, values, quad)
+    """Weighted squared residual sum for one parameter set, from ``predict``."""
+    resid = (predict(problem, values, quad) - problem.correlation) / problem.stderr
     return float(resid @ resid)
-
-
-def _to_internal(p, par: FitParam):
-    return math.log10(p) if par.log_scale else p
-
-
-def _from_internal(x, par: FitParam):
-    return 10.0**x if par.log_scale else x
 
 
 # finite-difference step of the residual Jacobians in internal
@@ -308,14 +295,22 @@ def fit(
     """Bounded multistart least-squares fit of the problem's free parameters.
 
     Each start runs ``_solve`` on the weighted residuals
-    (predict - correlation) / stderr inside the (possibly log-scaled)
+    (model - correlation) / stderr inside the (possibly log-scaled)
     bound box, with forward-difference Jacobian columns (a step of
     ``_FD_STEP`` * max(1, |x|), inward at an upper bound), and may spend
     ``max_eval // n_starts`` (at least 50) evaluations outside the
-    Jacobian.  The starts are ``init`` when given
-    (natural-unit values for every free parameter, inside the bounds),
-    then a scrambled Sobol sample of the box; the lowest cost wins, and
-    ``chi2`` is twice that cost.
+    Jacobian.  The starts are ``init`` when given (natural-unit values
+    for every free parameter, inside the bounds), then a Latin hypercube
+    of ``n_starts`` points of the box from ``seed``; the lowest cost
+    wins, and ``chi2`` is twice that cost.
+
+    Each evaluation is one ``apply`` of a ``ChiPlan`` built once per call
+    for the family at the box's corners (a corner that raises
+    ``ParamError`` is left out), and one array ``correlator_from_chi``;
+    the model matches ``predict`` to the quadrature tolerance.  A kink
+    that moves with the parameters (a free ``omega_low`` or
+    ``omega_high``) is not shared by the corners, so a spectrum with it
+    goes through ``chi_pair`` at every point.
 
     The covariance is the Gauss-Newton (J^T J)^-1 of the winner's final
     Jacobian, eigenvalue-floored and mapped back to natural units; at a
@@ -326,20 +321,44 @@ def fit(
     """
     if n_starts < 0 or (n_starts == 0 and init is None):
         raise ParamError("n_starts", f"n_starts must be at least 1, or 0 with init; got {n_starts}")
-    from scipy.stats import qmc
-
     pars = problem.params
-    lo = np.array([_to_internal(p.lower, p) for p in pars])
-    hi = np.array([_to_internal(p.upper, p) for p in pars])
     n_eval = 0
 
+    def pack(values):
+        return np.array([math.log10(v) if p.log_scale else v for p, v in zip(pars, values)])
+
     def unpack(x):
-        return {p.name: _from_internal(v, p) for p, v in zip(pars, x)}
+        return {p.name: 10.0**v if p.log_scale else v for p, v in zip(pars, x)}
+
+    lo, hi = pack([p.lower for p in pars]), pack([p.upper for p in pars])
+    rng = np.random.default_rng(seed)
+    # a Latin hypercube: each coordinate has one start in each of its n_starts strata
+    strata = rng.permuted(np.tile(np.arange(n_starts), (len(pars), 1)), axis=1).T
+    starts = lo + (hi - lo) * (strata + rng.random(strata.shape)) / max(n_starts, 1)
+    if init is not None:
+        missing = [p.name for p in pars if p.name not in init]
+        if missing:
+            raise ParamError("init", f"init missing free parameters: {', '.join(missing)}")
+        x_init = pack([init[p.name] for p in pars])
+        if np.any(x_init < lo) or np.any(x_init > hi):
+            raise ParamError("init", "init lies outside the parameter bounds")
+        starts = np.vstack([x_init, starts])
+
+    corners = []
+    for x in itertools.product(*zip(lo, hi)):
+        try:
+            corners.append(problem.build(unpack(x)))
+        except ParamError:
+            pass
+    pairs = [EvolutionPair(t, d) for t, d in zip(problem.tau, problem.delta_t)]
+    plan = ChiPlan.covering(pairs, corners, quad)
 
     def residuals(x):
         nonlocal n_eval
         n_eval += 1
-        return _residuals(problem, unpack(x), quad)
+        chi_m, chi_p = plan.apply(problem.build(unpack(x)))
+        model = correlator_from_chi(chi_m, chi_p, problem.tau, problem.qubit.omega_q)
+        return (model - problem.correlation) / problem.stderr
 
     def forward_differences(x, r):
         jac = np.empty((len(r), len(x)))
@@ -349,30 +368,17 @@ def fit(
             jac[:, j] = (residuals(xh) - r) / (xh[j] - x[j])
         return jac
 
-    sampler = qmc.Sobol(len(pars), scramble=True, seed=seed)
-    # the first n points of a power-of-two draw: what random(n) gives,
-    # without scipy's warning about unbalanced Sobol' samples
-    starts = lo + (hi - lo) * sampler.random_base2((n_starts - 1).bit_length())[:n_starts]
-    if init is not None:
-        missing = [p.name for p in pars if p.name not in init]
-        if missing:
-            raise ParamError("init", f"init missing free parameters: {', '.join(missing)}")
-        x_init = np.array([_to_internal(init[p.name], p) for p in pars])
-        if np.any(x_init < lo) or np.any(x_init > hi):
-            raise ParamError("init", "init lies outside the parameter bounds")
-        starts = np.vstack([x_init, starts])
     budget = max(max_eval // max(n_starts, 1), 50)
     runs = [_solve(residuals, forward_differences, x0, lo, hi, budget) for x0 in starts]
     best = min(runs, key=lambda r: r.cost)
-    return FitResult(
-        values=unpack(best.x),
-        cov=_covariance(best.jac, best.x, [p.log_scale for p in pars]),
-        chi2=2.0 * best.cost,
-        n_points=len(problem.delta_t),
-        n_eval=n_eval,
-        success=best.status > 0,
-        message=_SOLVE_MESSAGES[best.status],
-    )
+    log_scale = [p.log_scale for p in pars]
+    return _result(best, unpack(best.x), log_scale, len(pairs), n_eval, _SOLVE_MESSAGES[best.status])
+
+
+def _result(sol: _Solution, values, log_scale, n_points, n_eval, message) -> FitResult:
+    """``_solve``'s solution as a FitResult: chi2 twice its cost, cov from its Jacobian."""
+    cov = _covariance(sol.jac, sol.x, log_scale)
+    return FitResult(values, cov, 2.0 * sol.cost, n_points, n_eval, sol.status > 0, message)
 
 
 def _covariance(jac, x, log_scale):
@@ -498,12 +504,11 @@ def discriminate_gamma(
     The solver stops on its step, not on a cost test, so a relative
     change of 1e-15 in the correlation moves the values and covariance
     by rounding (about 1e-14), not by a stopping point one step away.
-    The curve must
-    pass the checks ``FitProblem`` makes (positive stderr, delta_t and
-    tau, finite correlation); a bad one raises ValueError.  Each
-    distinct shape in ``gammas`` is fitted once.  Each candidate's
-    ``n_eval`` counts the full-curve chi sweeps made for it; its
-    ``success`` is the solver's convergence alone.
+    The curve must pass the checks ``FitProblem`` makes (positive
+    stderr, delta_t and tau, finite correlation); a bad one raises
+    ValueError.  Each distinct shape in ``gammas`` is fitted once.
+    Each candidate's ``n_eval`` counts the full-curve chi sweeps made
+    for it; its ``success`` is the solver's convergence alone.
 
     Every sweep is one ``ChiPlan.apply``: the call builds one plan for
     the (tau, delta_t) design, its window sized for the widest spectrum
@@ -614,15 +619,8 @@ def discriminate_gamma(
         x0 = (t[i], math.log10(scan[i]))
         lo, hi = np.array([t_lo[i], math.log10(lo_e)]), np.array([t_hi[i], math.log10(hi_e)])
         res = _solve(residuals, jacobian, x0, lo, hi, _DISCRIMINATE_BUDGET)
-        fits[gamma] = FitResult(
-            values={"s0": 10.0 ** res.x[0], "omega_e": 10.0 ** res.x[1]},
-            cov=_covariance(res.jac, res.x, (True, True)),
-            chi2=2.0 * res.cost,
-            n_points=len(dt),
-            n_eval=n_sweeps,
-            success=res.status > 0,
-            message=f"profiled fit, gamma={gamma:g}",
-        )
+        fitted = {"s0": 10.0 ** res.x[0], "omega_e": 10.0 ** res.x[1]}
+        fits[gamma] = _result(res, fitted, (True, True), len(dt), n_sweeps, f"profiled fit, gamma={gamma:g}")
 
     ordered = sorted(fits, key=lambda g: fits[g].chi2)
     best = ordered[0]

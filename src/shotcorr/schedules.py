@@ -36,7 +36,7 @@ Two rules are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +69,11 @@ class Schedule:
     ``unphysical``   tau exceeds delta_t, not realizable back to back;
     ``tau_omega_e``  tau * omega_e >= 0.1 for the reference model, so
                      short-evolution approximations are off their premise.
-
-    target_kind / target_value record which quantity the schedule holds
-    constant ("linear_chi_minus" or "oneoverf_level") and at what value;
-    they are empty/NaN for hand-assembled schedules.
     """
 
     delta_t: np.ndarray
     tau: np.ndarray
     flags: tuple[str, ...]
-    target_kind: str = ""
-    target_value: float = field(default=math.nan)
 
     def __post_init__(self):
         dt = np.asarray(self.delta_t, dtype=float)
@@ -205,8 +199,7 @@ def constant_contrast_schedule(
     """Constant-contrast schedule over an array of shot separations."""
     dt = np.asarray(delta_t, dtype=float)
     tau = np.array([tau_constant_contrast(model, d, target) for d in dt])
-    sched = build_schedule(dt, tau, model)
-    return replace(sched, target_kind="linear_chi_minus", target_value=float(target))
+    return build_schedule(dt, tau, model)
 
 
 def oneoverf_schedule(level: float, delta_t, variant: str = "exact") -> Schedule:
@@ -228,7 +221,7 @@ def oneoverf_schedule(level: float, delta_t, variant: str = "exact") -> Schedule
             f"(need >= {min_dt:g}): {', '.join(bad)}"
         )
     tau = np.array([tau_oneoverf(level, d, variant) for d in dt])
-    return replace(build_schedule(dt, tau), target_kind="oneoverf_level", target_value=float(level))
+    return build_schedule(dt, tau)
 
 
 def chi_minus_profile(spectrum, schedule: Schedule, quad=None) -> np.ndarray:

@@ -1407,3 +1407,9 @@ class TestStartupImports:
         assert not [m for m in loaded if m.startswith("scipy.stats")]
         # both fitters run the package's own solver
         assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+    def test_fit_mode_loads_no_scipy_stats(self, tmp_path):
+        # fit mode draws its starts with numpy and solves with the package's solver
+        cfg = write_config(tmp_path / "f.json", _fit_mode(tmp_path))
+        loaded = _scipy_loaded_by([["fit", "--config", cfg, "--out", tmp_path / "r.json"]])
+        assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.optimize"))]

@@ -294,18 +294,104 @@ class TestFit:
             assert key in d
 
     def test_bookkeeping_counts_model_evaluations(self, monkeypatch):
-        # n_eval counts every residual evaluation, Jacobian columns included
+        # n_eval counts every residual evaluation, Jacobian columns included;
+        # each is one sweep of the call's plan
         calls = []
 
-        def counted(problem, values, quad=None):
-            calls.append(values)
-            return original(problem, values, quad)
+        def counted(plan, spectrum, values=None):
+            calls.append(spectrum)
+            return original(plan, spectrum, values)
 
-        original = fitting.predict
-        monkeypatch.setattr(fitting, "predict", counted)
+        original = correlator.ChiPlan.apply
+        monkeypatch.setattr(correlator.ChiPlan, "apply", counted)
         res = fit(white_problem(noise_seed=10), init={"level": 5.0e3}, n_starts=1, quad=QUICK)
         assert res.n_eval > 0
         assert res.n_eval == len(calls)
+
+    def test_plan_serves_every_evaluation(self, monkeypatch):
+        # a fixed band edge is a kink every corner shares, so the call's
+        # plan serves the level fit whole and chi_pair is never called
+        prob = white_problem(noise_seed=10)
+        calls = []
+
+        def counted(spectrum, pair, quad=None):
+            calls.append(pair)
+            return original(spectrum, pair, quad)
+
+        original = correlator.chi_pair
+        monkeypatch.setattr(correlator, "chi_pair", counted)
+        monkeypatch.setattr(fitting, "chi_pair", counted)
+        res = fit(prob, n_starts=2, max_eval=600, quad=QUICK)
+        assert res.n_eval > 0
+        assert calls == []
+
+    def test_moving_kink_goes_through_chi_pair(self, monkeypatch):
+        # the corners of a free omega_high put the band edge at two places,
+        # so the plan has no kink there: a spectrum whose edge lies inside
+        # the plan's window goes through chi_pair at every point
+        prob = white_problem(noise_seed=10)
+        prob = FitProblem(
+            delta_t=prob.delta_t,
+            tau=prob.tau,
+            correlation=prob.correlation,
+            stderr=prob.stderr,
+            build=lambda v: WhiteModel(level=v["level"], omega_high=v["omega_high"]),
+            params=(FitParam("level", 1.0e2, 1.0e5), FitParam("omega_high", 5.0e5, 2.0e6)),
+        )
+        sent = []
+
+        def recorded(plan, spectrum, values=None):
+            out = original(plan, spectrum, values)
+            if spectrum.omega_high < plan.omega_max:
+                sent.append(len(plan.sent))
+            return out
+
+        original = correlator.ChiPlan.apply
+        monkeypatch.setattr(correlator.ChiPlan, "apply", recorded)
+        res = fit(prob, init={"level": 5.0e3, "omega_high": 1.0e6}, n_starts=0, quad=QUICK)
+        assert len(sent) > 0
+        assert sent == [len(prob.delta_t)] * len(sent)
+        assert res.success
+        # the level-only fit of this curve has a 1.3% error
+        assert res.values["level"] == pytest.approx(2.0e3, rel=0.05)
+
+    @pytest.mark.parametrize("noise_seed", [0, 1])
+    def test_chi2_is_full_model_chi_squared(self, noise_seed):
+        # the plan's sums and chi_pair agreed to 1e-12 relative on these
+        # curves; chi2 is the solver's cost at the reported values
+        dts, taus, corr, se, wl, c = _constant_contrast_curve(noise_seed=noise_seed)
+        prob = FitProblem(
+            delta_t=dts,
+            tau=taus,
+            correlation=corr,
+            stderr=se,
+            build=lambda v: OverhauserModel(v["s0"], wl, v["omega_e"], 1.0, c),
+            params=(FitParam("s0", 1.0e-8, 1.0), FitParam("omega_e", 1.0e3, 1.0e7)),
+        )
+        res = fit(prob, n_starts=2, max_eval=400, quad=QUICK)
+        ref = chi_squared(prob, res.values, quad=QUICK)
+        assert res.chi2 == pytest.approx(ref, rel=QUICK.rel_tol, abs=0.0)
+
+    def test_refused_corner_left_out(self):
+        # the lower omega_e corner lies below omega_l = 2e3, where the
+        # family refuses to build; the plan covers the other corners and
+        # the fit from init converges as with a box inside the family
+        truth = lorentzian_family({"s0": 4.0e3, "omega_e": 2.0e6})
+        tau = 5.0e-4
+        dts = np.geomspace(1.0e-6, 1.0e-3, 5)
+        prob = FitProblem(
+            delta_t=dts,
+            tau=np.full(5, tau),
+            correlation=analytic_curve(truth, tau, dts, quad=QUICK),
+            stderr=np.full(5, 0.01),
+            build=lorentzian_family,
+            params=(FitParam("s0", 1.0e2, 1.0e5), FitParam("omega_e", 1.0e2, 1.0e8)),
+        )
+        res = fit(prob, init={"s0": 4.0e3, "omega_e": 2.0e6}, n_starts=0, max_eval=150, quad=QUICK)
+        assert res.success
+        assert res.chi2 < 1.0e-10
+        assert res.values["s0"] == pytest.approx(4.0e3, rel=1e-4)
+        assert res.values["omega_e"] == pytest.approx(2.0e6, rel=1e-4)
 
 
 def _internal_hessian(chi2, x, h):

@@ -58,8 +58,6 @@ class TestConstantContrast:
         m = reference_model()
         dts = np.geomspace(1.0e-5, 1.0, 30)
         sched = constant_contrast_schedule(m, dts)
-        assert sched.target_kind == "linear_chi_minus"
-        assert sched.target_value == 2.0
         assert len(sched.delta_t) == 30
         # reference-parameter schedule stays physical and cutoff-safe
         assert all(f == "" for f in sched.flags)
@@ -170,11 +168,6 @@ class TestOneOverFSchedule:
         with pytest.raises(ValueError) as exc:
             oneoverf_schedule(1.0e-7, np.array([1.0e-9, 2.0e-9, 1.0]))
         assert "1e-09" in str(exc.value) and "2e-09" in str(exc.value)
-
-    def test_target_fields(self):
-        sched = oneoverf_schedule(1.0e-7, np.array([1.0e-2, 1.0e-1]))
-        assert sched.target_kind == "oneoverf_level"
-        assert sched.target_value == 1.0e-7
 
 
 class TestBuildSchedule:
