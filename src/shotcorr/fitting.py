@@ -28,8 +28,9 @@ Three entry points:
     regression then gives alpha; a companion fit that is linear in
     ln(delta_t) flags the logarithmic growth of the alpha = 1 edge case.
 
-Both fitters finish on ``_solve``, and ``fit`` draws its starts with
-numpy, so neither loads ``scipy.optimize`` or ``scipy.stats``.
+Both fitters finish on ``_solve``, ``fit`` draws its starts with numpy,
+and the plans' Filon weights come from ``numerics``' own kernel, so
+neither loads scipy.
 """
 
 from __future__ import annotations
@@ -222,10 +223,14 @@ def _solve(fun, jac, x0, lo, hi, max_nfev) -> _Solution:
     step), with lam I added to J^T J, and is clipped to the box.  lam
     starts at 0.  A step that raises the cost is retried with lam grown
     tenfold until the step is at most half as long; a kept step divides
-    lam by ten (below 1e-3, to 0).  Undamped steps below
-    ``_ROUNDING_STEP``, whose effect on the cost is rounding, are kept
-    while the step from their end is shorter, so they polish x to the
-    Gauss-Newton fixed point whatever the rounding of the cost.
+    lam by ten (below 1e-3, to 0).  The undamped step after a kept one
+    can aim again at the clipped box corner that just failed: a repeat
+    of the last rejected point is rejected without calling ``fun``,
+    which must be deterministic, since the cost has only fallen since.
+    Undamped steps below ``_ROUNDING_STEP``, whose effect on the cost is
+    rounding, are kept while the step from their end is shorter, so they
+    polish x to the Gauss-Newton fixed point whatever the rounding of
+    the cost.
 
     Stops: an undamped step below ``_STEP_TOL`` (status 1), polishing
     steps that stop shrinking (status 2), a damped step below
@@ -252,7 +257,7 @@ def _solve(fun, jac, x0, lo, hi, max_nfev) -> _Solution:
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = fun(x)
     nfev, cost, mu, J = 1, 0.5 * float(r @ r), 0.0, jac(x, r)
-    x_new = target(x, r, J, mu)
+    x_new, rejected = target(x, r, J, mu), None
     while True:
         step = size(x, x_new)
         if step <= (_ROUNDING_STEP if mu else _STEP_TOL):
@@ -261,11 +266,17 @@ def _solve(fun, jac, x0, lo, hi, max_nfev) -> _Solution:
         if nfev >= max_nfev:
             status = 0
             break
-        r_new = fun(x_new)
-        nfev += 1
-        cost_new = 0.5 * float(r_new @ r_new)
-        if mu or step > _ROUNDING_STEP:
+        tested = mu or step > _ROUNDING_STEP
+        if tested and x_new.tobytes() == rejected:
+            # the cost has only fallen since this point failed
+            cost_new = math.inf
+        else:
+            r_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(r_new @ r_new)
+        if tested:
             if not cost_new <= cost:
+                rejected = x_new.tobytes()
                 # damp until the step is at most half the one that failed
                 while size(x, x_new) > 0.5 * step:
                     mu = max(10.0 * mu, 1e-3)

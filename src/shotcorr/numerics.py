@@ -30,12 +30,10 @@ bracketed root finder, the finiteness check the model classes share, and
 Everything validates its domain and reports an honest error estimate or
 raises ``QuadratureError``.
 
-scipy is imported where it is first used, not with this module:
-``spherical_jn`` inside the Filon weights and ``brentq`` inside
-``find_root``.  Importing ``scipy.optimize`` alone takes about half a
-second, and no command reaches a root find (the fitters run
-``fitting._solve``), so a module-level import would charge every
-command start-up for it.
+The Filon moments are j_0 .. j_11 from ``_sph_jn``, a numpy kernel, so
+no command loads scipy.  Only ``find_root`` imports it, ``brentq``, at
+its first call: importing ``scipy.optimize`` takes about half a second,
+and no command reaches a root find (the fitters run ``fitting._solve``).
 """
 
 from __future__ import annotations
@@ -140,6 +138,17 @@ _even_n = np.arange(0, _FILON_ORDER, 2)
 _odd_n = np.arange(1, _FILON_ORDER, 2)
 _even_sign = (-1.0) ** (_even_n // 2)
 _odd_sign = (-1.0) ** ((_odd_n - 1) // 2)
+# _sph_jn's tables: row k of _SERIES holds the coefficients of
+# (-x^2/2)^k in j_n(x) (2n+1)!! / x^n, k = 0 .. 14; _LEAD the steps of
+# x^n / (2n+1)!!; _TWO_N_PLUS_ONE the 2n + 1 of both recurrences, n = 1 .. 30
+_orders = np.arange(_FILON_ORDER)
+_SERIES_TERMS = 14
+_SERIES = np.cumprod(
+    [np.ones(_FILON_ORDER)] + [1.0 / (k * (2 * _orders + 2 * k + 1)) for k in range(1, _SERIES_TERMS + 1)],
+    axis=0,
+)
+_LEAD = 1.0 / (2 * _orders[1:] + 1)
+_TWO_N_PLUS_ONE = 2.0 * np.arange(1, 31) + 1.0
 
 # evaluation batch size in panels times weight rows (or one starting
 # panel, where that is more); bounds peak memory at ~ _CHUNK * order doubles
@@ -211,6 +220,62 @@ def _bisect(edges, times):
     return edges
 
 
+def _sph_jn(theta):
+    """Spherical Bessel functions j_0 .. j_11 at each ``theta`` >= 0, shape (len(theta), 12).
+
+    Three regimes, each accurate to about 1e-15 of max_n |j_n(theta)|:
+    the power series in theta**2 to its 14th term at theta <= 2, where
+    theta = 0 gives exactly 1, +0, ..., +0; Miller's downward recurrence
+    from order 30 at 2 < theta <= 11, normalised by j_0 = sin(theta) /
+    theta or j_1 = (j_0 - cos(theta)) / theta, whichever is larger in
+    size; and the upward recurrence from j_0 and j_1 at theta > 11,
+    where every order is below theta and it is stable.  A regime no
+    theta falls in costs nothing.
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty((len(theta), _FILON_ORDER))
+    series, upward = theta <= 2.0, theta > 11.0
+    miller = ~(series | upward)
+
+    x = theta[series]
+    if x.size:
+        # j_n = x^n / (2n+1)!! * sum_k _SERIES[k, n] (-x^2/2)^k
+        out[series] = _powers(x, _LEAD) * (_powers(-0.5 * x * x, np.ones(_SERIES_TERMS)) @ _SERIES)
+
+    x = theta[miller]
+    if x.size:
+        ratio = _TWO_N_PLUS_ONE[:, None] / x
+        jn = np.empty((_FILON_ORDER, len(x)))
+        above, cur = np.zeros_like(x), np.full_like(x, 1e-300)
+        for n in range(len(ratio), 0, -1):
+            above, cur = cur, ratio[n - 1] * cur - above
+            if n <= _FILON_ORDER:
+                jn[n - 1] = cur
+        j0 = np.sin(x) / x
+        j1 = (j0 - np.cos(x)) / x
+        by_j0 = np.abs(j0) >= np.abs(j1)
+        out[miller] = (jn * (np.where(by_j0, j0, j1) / np.where(by_j0, jn[0], jn[1]))).T
+
+    x = theta[upward]
+    if x.size:
+        ratio = _TWO_N_PLUS_ONE[: _FILON_ORDER - 2, None] / x
+        jn = np.empty((_FILON_ORDER, len(x)))
+        jn[0] = np.sin(x) / x
+        jn[1] = (jn[0] - np.cos(x)) / x
+        for n in range(1, _FILON_ORDER - 1):
+            jn[n + 1] = ratio[n - 1] * jn[n] - jn[n - 1]
+        out[upward] = jn.T
+    return out
+
+
+def _powers(base, steps):
+    """Running products 1, base * steps[0], base^2 * steps[0] * steps[1], ... per row of ``base``."""
+    out = np.empty((len(base), len(steps) + 1))
+    out[:, 0] = 1.0
+    out[:, 1:] = base[:, None] * steps
+    return np.cumprod(out, axis=1, out=out)
+
+
 def _filon_panels(times, mid, half):
     """Filon nodes and one weight row per time on panels ``mid`` +- ``half``.
 
@@ -220,19 +285,15 @@ def _filon_panels(times, mid, half):
     E_n and O_n the integrals of P_n(u) cos(theta u), n even, and
     P_n(u) sin(theta u), n odd, on [-1, 1], proj the Legendre
     projection: the integral of f(omega) cos(omega t) against the
-    degree-11 Legendre fit of f.
+    degree-11 Legendre fit of f.  E_n and O_n are 2 (-1)^(n/2) j_n(theta)
+    and 2 (-1)^((n-1)/2) j_n(theta), with j_n from ``_sph_jn``: the
+    power series at theta <= 2 (exactly 1, +0, ..., +0 at theta = 0),
+    Miller's downward recurrence up to 11 and the upward one beyond.
     """
-    from scipy.special import spherical_jn
-
     times = np.asarray(times, dtype=float)
     nodes = (mid[:, None] + half[:, None] * _filon_nodes).ravel()
-    # j_0 .. j_11 of every time in one call, (times * panels, order); at
-    # theta = 0 they are exactly 1, 0, ..., 0, the values scipy returns
-    theta = (times[:, None] * half).ravel()
-    jn = np.zeros((len(theta), _FILON_ORDER))
-    jn[:, 0] = 1.0
-    live = theta != 0.0
-    jn[live] = spherical_jn(np.arange(_FILON_ORDER), theta[live, None])
+    # j_0 .. j_11 of every time in one call, (times * panels, order)
+    jn = _sph_jn((times[:, None] * half).ravel())
     even = (2.0 * _even_sign * jn[:, _even_n]).reshape(len(times), len(mid), -1)
     odd = (2.0 * _odd_sign * jn[:, _odd_n]).reshape(len(times), len(mid), -1)
     phase = (times[:, None] * mid)[:, :, None]

@@ -1408,6 +1408,17 @@ class TestStartupImports:
         # both fitters run the package's own solver
         assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
+    @pytest.mark.parametrize("command", ["chi", "figure2", "discriminate", "fit"])
+    def test_filon_commands_load_no_scipy(self, tmp_path, command):
+        # the Filon moments come from the package's own spherical-Bessel kernel
+        if command == "discriminate":
+            command, cfg = "fit", _discriminate_config(tmp_path)
+        elif command == "fit":
+            cfg = write_config(tmp_path / "f.json", _fit_mode(tmp_path))
+        else:
+            cfg = write_config(tmp_path / "c.json", CONTRACT_CASES[command](tmp_path))
+        assert _scipy_loaded_by([[command, "--config", cfg, "--out", tmp_path / "out"]]) == []
+
     def test_fit_mode_loads_no_scipy_stats(self, tmp_path):
         # fit mode draws its starts with numpy and solves with the package's solver
         cfg = write_config(tmp_path / "f.json", _fit_mode(tmp_path))

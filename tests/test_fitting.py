@@ -56,6 +56,19 @@ def white_problem(noise_seed=None, se=0.01):
     )
 
 
+def free_edge_problem():
+    """``white_problem(noise_seed=10)`` with the band edge ``omega_high`` free too."""
+    prob = white_problem(noise_seed=10)
+    return FitProblem(
+        delta_t=prob.delta_t,
+        tau=prob.tau,
+        correlation=prob.correlation,
+        stderr=prob.stderr,
+        build=lambda v: WhiteModel(level=v["level"], omega_high=v["omega_high"]),
+        params=(FitParam("level", 1.0e2, 1.0e5), FitParam("omega_high", 5.0e5, 2.0e6)),
+    )
+
+
 class TestPredict:
     def test_matches_pointwise_forward_model(self):
         truth = lorentzian_family({"s0": 4.0e3})
@@ -329,15 +342,7 @@ class TestFit:
         # the corners of a free omega_high put the band edge at two places,
         # so the plan has no kink there: a spectrum whose edge lies inside
         # the plan's window goes through chi_pair at every point
-        prob = white_problem(noise_seed=10)
-        prob = FitProblem(
-            delta_t=prob.delta_t,
-            tau=prob.tau,
-            correlation=prob.correlation,
-            stderr=prob.stderr,
-            build=lambda v: WhiteModel(level=v["level"], omega_high=v["omega_high"]),
-            params=(FitParam("level", 1.0e2, 1.0e5), FitParam("omega_high", 5.0e5, 2.0e6)),
-        )
+        prob = free_edge_problem()
         sent = []
 
         def recorded(plan, spectrum, values=None):
@@ -354,6 +359,29 @@ class TestFit:
         assert res.success
         # the level-only fit of this curve has a 1.3% error
         assert res.values["level"] == pytest.approx(2.0e3, rel=0.05)
+
+    def test_failed_corner_not_evaluated_again(self, monkeypatch):
+        # the undamped step after each kept one is clipped to the corner
+        # (level 1e2, omega_high 2e6), which fails; the solver evaluated it
+        # five times before it remembered the rejected point.  Skipping
+        # the repeats keeps every iterate, so the values keep the bits of
+        # the fit that evaluated them all.
+        prob = free_edge_problem()
+        points = []
+        original = fitting._solve
+
+        def recording(fun, jac, x0, lo, hi, max_nfev):
+            def recorded(x):
+                points.append(x.tobytes())
+                return fun(x)
+
+            return original(recorded, jac, x0, lo, hi, max_nfev)
+
+        monkeypatch.setattr(fitting, "_solve", recording)
+        res = fit(prob, init={"level": 5.0e3, "omega_high": 1.0e6}, n_starts=0, quad=QUICK)
+        assert len(points) == len(set(points))
+        assert res.values["level"].hex() == "0x1.f5c9985e11ce3p+10"
+        assert res.values["omega_high"].hex() == "0x1.e7b0090e6e652p+19"
 
     @pytest.mark.parametrize("noise_seed", [0, 1])
     def test_chi2_is_full_model_chi_squared(self, noise_seed):

@@ -18,7 +18,7 @@ from shotcorr.numerics import (
     lambert_w_m1,
     level_weights,
 )
-from shotcorr.numerics import _filon_panels, _filon_proj, _subdivide
+from shotcorr.numerics import _filon_panels, _filon_proj, _sph_jn, _subdivide
 
 
 def _spec(rel_tol=1e-8, **kw):
@@ -291,14 +291,14 @@ class TestFixedWeights:
             assert nodes.tobytes() == one_nodes.tobytes()
             assert w.tobytes() == one_w.tobytes()
 
-    def test_filon_moments_at_zero_theta_are_scipys(self):
-        # the weights skip spherical_jn where theta = t * half is 0 and write
-        # j_0 = 1, j_n = 0; against every moment from scipy the weights keep
+    def test_filon_weights_are_the_kernels_moments(self):
+        # at theta = t * half = 0 the kernel gives exactly j_0 = 1 and
+        # j_n = +0; against every moment from _sph_jn the weights keep
         # their bits, signed zeros included
         times = np.array([0.0, 0.7, 3.0])
         mid, half = np.array([0.5, 1.5, 4.0]), np.array([0.5, 0.5, 2.0])
         nodes, w = _filon_panels(times, mid, half)
-        jn = scipy.special.spherical_jn(np.arange(12), (times[:, None] * half).reshape(-1, 1))
+        jn = _sph_jn((times[:, None] * half).ravel())
         assert np.array_equal(jn[:3], [[1.0] + [0.0] * 11] * 3) and not np.signbit(jn[:3]).any()
         even = 2.0 * (-1.0) ** (np.arange(0, 12, 2) // 2) * jn[:, 0::2]
         odd = 2.0 * (-1.0) ** (np.arange(1, 12, 2) // 2) * jn[:, 1::2]
@@ -312,6 +312,54 @@ class TestFixedWeights:
         # a kink at 1.3 sits on a panel edge, so Gauss is exact to rounding
         nodes, (w,) = level_weights((0.0, 4.0), _spec(), (1.3,), None, 1)
         assert w @ np.abs(nodes - 1.3) == pytest.approx((1.3**2 + 2.7**2) / 2.0, rel=1e-13)
+
+
+def _sph_jn_mpmath(theta):
+    """j_0 .. j_11 at each float ``theta`` > 0 from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return np.array(
+            [
+                [float(mpmath.sqrt(mpmath.pi / (2 * t)) * mpmath.besselj(n + mpmath.mpf(1) / 2, t)) for n in range(12)]
+                for t in map(mpmath.mpf, theta.tolist())
+            ]
+        )
+
+
+class TestSphericalBessel:
+    """``_sph_jn``, the j_0 .. j_11 behind every Filon weight."""
+
+    # the three regimes meet at 2 and 11; the zeros k pi of j_0 are where
+    # Miller's recurrence normalises by j_1 instead
+    EDGES = np.array([np.nextafter(b, d) for b in (2.0, 11.0) for d in (0.0, b, np.inf)])
+    THETA = np.concatenate(
+        [
+            np.geomspace(1e-8, 1e5, 1000),
+            EDGES,
+            np.linspace(1.5, 12.5, 221),
+            math.pi * np.arange(1, 41),
+            math.pi * np.unique(np.round(np.geomspace(41, 3.1e4, 80))),
+        ]
+    )
+
+    @pytest.fixture(scope="class")
+    def ref(self):
+        return _sph_jn_mpmath(self.THETA)
+
+    def test_matches_mpmath(self, ref):
+        err = np.abs(_sph_jn(self.THETA) - ref).max(axis=1)
+        assert np.all(err <= 4e-15 * np.abs(ref).max(axis=1))
+
+    def test_matches_scipy(self, ref):
+        # scipy is a second reference, apart from the mpmath formula: where
+        # its own error is at most 1e-15 of max_n |j_n| (nine tenths of this
+        # grid; near theta = 9.9 it reaches 1.2e-14) the kernel is within
+        # the bound of it
+        got = scipy.special.spherical_jn(np.arange(12), self.THETA[:, None])
+        scale = np.abs(ref).max(axis=1)
+        sharp = np.abs(got - ref).max(axis=1) <= 1e-15 * scale
+        assert sharp.mean() > 0.8
+        err = np.abs(_sph_jn(self.THETA) - got).max(axis=1)
+        assert np.all(err[sharp] <= 4e-15 * scale[sharp])
 
 
 class TestLambertW:
