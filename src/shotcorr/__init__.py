@@ -16,7 +16,6 @@ from .numerics import (  # noqa: F401
     QuadratureResult,
     QuadratureSpec,
     filon_cos_integral,
-    find_root,
     gamma_fn,
     integrate_spectral,
     lambert_w,

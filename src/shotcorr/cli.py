@@ -415,13 +415,25 @@ def cmd_schedule(config, args):
 
 
 def _lags(sec):
-    """``sec``'s lags as counts, or None when absent or null, for ``_default_lags``."""
+    """``sec``'s lags as counts, or None when absent or null, for ``_curve``'s default."""
     return None if sec.raw("lags") is None else sec.numbers("lags", _count)
 
 
-def _default_lags(shortest):
-    """The lags of 1, 2, 3, 5, 8 below ``shortest``, the length of the shortest record."""
-    return [m for m in (1, 2, 3, 5, 8) if m < shortest]
+def _curve(records, lags, epsilon, too_short):
+    """``correlation_curve`` at ``lags``, or when None at 1, 2, 3, 5, 8 below the shortest record.
+
+    Default lags the records cannot carry are refused in the words of
+    ``too_short``, which names what set the length ``n`` of the shortest.
+    """
+    n = min(len(r) for r in records)
+    default = [m for m in (1, 2, 3, 5, 8) if m < n]
+    try:
+        return correlation_curve(records, lags or default, correct_epsilon=epsilon)
+    except ParamError as e:
+        if lags or e.name != "lags":
+            raise
+        why = f"the default lags {default}: {e}" if default else "any default lag"
+        raise ConfigError(f"{too_short.format(n=n)} too short for {why}") from None
 
 
 def _records_path(out):
@@ -441,7 +453,7 @@ def cmd_simulate(config, args):
             qubit=qubit,
         )
     n_records = sec.get("n_records", _count, 1)
-    lags = _lags(sec) or _default_lags(prot.n_cycles)
+    lags = _lags(sec)
     sec.close()
     grid_sec = _Section(config).section("grid")
     with grid_sec:
@@ -453,7 +465,8 @@ def cmd_simulate(config, args):
     grid_sec.close()
     with sec:
         records = run_protocol(spectrum, prot, n_records, seed=args.seed, grid=grid)
-        curve = correlation_curve(records, lags, correct_epsilon=qubit.readout_flip_prob)
+        too_short = "config field 'protocol.n_cycles': records of length {n} are"
+        curve = _curve(records, lags, qubit.readout_flip_prob, too_short)
     rec_path = _records_path(args.out)
     records_to_csv(records, rec_path)
     timing = {"tau": prot.tau, "cycle_period": prot.cycle_period}
@@ -488,9 +501,8 @@ def cmd_correlate(config, args):
     timing = _Section(timing, "correlate")
     with timing:
         records = records_from_csv(path, tau=timing.get("tau"), cycle_period=timing.get("cycle_period"))
-    lags = lags or _default_lags(min(len(r) for r in records))
     with sec:
-        curve = correlation_curve(records, lags, correct_epsilon=eps)
+        curve = _curve(records, lags, eps, f"{path}: its shortest record, of length {{n}}, is")
     curve.to_csv(args.out)
     _write_sidecar(args.out, config, {"n_records": len(records), "epsilon": eps})
 

@@ -57,7 +57,6 @@ from .numerics import (
     QuadratureError,
     QuadratureSpec,
     filon_cos_integral,
-    find_root,
     gamma_fn,
     integrate_spectral,
     level_weights,
@@ -193,7 +192,9 @@ def _envelope(tau):
     return lambda s, w: s * (tau / 2.0) ** 2 * _sinc(w * tau / 2.0) ** 2
 
 
+@np.errstate(over="ignore")
 def _over_w2(s, w):
+    # where w * w overflows, S / omega^2 is its limit, 0
     return s / (w * w)
 
 
@@ -531,35 +532,37 @@ def correlator_from_chi(chi_m, chi_p, tau, omega_q: float = 0.0):
     return 0.5 * xp.cos(2.0 * omega_q * tau) * xp.exp(-chi_p / 2.0) + 0.5 * xp.exp(-chi_m / 2.0)
 
 
-def t2_star(spectrum: SpectrumModel, quad=None, bracket=None) -> float:
-    """Evolution time at which the single-shot phase variance reaches 1."""
+def t2_star(spectrum: SpectrumModel, quad=None) -> float:
+    """Evolution time at which the single-shot phase variance reaches 1.
+
+    Brackets the crossing in factor-2 steps from 1/sqrt(variance), then
+    bisects the bracket in log tau until its ends differ by a relative
+    1e-10.  Each tau's phase variance is evaluated once.
+    """
     quad = _quad(quad)
 
-    def excess(tau):
-        return phase_variance(spectrum, tau, quad) - 1.0
+    def above(tau):
+        return phase_variance(spectrum, tau, quad) > 1.0
 
-    if bracket is None:
-        var = variance(spectrum, quad)
-        if not var > 0:
-            raise ValueError("t2_star undefined for zero-variance spectrum")
-        guess = 1.0 / math.sqrt(var)
-        lo = hi = guess
-        flo = fhi = excess(guess)
-        # factor-2 steps: overshooting wastes panels roughly linearly in
-        # tau for broadband spectra, so stay close to the crossing
-        for _ in range(120):
-            if flo > 0:
-                lo /= 2.0
-                flo = excess(lo)
-            elif fhi < 0:
-                hi *= 2.0
-                fhi = excess(hi)
-            else:
-                break
-        else:
-            raise ValueError("t2_star: failed to bracket the unit-variance time")
-        bracket = (lo, hi)
-    return find_root(excess, bracket, rel_tol=1e-10)
+    var = variance(spectrum, quad)
+    if not var > 0:
+        raise ValueError("t2_star undefined for zero-variance spectrum")
+    tau = 1.0 / math.sqrt(var)
+    side = above(tau)
+    # factor-2 steps: overshooting wastes panels roughly linearly in
+    # tau for broadband spectra, so stay close to the crossing
+    for _ in range(120):
+        step = tau / 2.0 if side else tau * 2.0
+        if above(step) != side:
+            break
+        tau = step
+    else:
+        raise ValueError("t2_star: failed to bracket the unit-variance time")
+    lo, hi = sorted((tau, step))
+    while hi > lo * (1.0 + 1e-10):
+        mid = lo * math.sqrt(hi / lo)
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return lo * math.sqrt(hi / lo)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,8 @@ Three entry points:
     regression then gives alpha; a companion fit that is linear in
     ln(delta_t) flags the logarithmic growth of the alpha = 1 edge case.
 
-Both fitters finish on ``_solve``, ``fit`` draws its starts with numpy,
-and the plans' Filon weights come from ``numerics``' own kernel, so
-neither loads scipy.
+Both fitters finish on ``_solve``, and ``fit`` draws its starts with
+numpy.
 """
 
 from __future__ import annotations
@@ -537,8 +536,6 @@ def discriminate_gamma(
     gammas = tuple(dict.fromkeys(gammas))
     if len(gammas) == 0:
         raise ParamError("gammas", "gammas must name at least one cutoff shape")
-    if not all(0 < g < math.inf for g in gammas):
-        raise ParamError("gammas", f"gammas must be positive and finite, got {list(gammas)}")
     dt, tv, corr, se = _curve_arrays(delta_t, tau, correlation, stderr)
     if len(dt) < 4:
         raise ValueError("need at least 4 points to compare cutoff shapes")
@@ -549,14 +546,18 @@ def discriminate_gamma(
     if not (hi_e > lo_e > omega_l):
         raise ParamError("omega_e_bounds", "omega_e_bounds must be above omega_l and increasing")
     we_top = hi_e * 10.0 ** (_FD_STEP * max(1.0, abs(math.log10(hi_e))))
-    plan = ChiPlan.covering(
-        [EvolutionPair(t, d) for t, d in zip(tv, dt)],
-        [OverhauserModel(1.0, omega_l, we_top, g, coupling_c) for g in gammas],
-        quad,
-    )
+    if we_top == math.inf:
+        raise ParamError("omega_e_bounds", f"top {hi_e:g} puts the window top past the float range")
+    try:
+        # each shape's model at we_top, where its window is widest, checks the shape
+        widest = [OverhauserModel(1.0, omega_l, we_top, g, coupling_c) for g in gammas]
+    except ParamError as e:
+        name = {"gamma": "gammas", "omega_e": "omega_e_bounds"}.get(e.name, e.name)
+        raise ParamError(name, str(e)) from None
+    plan = ChiPlan.covering([EvolutionPair(t, d) for t, d in zip(tv, dt)], widest, quad)
     n_sweeps = 0
     # S = knee * cutoff on the plan's nodes; only the cutoff moves per sweep
-    knee = OverhauserModel(1.0, omega_l, we_top, 1.0, coupling_c).knee_factor(plan.nodes)
+    knee = widest[0].knee_factor(plan.nodes)
     values = np.empty(len(plan.nodes))
     slopes = np.empty(len(plan.nodes))
 

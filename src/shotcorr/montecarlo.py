@@ -282,13 +282,22 @@ def _records_columns(path):
 
 
 def records_from_csv(path, tau: float, cycle_period: float) -> list[ShotRecord]:
-    """Read a batch CSV back; record boundaries are cycle_index resets."""
+    """Read a batch CSV back: each record's cycle_index runs 0, 1, 2, ...
+
+    Any other index would pair shots at the wrong lag, so it is refused.
+    """
     idx, outcomes = _records_columns(path) or _records_per_cell(path)
-    starts = np.flatnonzero(np.diff(idx) <= 0) + 1
-    return [
-        ShotRecord(chunk, tau, cycle_period)
-        for chunk in np.split(np.array(outcomes), starts)
-    ]
+    idx = np.asarray(idx)
+    # row 0 and each row whose index is not one more than the last: each must start a record at 0
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(idx) != 1) + 1))
+    bad = starts[idx[starts] != 0]
+    if len(bad):
+        k = bad[0]
+        with open(path) as fh:  # the line of data row k: the readers skip blank lines
+            line = [i for i, text in enumerate(fh, start=1) if text.strip()][k + 1]
+        want = f"{idx[k - 1] + 1}, or 0 to start a record" if k else "0"
+        raise ValueError(f"{path}: row {line}: cycle_index {idx[k]}, expected {want}")
+    return [ShotRecord(chunk, tau, cycle_period) for chunk in np.split(np.array(outcomes), starts[1:])]
 
 
 def _mode_rms(spectrum: SpectrumModel, grid: GridSpec, duration: float):
@@ -349,11 +358,6 @@ def _fill_phasors(out, omega, t0, step):
             np.multiply(power, power, out=power)
 
 
-# complex numbers per chunk of the offset table (512 KB): a chunk's B x modes
-# rows are transposed into place while they are still in cache
-_OFFSET_CHUNK = 1 << 15
-
-
 def _phase_table(omega: np.ndarray, protocol: Protocol):
     """Block-start phasors, in-block offsets and window gains of a protocol.
 
@@ -369,10 +373,9 @@ def _phase_table(omega: np.ndarray, protocol: Protocol):
     Both grids come from ``_fill_phasors``: cos and sin are taken of the
     first row's and the step's arguments per axis, and the other rows are
     doubling products, so the table evaluates O(modes) trig arguments,
-    not O(modes (n_blocks + B)).  The offsets are built in chunks of
-    ``_OFFSET_CHUNK`` complex numbers, B rows by as many modes as fit,
-    each transposed into its interleaved rows while it is in cache; no
-    (B, modes) complex array is ever made.
+    not O(modes (n_blocks + B)).  ``off`` is the transpose of the (B,
+    modes) complex array of exp(-i omega_k j cycle_period) read as
+    floats, whose (Re, Im) pairs already sit in the interleaved order.
 
     Each phasor still carries only the rounding of its argument omega t,
     though not the same rounding as cos and sin of omega t.  On the
@@ -386,16 +389,10 @@ def _phase_table(omega: np.ndarray, protocol: Protocol):
     block = 1 << math.isqrt(n - 1).bit_length()
     e0 = np.empty((-(-n // block), len(omega)), dtype=complex)
     _fill_phasors(e0, omega, protocol.tau / 2.0, block * dt)
-    off = np.empty((len(omega), 2, block))
-    chunk = max(1, _OFFSET_CHUNK // block)
-    rows = np.empty((block, chunk), dtype=complex)
-    for lo in range(0, len(omega), chunk):
-        w = omega[lo : lo + chunk]
-        z = rows[:, : len(w)]
-        # exp(-i omega j dt): each (Re, Im) pair is the (cos, -sin) an offset holds
-        _fill_phasors(z, w, 0.0, -dt)
-        off[lo : lo + len(w)] = z.view(float).reshape(block, len(w), 2).transpose(1, 2, 0)
-    off = off.reshape(2 * len(omega), block)
+    z = np.empty((block, len(omega)), dtype=complex)
+    # exp(-i omega j dt): each (Re, Im) pair is the (cos, -sin) an offset holds
+    _fill_phasors(z, omega, 0.0, -dt)
+    off = z.view(float).reshape(block, 2 * len(omega)).T
     gain = _window_gain(omega, protocol.tau)
     # shared by every record of a protocol: no reader may write to it
     e0.flags.writeable = off.flags.writeable = gain.flags.writeable = False

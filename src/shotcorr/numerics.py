@@ -24,16 +24,14 @@ argument; the window of an integral of S is the spectrum's
 (``spectra.window_top``).  ``QuadratureSpec`` holds only the tolerances
 and the panel budget.
 
-Also here: real Lambert W on both real branches, a gamma wrapper, a
-bracketed root finder, the finiteness check the model classes share, and
-``ParamError``, the ValueError of every check that refuses a parameter.
+Also here: real Lambert W on both real branches, a gamma wrapper, the
+finiteness check the model classes share, and ``ParamError``, the
+ValueError of every check that refuses a parameter.
 Everything validates its domain and reports an honest error estimate or
 raises ``QuadratureError``.
 
-The Filon moments are j_0 .. j_11 from ``_sph_jn``, a numpy kernel, so
-no command loads scipy.  Only ``find_root`` imports it, ``brentq``, at
-its first call: importing ``scipy.optimize`` takes about half a second,
-and no command reaches a root find (the fitters run ``fitting._solve``).
+The Filon moments are j_0 .. j_11 from ``_sph_jn``, a numpy kernel; the
+package needs no library beyond numpy.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ __all__ = [
     "lambert_w",
     "lambert_w_m1",
     "gamma_fn",
-    "find_root",
     "require_finite",
     "ParamError",
 ]
@@ -563,27 +560,3 @@ def gamma_fn(x: float) -> float:
     if not x > 0:
         raise ValueError(f"gamma_fn: argument must be positive, got {x}")
     return math.gamma(x)
-
-
-def find_root(g, bracket, rel_tol: float = 1e-12) -> float:
-    """Root of scalar ``g`` inside ``bracket`` = (lo, hi).
-
-    The bracket must show a sign change (an endpoint sitting exactly on
-    zero counts).  Brent's method underneath.
-    """
-    lo, hi = map(float, bracket)
-    if not hi > lo:
-        raise ValueError("find_root: bracket must satisfy lo < hi")
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        raise ValueError(
-            f"find_root: no sign change on bracket ({lo:g}, {hi:g}): "
-            f"g(lo)={glo:g}, g(hi)={ghi:g}"
-        )
-    from scipy.optimize import brentq
-
-    return float(brentq(g, lo, hi, rtol=max(rel_tol, 4e-16), xtol=1e-300))

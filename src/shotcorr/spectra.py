@@ -164,6 +164,15 @@ class OverhauserModel(SpectrumModel):
             raise ParamError("coupling_c", "coupling_c**2 overflows the float range") from None
         if not math.isfinite(level):
             raise ParamError("s0", "the level coupling_c**2 * s0 overflows the float range")
+        # every integral of S runs over [0, window_top], which must be finite
+        try:
+            finite_top = window_top(self) < math.inf
+            name = "omega_e" if self.cutoff_enabled else "omega_l"
+        except OverflowError:  # ln(1e20) ** (1/gamma) alone
+            finite_top, name = False, "gamma"
+        if not finite_top:
+            value = getattr(self, name)
+            raise ParamError(name, f"{name} = {value:g} puts the window top past the float range")
 
     @classmethod
     def from_rms(cls, rms_field, omega_l, omega_e, gamma, coupling_c):
@@ -211,8 +220,12 @@ class OverhauserModel(SpectrumModel):
             out = self.cutoff_factor(w) * out
         return out if np.ndim(omega) else float(out)
 
+    @np.errstate(over="ignore")
     def knee_factor(self, omega):
-        """The Lorentzian c^2 s0 / (1 + (omega/omega_l)^2) alone, vectorized."""
+        """The Lorentzian c^2 s0 / (1 + (omega/omega_l)^2) alone, vectorized.
+
+        Where (omega/omega_l)^2 overflows the factor is its limit, 0.
+        """
         return self.coupling_c**2 * self.s0 / (1.0 + (np.asarray(omega, dtype=float) / self.omega_l) ** 2)
 
     def cutoff_factor(self, omega):

@@ -472,6 +472,48 @@ class TestCorrelateCommand:
         assert run_cli(["correlate", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
         assert "row 3" in capsys.readouterr().err
 
+    def test_default_lags_blame_the_record_length(self, tmp_path, capsys):
+        # default lags were refused under correlate.lags or protocol.lags,
+        # fields the config never set
+        protocol = {"tau": 2e-4, "cycle_period": 1e-3, "n_cycles": 2}
+        sim = write_config(tmp_path / "sim.json", TestSimulateCommand().sim_config(protocol=protocol))
+        assert run_cli(["simulate", "--config", sim, "--out", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config field 'protocol.n_cycles': records of length 2 are too short"
+            " for the default lags [1]: lag 1 leaves one product"
+        )
+        rec = tmp_path / "one.csv"
+        rec.write_text("cycle_index,t_center_s,outcome\n0,1e-4,1\n0,1e-4,-1\n")
+        cfg = write_config(
+            tmp_path / "corr.json",
+            {"correlate": {"records": str(rec), "tau": 5e-5, "cycle_period": 1e-4}},
+        )
+        assert run_cli(["correlate", "--config", cfg, "--out", tmp_path / "y.csv"]) == 1
+        err = capsys.readouterr().err
+        message = f"{rec}: its shortest record, of length 1, is too short for any default lag"
+        assert err == f"error: {message}\n"
+        assert not list(tmp_path.glob("[xy].*"))
+
+    @pytest.mark.parametrize(
+        "indices, row",
+        [
+            ("0,1,3,4,5,7", "row 4: cycle_index 3, expected 2,"),
+            ("5,6,7", "row 2: cycle_index 5, expected 0"),
+        ],
+    )
+    def test_cycle_index_gap_names_row(self, tmp_path, capsys, indices, row):
+        # a skipped index would pair shots two cycles apart as lag 1
+        rec = tmp_path / "gap.csv"
+        lines = [f"{i},{(i + 1) * 1e-4},{(-1) ** i}" for i in map(int, indices.split(","))]
+        rec.write_text("\n".join(["cycle_index,t_center_s,outcome", *lines]) + "\n")
+        cfg = write_config(
+            tmp_path / "corr.json",
+            {"correlate": {"records": str(rec), "tau": 5e-5, "cycle_period": 1e-4, "lags": [1]}},
+        )
+        assert run_cli(["correlate", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+        assert row in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFitCommand:
     def write_alpha_curve(self, path, exponent=1.5):
@@ -1315,6 +1357,34 @@ _OUT_OF_RANGE = [
         _set(_set(_FLOAT_BASES["chi"][1], "spectrum.coupling_c", None), "spectrum.g_factor", 0.0),
         "spectrum.g_factor",
     ),
+    # a window top past the float range ended in an OverflowError traceback
+    pytest.param(
+        "chi",
+        _set(_FLOAT_BASES["chi"][1], "spectrum.gamma", 0.001),
+        "spectrum.gamma",
+        id="spectrum.gamma=0.001",
+    ),
+    pytest.param(
+        "chi",
+        _set(_FLOAT_BASES["chi"][1], "spectrum.omega_e", 1e308),
+        "spectrum.omega_e",
+        id="spectrum.omega_e=1e308",
+    ),
+    pytest.param(
+        "fit", _set(_discriminate, "fit.gammas", [0.001, 2]), "fit.gammas", id="fit.gammas=[0.001, 2]"
+    ),
+    pytest.param(
+        "fit",
+        _set(_discriminate, "fit.omega_e_bounds", [1e3, 1e308]),
+        "fit.omega_e_bounds",
+        id="fit.omega_e_bounds=[1e3, 1e308]",
+    ),
+    pytest.param(
+        "fit",
+        _set(_discriminate, "fit.omega_e_bounds", [1e3, 1.7e308]),
+        "fit.omega_e_bounds",
+        id="fit.omega_e_bounds=[1e3, 1.7e308]",
+    ),
 ]
 
 
@@ -1328,6 +1398,22 @@ class TestRangeErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
         assert not list(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize(
+        "command, build",
+        [
+            ("chi", _set(_FLOAT_BASES["chi"][1], "spectrum.omega_e", 1e300)),
+            ("chi", _set(_FLOAT_BASES["chi"][1], "spectrum.gamma", 0.01)),
+            ("fit", _set(_discriminate, "fit.omega_e_bounds", [1e3, 1e300])),
+        ],
+        ids=["spectrum.omega_e=1e300", "spectrum.gamma=0.01", "fit.omega_e_bounds=[1e3, 1e300]"],
+    )
+    def test_overflow_to_zero_is_silent(self, tmp_path, capsys, command, build):
+        # S and S / omega^2 overflowed to their limit 0 with numpy warnings,
+        # which the suite's warning filter turns into errors
+        cfg = write_config(tmp_path / "c.json", build(tmp_path))
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "x.out"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_sidecar_timing_named_alike(self, tmp_path, capsys):
         # timing from the records sidecar is refused under its correlate field
@@ -1379,7 +1465,7 @@ def _scipy_loaded_by(calls):
 
 
 class TestStartupImports:
-    """scipy loads at a command's first use of it, never with the package."""
+    """numpy is the only runtime dependency: no command or library call loads scipy."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_loaded_by([]) == []
@@ -1418,6 +1504,20 @@ class TestStartupImports:
         else:
             cfg = write_config(tmp_path / "c.json", CONTRACT_CASES[command](tmp_path))
         assert _scipy_loaded_by([[command, "--config", cfg, "--out", tmp_path / "out"]]) == []
+
+    def test_t2_star_loads_no_scipy(self):
+        # the unit-variance time is bisected in the package, not found by scipy
+        code = (
+            "import sys\n"
+            "from shotcorr import WhiteModel, t2_star\n"
+            "t2_star(WhiteModel(level=2.0e3, omega_high=1.0e6))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_fit_mode_loads_no_scipy_stats(self, tmp_path):
         # fit mode draws its starts with numpy and solves with the package's solver

@@ -568,6 +568,24 @@ class TestT2Star:
         rms_rate = COUPLING * 7.0e-3
         assert t2_star(m) == pytest.approx(1.0 / rms_rate, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "model", [WhiteModel(level=2.0e3, omega_high=1.0e6), reference_model()], ids=["white", "overhauser"]
+    )
+    def test_bisected_once_per_tau(self, monkeypatch, model):
+        # the bracket ends are evaluated once, and the root is bisected to 1e-10
+        taus = []
+
+        def counted(spectrum, tau, quad=None):
+            taus.append(tau)
+            return phase_variance(spectrum, tau, quad)
+
+        monkeypatch.setattr(correlator, "phase_variance", counted)
+        t2 = t2_star(model)
+        assert len(set(taus)) == len(taus)
+        below, above = max(t for t in taus if t <= t2), min(t for t in taus if t >= t2)
+        assert above / below - 1.0 <= 1e-10
+        assert phase_variance(model, t2) == pytest.approx(1.0, rel=1e-9)
+
     def test_zero_spectrum_error(self):
         z = TabulatedModel(np.array([[1.0, 0.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from shotcorr.numerics import (
     QuadratureError,
     QuadratureSpec,
     filon_cos_integral,
-    find_root,
     gamma_fn,
     integrate_spectral,
     lambert_w,
@@ -422,18 +421,3 @@ class TestGammaFn:
             gamma_fn(0.0)
         with pytest.raises(ValueError):
             gamma_fn(-1.5)
-
-
-class TestFindRoot:
-    def test_simple_roots(self):
-        assert find_root(lambda x: x - 1.0, (0.0, 2.0)) == pytest.approx(1.0)
-        assert find_root(lambda x: x * x - 2.0, (0.0, 2.0)) == pytest.approx(
-            math.sqrt(2.0), rel=1e-12
-        )
-        assert find_root(math.cos, (1.0, 2.0)) == pytest.approx(
-            math.pi / 2.0, rel=1e-10
-        )
-
-    def test_no_sign_change_error(self):
-        with pytest.raises(ValueError):
-            find_root(lambda x: x * x + 1.0, (0.0, 1.0))

@@ -7,7 +7,7 @@ import pytest
 
 from shotcorr.fitting import FitParam
 from shotcorr.montecarlo import GridSpec, Protocol
-from shotcorr.numerics import QuadratureSpec
+from shotcorr.numerics import ParamError, QuadratureSpec
 from shotcorr.spectra import (
     BOHR_MAGNETON,
     HBAR,
@@ -113,9 +113,10 @@ class TestEvaluate:
 
     def test_zero_above_of_the_other_models(self):
         # no cutoff, or one whose edge overflows, leaves S nonzero everywhere;
-        # the band models are 0 past their hard top
+        # the band models are 0 past their hard top.  At gamma = 1/150 the
+        # edge 746**150 overflows while the window top 46.05**150 does not
         assert OverhauserModel(1.0, 0.5, math.inf, 1.0, 1.0).zero_above == math.inf
-        assert OverhauserModel(1.0, 0.5, 1.0e4, 1.0e-3, 1.0).zero_above == math.inf
+        assert OverhauserModel(1.0, 0.5, 1.0e4, 1.0 / 150.0, 1.0).zero_above == math.inf
         assert WhiteModel(level=2.0, omega_high=1.0e6).zero_above == 1.0e6
         pl = PowerLawModel(amplitude=1.0, alpha=1.0, omega_low=1.0, omega_high=1.0e5)
         assert pl.zero_above == 1.0e5
@@ -157,6 +158,20 @@ class TestValidation:
             OverhauserModel(s0=1.0, omega_l=0.0, omega_e=10.0, gamma=1.0, coupling_c=1.0)
         with pytest.raises(ValueError):
             OverhauserModel(s0=1.0, omega_l=1.0, omega_e=10.0, gamma=1.0, coupling_c=0.0)
+
+    @pytest.mark.parametrize(
+        "omega_l, omega_e, gamma, name",
+        [
+            (1.0, 1.0e4, 1.0e-3, "gamma"),
+            (1.0, 1.0e308, 1.0, "omega_e"),
+            (1.0e300, math.inf, 1.0, "omega_l"),
+        ],
+    )
+    def test_overhauser_window_top_must_be_finite(self, omega_l, omega_e, gamma, name):
+        # every integral of S runs up to the window top
+        with pytest.raises(ParamError, match="window top past the float range") as info:
+            OverhauserModel(s0=1.0, omega_l=omega_l, omega_e=omega_e, gamma=gamma, coupling_c=1.0)
+        assert info.value.name == name
 
     def test_power_law(self):
         with pytest.raises(ValueError):
