@@ -52,6 +52,7 @@ from .montecarlo import (
     CorrelationCurve,
     GridSpec,
     Protocol,
+    check_lags,
     correlation_curve,
     records_from_csv,
     records_to_csv,
@@ -419,16 +420,16 @@ def _lags(sec):
     return None if sec.raw("lags") is None else sec.numbers("lags", _count)
 
 
-def _curve(records, lags, epsilon, too_short):
-    """``correlation_curve`` at ``lags``, or when None at 1, 2, 3, 5, 8 below the shortest record.
+def _checked_lags(lags, n, n_records, too_short):
+    """``lags``, or when None 1, 2, 3, 5, 8 below ``n``, through ``check_lags``.
 
-    Default lags the records cannot carry are refused in the words of
-    ``too_short``, which names what set the length ``n`` of the shortest.
+    ``n`` is the length of the shortest of ``n_records`` records.  Default
+    lags the records cannot carry are refused in the words of
+    ``too_short``, which names what set ``n``.
     """
-    n = min(len(r) for r in records)
     default = [m for m in (1, 2, 3, 5, 8) if m < n]
     try:
-        return correlation_curve(records, lags or default, correct_epsilon=epsilon)
+        return check_lags(lags or default, n, n_records)
     except ParamError as e:
         if lags or e.name != "lags":
             raise
@@ -463,10 +464,12 @@ def cmd_simulate(config, args):
             omega_max=grid_sec.get("omega_max", default=None),
         )
     grid_sec.close()
+    too_short = "config field 'protocol.n_cycles': records of length {n} are"
     with sec:
+        # before any record is simulated
+        lags = _checked_lags(lags, prot.n_cycles, n_records, too_short)
         records = run_protocol(spectrum, prot, n_records, seed=args.seed, grid=grid)
-        too_short = "config field 'protocol.n_cycles': records of length {n} are"
-        curve = _curve(records, lags, qubit.readout_flip_prob, too_short)
+        curve = correlation_curve(records, lags, correct_epsilon=qubit.readout_flip_prob)
     rec_path = _records_path(args.out)
     records_to_csv(records, rec_path)
     timing = {"tau": prot.tau, "cycle_period": prot.cycle_period}
@@ -501,8 +504,10 @@ def cmd_correlate(config, args):
     timing = _Section(timing, "correlate")
     with timing:
         records = records_from_csv(path, tau=timing.get("tau"), cycle_period=timing.get("cycle_period"))
+    too_short = f"{path}: its shortest record, of length {{n}}, is"
     with sec:
-        curve = _curve(records, lags, eps, f"{path}: its shortest record, of length {{n}}, is")
+        lags = _checked_lags(lags, min(len(r) for r in records), len(records), too_short)
+        curve = correlation_curve(records, lags, correct_epsilon=eps)
     curve.to_csv(args.out)
     _write_sidecar(args.out, config, {"n_records": len(records), "epsilon": eps})
 

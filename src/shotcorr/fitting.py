@@ -315,9 +315,10 @@ def fit(
     wins, and ``chi2`` is twice that cost.
 
     Each evaluation is one ``apply`` of a ``ChiPlan`` built once per call
-    for the family at the box's corners (a corner that raises
-    ``ParamError`` is left out), and one array ``correlator_from_chi``;
-    the model matches ``predict`` to the quadrature tolerance.  A kink
+    for the family at the box's corners, and one array
+    ``correlator_from_chi``; the model matches ``predict`` to the
+    quadrature tolerance.  A corner that raises ``ParamError`` is refused
+    before any sweep, in the bounds the problem gave.  A kink
     that moves with the parameters (a free ``omega_low`` or
     ``omega_high``) is not shared by the corners, so a spectrum with it
     goes through ``chi_pair`` at every point.
@@ -355,11 +356,14 @@ def fit(
         starts = np.vstack([x_init, starts])
 
     corners = []
-    for x in itertools.product(*zip(lo, hi)):
+    for given in itertools.product(*((p.lower, p.upper) for p in pars)):
         try:
-            corners.append(problem.build(unpack(x)))
-        except ParamError:
-            pass
+            corners.append(problem.build(unpack(pack(given))))
+        except ParamError as e:  # the box reaches models the family refuses: no sweep starts
+            if e.name not in [p.name for p in pars]:
+                raise
+            where = ", ".join(f"{p.name} = {v}" for p, v in zip(pars, given))
+            raise ParamError(e.name, f"bound-box corner {where}: {e}") from None
     pairs = [EvolutionPair(t, d) for t, d in zip(problem.tau, problem.delta_t)]
     plan = ChiPlan.covering(pairs, corners, quad)
 

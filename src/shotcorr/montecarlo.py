@@ -7,6 +7,8 @@ spectrum matches the requested model on the grid.  The phase a shot
 accumulates over its evolution window is integrated *exactly* per mode
 (the window turns a mode of frequency omega into an amplitude factor
 2 sin(omega tau / 2) / omega), so there is no time-step error anywhere.
+The mode sums at the n window centres of a record are one nonuniform
+FFT: a spread of every mode onto a fine grid and one FFT of it.
 
 A below-grid "DC" mode carries the variance of all frequencies under the
 grid floor as a per-record constant offset; it cancels in difference
@@ -44,6 +46,7 @@ __all__ = [
     "accumulated_phases_independent",
     "run_record",
     "run_protocol",
+    "check_lags",
     "estimate_autocorrelation",
     "correlation_curve",
     "records_to_csv",
@@ -142,12 +145,10 @@ class ModeSet:
     def window_phase(self, t_start, tau):
         """Exact integral of beta over [t_start, t_start + tau] per mode sum."""
         t_start = np.atleast_1d(np.asarray(t_start, dtype=float))
-        w = self.omega[:, None]
+        w, center = self.omega[:, None], t_start[None, :] + tau / 2.0
         gain = _window_gain(w, tau)
-        center = t_start[None, :] + tau / 2.0
-        out = (self.amp * self.u) @ (gain * np.cos(w * center)) + (self.amp * self.v) @ (
-            gain * np.sin(w * center)
-        )
+        cos, sin = gain * np.cos(w * center), gain * np.sin(w * center)
+        out = (self.amp * self.u) @ cos + (self.amp * self.v) @ sin
         return out if out.size > 1 else float(out[0])
 
 
@@ -332,71 +333,63 @@ def synthesize_modes(
     return ModeSet(omega, amp, u, v)
 
 
-def _fill_phasors(out, omega, t0, step):
-    """Fill ``out`` (rows, modes) with exp(i omega (t0 + j step)) at row j.
+# the exponential-of-semicircle spreading kernel: width in fine-grid
+# points, shape, and the Gauss-Legendre nodes of its Fourier transform
+_SPREAD = 16
+_BETA = 2.30 * _SPREAD
+_NODES = 32
 
-    Row 0 and exp(i omega step) come from cos and sin of their
-    arguments; rows [k, 2k) are rows [0, k) times exp(i omega k step),
-    the k-th power found by repeated squaring.  That power carries k
-    times the rounding of omega step, the size of the rounding of
-    omega k step, so a phasor's error is that of cos and sin of its own
-    argument plus one rounding per product, about log2(rows) of them.
-    """
-    arg = omega * t0
-    np.cos(arg, out=out[0].real)
-    np.sin(arg, out=out[0].imag)
-    arg = omega * step
-    power = np.empty(len(omega), dtype=complex)
-    np.cos(arg, out=power.real)
-    np.sin(arg, out=power.imag)
-    k = 1
-    while k < len(out):
-        m = min(k, len(out) - k)
-        np.multiply(out[:m], power, out=out[k : k + m])
-        k *= 2
-        if k < len(out):
-            np.multiply(power, power, out=power)
+
+def _kernel(z):
+    return np.exp(_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+
+
+def _kernel_transform(xi, alpha):
+    """Integral of _kernel(z) cos(xi alpha z) over [0, 1], Gauss-Legendre by Golub-Welsch."""
+    k = np.arange(1.0, _NODES)
+    x, vec = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    z = (1.0 + x) / 2.0
+    total, term = np.zeros(len(xi)), np.empty(len(xi))
+    for zq, wq in zip(z, vec[0] ** 2 * _kernel(z)):  # one node at a time over the xi vector
+        np.cos(np.multiply(xi, alpha * zq, out=term), out=term)
+        term *= wq
+        total += term
+    return total
 
 
 def _phase_table(omega: np.ndarray, protocol: Protocol):
-    """Block-start phasors, in-block offsets and window gains of a protocol.
+    """Nonuniform-FFT plan ``(size, index, weight, deconv, shift, gain)`` of a protocol.
 
-    Window centres are t = t0_s + j cycle_period, in blocks of B cycles,
-    B the least power of two with B^2 >= n_cycles.  ``(e0, off, gain)``:
-    ``e0`` holds exp(i omega_k t0_s) per block start s, complex, shape
-    (n_blocks, modes); ``off`` holds cos and -sin of omega_k j cycle_period
-    per in-block offset j, rows interleaved per mode (cos, then -sin),
-    shape (2 modes, B); ``gain`` is ``_window_gain`` of every mode.  They
-    depend on the grid and the protocol alone, so every record of a
-    protocol shares them.
-
-    Both grids come from ``_fill_phasors``: cos and sin are taken of the
-    first row's and the step's arguments per axis, and the other rows are
-    doubling products, so the table evaluates O(modes) trig arguments,
-    not O(modes (n_blocks + B)).  ``off`` is the transpose of the (B,
-    modes) complex array of exp(-i omega_k j cycle_period) read as
-    floats, whose (Re, Im) pairs already sit in the interleaved order.
-
-    Each phasor still carries only the rounding of its argument omega t,
-    though not the same rounding as cos and sin of omega t.  On the
-    default grid of the benchmark's Overhauser spectrum, against a
-    long-double reference, the largest phasor error was 1.8e-9 with
-    products against 3.9e-9 with cos and sin of every argument at 1000
-    cycles, 3.5e-8 against 9.7e-8 at 20 000 and 1.8e-7 against 5.6e-7 at
-    100 000.
+    With c = n // 2, window j's phase is Re sum_k a_k shift_k exp(i (j - c)
+    theta_k): a_k = amp_k gain_k (u_k - i v_k), shift_k = exp(i omega_k
+    (tau/2 + c T)), theta_k = omega_k T.  A record spreads each mode onto
+    ``size`` points (the least power of two >= max(2 n, 32)) at the 16
+    ``index`` points around theta_k with exponential-of-semicircle
+    ``weight`` (Barnett, Magland, af Klinteberg 2019) times (-1)^index,
+    which puts output j in FFT bin size/2 - c + j; ``deconv`` is 1 / (16
+    * the kernel's transform) at j - c.  Modes x 16 entries and O(n)
+    factors, shared by every record of the protocol.  An output carries
+    the rounding of theta_k times |j - c|, as direct trig sums would.
     """
     n, dt = protocol.n_cycles, protocol.cycle_period
-    block = 1 << math.isqrt(n - 1).bit_length()
-    e0 = np.empty((-(-n // block), len(omega)), dtype=complex)
-    _fill_phasors(e0, omega, protocol.tau / 2.0, block * dt)
-    z = np.empty((block, len(omega)), dtype=complex)
-    # exp(-i omega j dt): each (Re, Im) pair is the (cos, -sin) an offset holds
-    _fill_phasors(z, omega, 0.0, -dt)
-    off = z.view(float).reshape(block, 2 * len(omega)).T
-    gain = _window_gain(omega, protocol.tau)
-    # shared by every record of a protocol: no reader may write to it
-    e0.flags.writeable = off.flags.writeable = gain.flags.writeable = False
-    return e0, off, gain
+    c = n // 2
+    size = 1 << (2 * max(n, _SPREAD) - 1).bit_length()
+    # theta_k in grid steps of 2 pi / size, in [0, size)
+    s = np.mod(omega * dt * (size / (2.0 * math.pi)), size)
+    cols = np.ceil(s - _SPREAD / 2)[:, None] + np.arange(_SPREAD)
+    weight = _kernel((cols - s[:, None]) * (2.0 / _SPREAD))
+    index = cols.astype(np.intp) & (size - 1)  # mod size, a power of two
+    weight *= 1 - 2 * (index & 1)
+    half = 1.0 / (_SPREAD * _kernel_transform(np.arange(c + 1.0), math.pi * _SPREAD / size))
+    arg = omega * (protocol.tau / 2.0 + c * dt)
+    shift = np.empty(len(omega), dtype=complex)
+    np.cos(arg, out=shift.real)
+    np.sin(arg, out=shift.imag)
+    deconv = np.concatenate((half[c:0:-1], half[: n - c]))
+    plan = (index.ravel(), weight, deconv, shift, _window_gain(omega, protocol.tau))
+    for a in plan:  # shared by every record of a protocol: no reader may write to it
+        a.flags.writeable = False
+    return (size, *plan)
 
 
 def _protocol_share(spectrum, protocol, grid, independent_cycles):
@@ -409,19 +402,24 @@ def _protocol_share(spectrum, protocol, grid, independent_cycles):
 def accumulated_phases(modes: ModeSet, protocol: Protocol, table=None) -> np.ndarray:
     """Phase integral of every cycle's evolution window, exactly per mode.
 
-    With a_k = amp_k gain_k (u_k - i v_k), mode k adds
-    Re(a_k exp(i omega_k (t0_s + off))) to a window centred at t0_s + off:
-    one complex product a * e0 gives every block start's (Re, Im) pair,
-    and read as an (n_blocks, 2 modes) real matrix it times the
-    interleaved (cos, -sin) offset table in one matrix-matrix product.
-    ``table`` is ``_phase_table`` for ``modes.omega`` and the protocol, as
-    ``run_protocol`` shares it; it is built here when None.
+    Two ``np.bincount`` spreads of a_k shift_k (Re, Im), one inverse FFT,
+    one slice and one product by ``deconv``.  ``table`` is the protocol's
+    ``_phase_table`` as ``run_protocol`` shares it, built here when None.
     """
-    e0, off, gain = table if table is not None else _phase_table(modes.omega, protocol)
+    size, index, weight, deconv, shift, gain = (
+        table if table is not None else _phase_table(modes.omega, protocol)
+    )
     b = modes.amp * gain
     a = np.empty(len(b), dtype=complex)
     a.real, a.imag = b * modes.u, -(b * modes.v)
-    return ((e0 * a).view(float) @ off).ravel()[: protocol.n_cycles]
+    a *= shift
+    fine = np.empty(size, dtype=complex)
+    # one spread buffer for both: a second would page in afresh on every record
+    spread = weight * a.real[:, None]
+    fine.real = np.bincount(index, spread.ravel(), size)
+    fine.imag = np.bincount(index, np.multiply(weight, a.imag[:, None], out=spread).ravel(), size)
+    lo = size // 2 - protocol.n_cycles // 2
+    return np.fft.ifft(fine, norm="forward").real[lo : lo + protocol.n_cycles] * deconv
 
 
 def accumulated_phases_independent(modes: ModeSet, protocol: Protocol, rng) -> np.ndarray:
@@ -452,7 +450,7 @@ def run_record(
     readout projection and the readout flips decoupled.  With
     ``independent_cycles`` every cycle draws its own trajectory, a
     diagnostics mode that deliberately destroys the delay dependence.
-    ``shared`` is the protocol's mode rms and phase table as
+    ``shared`` is the protocol's mode rms and phase plan as
     ``run_protocol`` builds them once for all its records; it is built
     here when None and does not change the outcomes.
     """
@@ -487,7 +485,7 @@ def run_protocol(
 ) -> list[ShotRecord]:
     """Simulate ``n_records`` independent records, in order.
 
-    The mode rms and the phase table are built once here and read, never
+    The mode rms and the phase plan are built once here and read, never
     written, by every record.
     """
     if n_records < 1:
@@ -518,14 +516,11 @@ def _blocking_stderr(x: np.ndarray) -> float:
     return best
 
 
-def estimate_autocorrelation(records: list[ShotRecord], lags):
-    """Mean outcome product at each cycle lag, with honest uncertainties.
+def check_lags(lags, shortest: int, n_records: int) -> np.ndarray:
+    """``lags`` as ints if ``n_records`` records, the shortest ``shortest`` cycles long, carry them.
 
-    Returns (correlation, stderr, n_pairs) arrays over the lags.  With
-    eight or more records the spread of per-record means sets the error
-    bar (records are independent by construction); fewer records fall
-    back to blocking on the product series, which needs two products
-    per record at every lag.
+    Each must be a whole number below ``shortest`` and, with fewer than
+    8 records, leave the blocking error bar two products per record.
     """
     lags = np.asarray(lags)
     if lags.ndim != 1 or len(lags) == 0:
@@ -536,39 +531,42 @@ def estimate_autocorrelation(records: list[ShotRecord], lags):
     lags = lags.astype(int)
     if np.any(lags < 1):
         raise ParamError("lags", "lags must be >= 1")
-    if not records:
-        raise ValueError("no records given")
-    shortest = min(len(r) for r in records)
     if np.any(lags >= shortest):
         raise ParamError("lags", "lag exceeds record length")
-    if len(records) < 8 and np.any(lags > shortest - 2):
+    if n_records < 8 and np.any(lags > shortest - 2):
         m = int(lags[lags > shortest - 2][0])
         raise ParamError(
             "lags",
             f"lag {m} leaves one product in a record of {shortest} cycles; with"
             " fewer than 8 records the error bar needs at least 2 per record"
         )
+    return lags
 
+
+def estimate_autocorrelation(records: list[ShotRecord], lags):
+    """Mean outcome product at each cycle lag, with honest uncertainties.
+
+    Returns (correlation, stderr, n_pairs) arrays over the lags, which
+    ``check_lags`` checks.  With eight or more records the spread of
+    per-record means sets the error bar (records are independent by
+    construction); fewer records fall back to blocking on the product
+    series.
+    """
+    if not records:
+        raise ValueError("no records given")
+    lags = check_lags(lags, min(len(r) for r in records), len(records))
     corr = np.empty(len(lags))
     stderr = np.empty(len(lags))
     n_pairs = np.empty(len(lags), dtype=int)
     for j, m in enumerate(lags):
-        means = []
-        pairs = 0
-        prods = []
-        for rec in records:
-            p = rec.outcomes[:-m].astype(float) * rec.outcomes[m:].astype(float)
-            means.append(p.mean())
-            pairs += len(p)
-            prods.append(p)
-        means = np.asarray(means)
+        prods = [r.outcomes[:-m].astype(float) * r.outcomes[m:].astype(float) for r in records]
+        means = np.array([p.mean() for p in prods])
         corr[j] = means.mean()
-        n_pairs[j] = pairs
+        n_pairs[j] = sum(len(p) for p in prods)
         if len(records) >= 8:
             stderr[j] = means.std(ddof=1) / math.sqrt(len(means))
         else:
-            per_rec = [_blocking_stderr(p) for p in prods]
-            stderr[j] = math.sqrt(sum(se**2 for se in per_rec)) / len(records)
+            stderr[j] = math.sqrt(sum(_blocking_stderr(p) ** 2 for p in prods)) / len(records)
     return corr, stderr, n_pairs
 
 

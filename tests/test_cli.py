@@ -11,12 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from shotcorr import cli, correlator
+from shotcorr import cli, correlator, fitting
 from shotcorr.cli import main
 from shotcorr.correlator import EvolutionPair, autocorrelation_analytic
 from shotcorr.numerics import ParamError, QuadratureError
-from shotcorr.schedules import tau_constant_contrast
-from shotcorr.spectra import OverhauserModel, WhiteModel, coupling_from_g
+from shotcorr.schedules import tau_constant_contrast, tau_oneoverf
+from shotcorr.spectra import OverhauserModel, TabulatedModel, WhiteModel, coupling_from_g
 
 
 def run_cli(args):
@@ -382,6 +382,34 @@ class TestSimulateCommand:
         assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "protocol, message",
+        [
+            (
+                {"n_cycles": 100000, "n_records": 4, "lags": [99999]},
+                "config field 'protocol.lags': lag 99999 leaves one product",
+            ),
+            (
+                {"n_cycles": 2, "n_records": 4},
+                "config field 'protocol.n_cycles': records of length 2 are too short",
+            ),
+        ],
+        ids=["given", "default"],
+    )
+    def test_lags_checked_before_any_record(self, tmp_path, capsys, monkeypatch, protocol, message):
+        # the lags were checked only after run_protocol had simulated
+        # every record: 0.3 s and 98 MB for the first config
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_protocol reached")
+
+        monkeypatch.setattr(cli, "run_protocol", unreachable)
+        protocol = dict(tau=2e-4, cycle_period=1e-3, **protocol)
+        cfg = write_config(tmp_path / "c.json", self.sim_config(protocol=protocol))
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not list(tmp_path.glob("x.*"))
+
     def test_artifacts_keep_their_bytes(self, tmp_path):
         # golden digests: outcomes are thresholded phases, so a change in
         # how the phases are summed must not flip one; the curve follows
@@ -664,6 +692,102 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err == "error: stderr must be positive\n"
         assert not (tmp_path / "x.json").exists()
+
+
+    def test_refused_corner_named_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        # a free gamma down to 0.001 reaches Overhauser models whose window
+        # top passes the float range; the fit stopped only where a start
+        # or step landed, naming gamma = 0.00278796, a value nobody gave
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(fitting, "_solve", unreachable)
+        truth = OverhauserModel(**{k: v for k, v in OVERHAUSER_SPEC.items() if k != "family"})
+        lines = ["delta_t_s,tau_s,correlation,stderr,n_pairs"]
+        for dt in (1e-4, 1e-3, 1e-2, 1e-1):
+            corr = autocorrelation_analytic(truth, EvolutionPair(5e-4, dt))
+            lines.append(f"{dt:.12g},0.0005,{corr:.12g},0.01,1000")
+        curve = tmp_path / "curve.csv"
+        curve.write_text("\n".join(lines) + "\n")
+        fixed = {k: OVERHAUSER_SPEC[k] for k in ("s0", "omega_l", "omega_e", "coupling_c")}
+        sec = {"input": str(curve), "mode": "fit", "family": "overhauser", "n_starts": 2}
+        sec.update(free={"gamma": [0.001, 2]}, fixed=fixed)
+        cfg = write_config(tmp_path / "f.json", {"fit": sec})
+        assert run_cli(["fit", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config field 'fit.free.gamma': bound-box corner gamma = 0.001:"
+            " gamma = 0.001 puts the window top past the float range\n"
+        )
+        assert not (tmp_path / "x.json").exists()
+
+
+TABLE = np.column_stack(
+    (np.geomspace(1e1, 1e7, 13), 4e3 / (1.0 + (np.geomspace(1e1, 1e7, 13) / 2e3) ** 2))
+)
+
+
+def _table_file(tmp_path):
+    path = tmp_path / "spectrum.csv"
+    rows = [f"{w!r},{s!r}" for w, s in TABLE.tolist()]
+    path.write_text("\n".join(["omega_rad_per_s,S", *rows]) + "\n")
+    return str(path)
+
+
+class TestDocumentedPaths:
+    """Config paths the README documents, each run through ``cli.main``."""
+
+    @pytest.mark.parametrize("units", ["rad", "hz"])
+    def test_tabulated_chi(self, tmp_path, units):
+        # the table is in rad/s under either unit: nothing in it converts
+        spec = {"family": "tabulated", "path": _table_file(tmp_path)}
+        chi = {"tau": 5e-4, "delta_t": [0.0, 1e-3, 1e-2]}
+        cfg = write_config(tmp_path / "c.json", {"spectrum": spec, "chi": chi})
+        out = tmp_path / "chi.csv"
+        assert run_cli(["chi", "--config", cfg, "--out", out, "--freq-units", units]) == 0
+        model = TabulatedModel(TABLE)
+        for row in read_rows(out):
+            pair = EvolutionPair(float(row["tau"]), float(row["delta_t"]))
+            chi_m, chi_p = correlator.chi_pair(model, pair)
+            assert float(row["chi_minus"]) == pytest.approx(chi_m, rel=1e-11)
+            assert float(row["chi_plus"]) == pytest.approx(chi_p, rel=1e-11)
+        assert "regime" not in read_rows(out)[0]
+
+    def test_tabulated_simulate_same_in_hz(self, tmp_path):
+        # grid.omega_min and grid.omega_max convert under hz; the table does not
+        spec = {"family": "tabulated", "path": _table_file(tmp_path)}
+        protocol = {"tau": 2e-4, "cycle_period": 1e-3, "n_cycles": 200, "n_records": 8}
+        protocol["lags"] = [1, 2, 5]
+        artifacts = []
+        for units, scale in (("rad", 2.0 * math.pi), ("hz", 1.0)):
+            grid = {"n_modes": 512, "omega_min": 0.1 * scale, "omega_max": 2e6 * scale}
+            config = {"spectrum": spec, "protocol": protocol, "grid": grid}
+            cfg = write_config(tmp_path / f"{units}.json", config)
+            out = tmp_path / f"{units}.csv"
+            argv = ["simulate", "--config", cfg, "--out", out, "--seed", 4, "--freq-units", units]
+            assert run_cli(argv) == 0
+            artifacts.append((out.read_bytes(), (tmp_path / f"{units}.records.csv").read_bytes()))
+            rows = read_rows(out)
+            assert [int(r["n_pairs"]) for r in rows] == [8 * (200 - m) for m in (1, 2, 5)]
+            assert all(-1.0 <= float(r["correlation"]) <= 1.0 for r in rows)
+        assert artifacts[0] == artifacts[1]
+
+    def test_literal_oneoverf_schedule(self, tmp_path):
+        dts = [3e-3, 3e-2, 3.0]
+        taus = {}
+        for variant in ("literal", "exact"):
+            sec = {"kind": "oneoverf", "level": 1e-7, "variant": variant, "delta_t": dts}
+            cfg = write_config(tmp_path / f"{variant}.json", {"schedule": sec})
+            out = tmp_path / f"{variant}.csv"
+            assert run_cli(["schedule", "--config", cfg, "--out", out]) == 0
+            notes = json.loads((tmp_path / f"{variant}.csv.json").read_text())["notes"]
+            assert notes["variant"] == variant
+            taus[variant] = [float(r["tau_s"]) for r in read_rows(out)]
+        for dt, tau in zip(dts, taus["literal"]):
+            ref = tau_oneoverf(1e-7, dt, "literal")
+            assert tau == pytest.approx(ref, rel=1e-11)
+            # principal branch of W: tau delta_t ln(delta_t / tau) = 2 level
+            assert ref * dt * math.log(dt / ref) == pytest.approx(2e-7, rel=1e-6)
+        assert taus["literal"] != taus["exact"]
 
 
 class TestFigureBundles:

@@ -17,7 +17,7 @@ from shotcorr.fitting import (
     fit,
     predict,
 )
-from shotcorr.numerics import QuadratureSpec
+from shotcorr.numerics import ParamError, QuadratureSpec
 from shotcorr.spectra import OverhauserModel, PowerLawModel, TabulatedModel, WhiteModel
 
 QUICK = QuadratureSpec(rel_tol=1e-6)
@@ -400,22 +400,36 @@ class TestFit:
         ref = chi_squared(prob, res.values, quad=QUICK)
         assert res.chi2 == pytest.approx(ref, rel=QUICK.rel_tol, abs=0.0)
 
-    def test_refused_corner_left_out(self):
-        # the lower omega_e corner lies below omega_l = 2e3, where the
-        # family refuses to build; the plan covers the other corners and
-        # the fit from init converges as with a box inside the family
+    def test_refused_corner_refused_before_any_sweep(self, monkeypatch):
+        # the lower omega_e corners lie below omega_l = 2e3, where the
+        # family refuses to build: the fit stops there, naming the bounds
+        # it was given, before any plan or solver runs; the same fit on a
+        # box inside the family converges from init
         truth = lorentzian_family({"s0": 4.0e3, "omega_e": 2.0e6})
         tau = 5.0e-4
         dts = np.geomspace(1.0e-6, 1.0e-3, 5)
-        prob = FitProblem(
-            delta_t=dts,
-            tau=np.full(5, tau),
-            correlation=analytic_curve(truth, tau, dts, quad=QUICK),
-            stderr=np.full(5, 0.01),
-            build=lorentzian_family,
-            params=(FitParam("s0", 1.0e2, 1.0e5), FitParam("omega_e", 1.0e2, 1.0e8)),
+
+        def problem(omega_e_bounds):
+            return FitProblem(
+                delta_t=dts,
+                tau=np.full(5, tau),
+                correlation=analytic_curve(truth, tau, dts, quad=QUICK),
+                stderr=np.full(5, 0.01),
+                build=lorentzian_family,
+                params=(FitParam("s0", 1.0e2, 1.0e5), FitParam("omega_e", *omega_e_bounds)),
+            )
+
+        init = {"s0": 4.0e3, "omega_e": 2.0e6}
+        with monkeypatch.context() as m:
+            m.setattr(fitting, "_solve", None)
+            m.setattr(correlator.ChiPlan, "covering", None)
+            with pytest.raises(ParamError) as info:
+                fit(problem((1.0e2, 1.0e8)), init=init, n_starts=0, max_eval=150, quad=QUICK)
+        assert info.value.name == "omega_e"
+        assert str(info.value) == (
+            "bound-box corner s0 = 100.0, omega_e = 100.0: omega_e must exceed omega_l"
         )
-        res = fit(prob, init={"s0": 4.0e3, "omega_e": 2.0e6}, n_starts=0, max_eval=150, quad=QUICK)
+        res = fit(problem((1.0e4, 1.0e8)), init=init, n_starts=0, max_eval=150, quad=QUICK)
         assert res.success
         assert res.chi2 < 1.0e-10
         assert res.values["s0"] == pytest.approx(4.0e3, rel=1e-4)

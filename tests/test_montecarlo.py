@@ -213,10 +213,10 @@ class TestDeterminism:
 
 
 class TestSharedPhaseTable:
-    """run_protocol builds the phase table once and every record reads it."""
+    """run_protocol builds the phase plan once and every record reads it."""
 
     def protocol(self, flip=0.0):
-        # 600 cycles: blocks of 32, the last one partial (600 = 18 * 32 + 24)
+        # 600 cycles: c = 300 on a fine grid of 2048 points, more than 2 n
         qubit = QubitParams(omega_q=300.0, readout_flip_prob=flip)
         return Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=600, qubit=qubit)
 
@@ -246,8 +246,8 @@ class TestSharedPhaseTable:
         "n_records, independent, builds", [(1, False, 1), (5, False, 1), (5, True, 0)]
     )
     def test_one_table_per_protocol(self, monkeypatch, n_records, independent, builds):
-        # the phase table and the mode rms, DC term included, are built
-        # once per protocol: one table, and one grid-wide and one floor
+        # the phase plan and the mode rms, DC term included, are built
+        # once per protocol: one plan, and one grid-wide and one floor
         # evaluation of the spectrum, whatever the record count
         calls = []
         sizes = []
@@ -277,15 +277,16 @@ class TestSharedPhaseTable:
 
 
 class TestPhaseTable:
-    """Two-level phase table: block starts times in-block offsets."""
+    """Nonuniform-FFT plan: per-mode spreading entries and per-output factors."""
 
-    # one block, an exact power of four, partial last blocks
-    @pytest.mark.parametrize("n", [2, 3, 64, 65, 600, 1000, 20000])
+    # one output pair, c odd (3, 7, 1023), M = 2 n exactly (64, 1024, 4096),
+    # M at its 2 w floor (2, 3, 7) and longer records
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 600, 1000, 1023, 1024, 4096, 20000])
     def test_matches_window_phase(self, n):
         # both sides round each trig argument omega_k t to about eps omega_k t,
         # so the scale is eps * sum_k |b_k| (1 + omega_k t_end); over 20 seeds
-        # and these n the difference reached 0.2 of it before the two-level
-        # table and 0.3 of it after
+        # and these n the difference reached 0.23 of it with the phasor
+        # table and 0.24 of it with the nonuniform FFT
         m = sampling_zoo()[1]
         prot = Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=n)
         grid = GridSpec(n_modes=512)
@@ -299,23 +300,24 @@ class TestPhaseTable:
             scale = np.finfo(float).eps * np.sum(b * (1.0 + w * prot.duration))
             assert np.max(np.abs(accumulated_phases(modes, prot) - ref)) < scale
 
-    def test_table_grows_as_root_of_cycles(self):
-        # blocks of the least power of two B with B^2 >= n: the table holds
-        # (n_blocks + B) rows of 2 * modes doubles and one row of gains,
-        # never modes x 256 or n
+    def test_plan_holds_spread_entries_and_per_output_factors(self):
+        # modes x 16 spreading indices and weights, one complex shift and
+        # one gain per mode, one deconvolution factor per output, and a
+        # fine grid of the least power of two >= 2 n; 16 times the cycles
+        # adds only the per-output part
         omega = GridSpec(n_modes=256).cells(sampling_zoo()[1], 1.0)[1]
         nbytes = {}
-        for n, block in ((1000, 32), (16000, 128)):
+        for n, size in ((1000, 2048), (16000, 32768)):
             prot = Protocol(tau=5.0e-4, cycle_period=1.0e-3, n_cycles=n)
-            e0, off, gain = montecarlo._phase_table(omega, prot)
-            n_blocks = -(-n // block)
-            assert e0.shape == (n_blocks, len(omega)) and e0.dtype == complex
-            assert off.shape == (2 * len(omega), block)
-            assert gain.shape == omega.shape
-            nbytes[n] = e0.nbytes + off.nbytes + gain.nbytes
-        assert nbytes[1000] < 2 * len(omega) * 256 * 8 / 2
-        # 16 times the cycles: about 4 times the table, not 16
-        assert nbytes[16000] < 4.5 * nbytes[1000]
+            plan = montecarlo._phase_table(omega, prot)
+            assert plan[0] == size
+            index, weight, deconv, shift, gain = plan[1:]
+            assert index.shape == (16 * len(omega),) and weight.shape == (len(omega), 16)
+            assert np.all((index >= 0) & (index < size))
+            assert shift.shape == gain.shape == omega.shape and shift.dtype == complex
+            assert deconv.shape == (n,)
+            nbytes[n] = sum(a.nbytes for a in plan[1:])
+        assert nbytes[16000] - nbytes[1000] == 8 * (16000 - 1000)
 
 
 class TestAgainstAnalytic:
