@@ -6,7 +6,8 @@ endings; floats carry 12 significant digits (``.12g``), integers are
 written plainly, and text cells are quoted only when they hold a comma,
 a quote or a line break.  Writes land in a temporary file next to the
 target that is then renamed over it, so a reader never sees a partial
-artifact.
+artifact.  The reader parses int or float columns with one ``np.loadtxt``
+call, and any other file, or one numpy refuses, cell by cell.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import contextlib
 import csv
 import os
 import secrets
+import warnings
 
 import numpy as np
 
 __all__ = ["HeaderError", "atomic_write", "format_cell", "write_lines", "write_csv", "read_columns"]
+
+_DTYPES = {int: np.int64, float: np.float64}
 
 
 class HeaderError(ValueError):
@@ -73,24 +77,25 @@ def write_csv(path, header, rows) -> None:
     write_lines(path, header, [",".join(map(format_cell, row)) for row in rows])
 
 
-def read_columns(path, columns: dict, prefix: bool = False) -> list[list]:
-    """Read a CSV artifact into one list per column.
+def read_columns(path, columns: dict, prefix: bool = False) -> list:
+    """Read a CSV artifact into one array or list per column.
 
     ``columns`` maps each expected header name, in order, to the callable
     that converts its cells, or to None for a column that is not read
     (its list stays empty).  With ``prefix`` the header may carry extra
     trailing columns, which are ignored; any other header raises
-    ``HeaderError``.  Blank lines are skipped; a row
-    with too few cells or a cell its converter rejects raises
-    ``ValueError`` naming the file and the row's line number.
+    ``HeaderError``.  Columns read by ``int`` or ``float`` come back as
+    arrays, views of one row-major block when every read column converts
+    by ``int``, or every one by ``float``, and one ``np.loadtxt`` call
+    parses the rows.  Other columns come back as lists.  A file numpy
+    refuses, or one with another converter, is read cell by cell, skipping
+    blank lines; a row with too few cells or a cell its converter rejects
+    raises ``ValueError`` naming the file and the row's line number.
     """
     names = list(columns)
-    out = [[] for _ in names]
-    plan = [
-        (j, kind, col.append)
-        for j, (kind, col) in enumerate(zip(columns.values(), out))
-        if kind is not None
-    ]
+    kinds = list(columns.values())
+    read = [j for j, kind in enumerate(kinds) if kind is not None]
+    numeric = {kinds[j] for j in read} in ({int}, {float})
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -101,6 +106,20 @@ def read_columns(path, columns: dict, prefix: bool = False) -> list[list]:
             raise HeaderError(
                 f"{path}: expected header {','.join(names)!r}, got {','.join(header)!r}"
             )
+        if numeric:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # numpy's on a file without rows
+                    kw = dict(delimiter=",", usecols=read, comments=None, quotechar='"', ndmin=2)
+                    data = np.loadtxt(fh, _DTYPES[kinds[read[0]]], **kw)
+            except ValueError:  # read again from the top, past the header
+                fh.seek(0)
+                next(reader := csv.reader(fh))
+            else:
+                cols = iter(data.reshape(-1, len(read)).T)
+                return [[] if kind is None else next(cols) for kind in kinds]
+        out = [[] for _ in names]
+        plan = [(j, kinds[j], out[j].append) for j in read]
         for i, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -111,4 +130,4 @@ def read_columns(path, columns: dict, prefix: bool = False) -> list[list]:
                     append(kind(row[j]))
             except ValueError as e:
                 raise ValueError(f"{path}: malformed row {i}: {row!r} ({e})") from None
-    return out
+    return [np.asarray(col) if kind in _DTYPES else col for kind, col in zip(kinds, out)]

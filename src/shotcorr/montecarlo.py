@@ -20,12 +20,14 @@ single-shot contrast and the shot-shot correlations of the continuous
 process.  Randomness is split into three independent streams per record
 (trajectory, readout projection, readout flips) so that, e.g., enabling
 flips does not perturb the trajectories.
+
+Records are stored as one CSV that ``csvio`` parses; ``records_from_csv``
+refuses a bad outcome or cycle index, naming its line in the file.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,72 +235,33 @@ def records_to_csv(records: list[ShotRecord], path) -> None:
     csvio.write_lines(path, _RECORDS_HEADER, lines)
 
 
-def _outcome(cell: str) -> int:
-    value = int(cell)
-    if value not in (-1, 1):
-        raise ValueError(_BAD_OUTCOME)
-    return value
-
-
-def _records_per_cell(path):
-    """``(cycle_index, outcome)`` lists of a records CSV, one converter call per cell."""
-    idx, _, outcomes = csvio.read_columns(
-        path, dict(zip(_RECORDS_HEADER, (int, None, _outcome)))
-    )
-    if not outcomes:
-        raise ValueError(f"{path}: no outcome rows")
-    return idx, outcomes
-
-
-def _records_columns(path):
-    """``(cycle_index, outcome)`` int64 arrays of a records CSV, or None.
-
-    ``np.loadtxt`` parses the two read columns, quotes as ``csv`` reads
-    them and a ``#`` line as data.  None leaves the file to
-    ``_records_per_cell``, which names what is wrong: a header, cell or
-    row numpy refuses, no rows, or an outcome other than +1 or -1.
-    """
-    try:
-        with open(path) as fh:
-            if [h.strip() for h in fh.readline().strip().split(",")] != list(_RECORDS_HEADER):
-                return None
-            with warnings.catch_warnings():
-                # numpy warns on a file without rows, which returns None below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    usecols=(0, 2),
-                    dtype=np.int64,
-                    comments=None,
-                    quotechar='"',
-                    ndmin=2,
-                )
-    except ValueError:
-        return None
-    idx, outcomes = data.T
-    if not len(outcomes) or not ((outcomes == 1) | (outcomes == -1)).all():
-        return None
-    return idx, outcomes
+def _refuse_row(path, k: int, what: str):
+    """Raise ValueError naming the file line of data row ``k`` and ``what`` is wrong with it."""
+    with open(path) as fh:  # the line of data row k: the reader skips blank lines
+        line = [i for i, text in enumerate(fh, start=1) if text.strip()][k + 1]
+    raise ValueError(f"{path}: row {line}: {what}")
 
 
 def records_from_csv(path, tau: float, cycle_period: float) -> list[ShotRecord]:
     """Read a batch CSV back: each record's cycle_index runs 0, 1, 2, ...
 
-    Any other index would pair shots at the wrong lag, so it is refused.
+    Any other index would pair shots at the wrong lag, so it is refused,
+    as is an outcome other than +1 or -1; each error names its line.
     """
-    idx, outcomes = _records_columns(path) or _records_per_cell(path)
-    idx = np.asarray(idx)
+    idx, _, outcomes = csvio.read_columns(path, dict(zip(_RECORDS_HEADER, (int, None, int))))
+    if not len(outcomes):
+        raise ValueError(f"{path}: no outcome rows")
+    bad = np.flatnonzero((outcomes != 1) & (outcomes != -1))
+    if len(bad):
+        _refuse_row(path, bad[0], f"outcome {outcomes[bad[0]]}; {_BAD_OUTCOME}")
     # row 0 and each row whose index is not one more than the last: each must start a record at 0
     starts = np.concatenate(([0], np.flatnonzero(np.diff(idx) != 1) + 1))
     bad = starts[idx[starts] != 0]
     if len(bad):
         k = bad[0]
-        with open(path) as fh:  # the line of data row k: the readers skip blank lines
-            line = [i for i, text in enumerate(fh, start=1) if text.strip()][k + 1]
         want = f"{idx[k - 1] + 1}, or 0 to start a record" if k else "0"
-        raise ValueError(f"{path}: row {line}: cycle_index {idx[k]}, expected {want}")
-    return [ShotRecord(chunk, tau, cycle_period) for chunk in np.split(np.array(outcomes), starts[1:])]
+        _refuse_row(path, k, f"cycle_index {idx[k]}, expected {want}")
+    return [ShotRecord(chunk, tau, cycle_period) for chunk in np.split(outcomes, starts[1:])]
 
 
 def _mode_rms(spectrum: SpectrumModel, grid: GridSpec, duration: float):
@@ -338,10 +301,17 @@ def synthesize_modes(
 _SPREAD = 16
 _BETA = 2.30 * _SPREAD
 _NODES = 32
+# modes per spread block: 512 x 16 products, 64 kB, under malloc's 128 kB mmap threshold
+_BLOCK = 512
 
 
-def _kernel(z):
-    return np.exp(_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+def _kernel(z, out=None):
+    """exp(beta (sqrt(1 - z^2) - 1)), written into ``out`` (which may be ``z``) if given."""
+    out = np.subtract(1.0, np.multiply(z, z, out=out), out=out)
+    np.sqrt(out, out=out)
+    out -= 1.0
+    out *= _BETA
+    return np.exp(out, out=out)
 
 
 def _kernel_transform(xi, alpha):
@@ -376,10 +346,17 @@ def _phase_table(omega: np.ndarray, protocol: Protocol):
     size = 1 << (2 * max(n, _SPREAD) - 1).bit_length()
     # theta_k in grid steps of 2 pi / size, in [0, size)
     s = np.mod(omega * dt * (size / (2.0 * math.pi)), size)
-    cols = np.ceil(s - _SPREAD / 2)[:, None] + np.arange(_SPREAD)
-    weight = _kernel((cols - s[:, None]) * (2.0 / _SPREAD))
-    index = cols.astype(np.intp) & (size - 1)  # mod size, a power of two
-    weight *= 1 - 2 * (index & 1)
+    first = np.ceil(s - _SPREAD / 2)
+    # mode k's 16 points first_k + j, mod size (a power of two)
+    index = np.add(first.astype(np.intp)[:, None], np.arange(_SPREAD), dtype=np.intp)
+    index &= size - 1
+    # one buffer, filled in place: the kernel at (first_k + j - s_k) / 8 times (-1)^(first_k + j)
+    weight = np.add(first[:, None], np.arange(_SPREAD, dtype=float))
+    weight -= s[:, None]
+    weight *= 2.0 / _SPREAD
+    _kernel(weight, out=weight)
+    weight *= (1 - 2 * (index[:, 0] & 1))[:, None]
+    weight[:, 1::2] *= -1
     half = 1.0 / (_SPREAD * _kernel_transform(np.arange(c + 1.0), math.pi * _SPREAD / size))
     arg = omega * (protocol.tau / 2.0 + c * dt)
     shift = np.empty(len(omega), dtype=complex)
@@ -402,9 +379,9 @@ def _protocol_share(spectrum, protocol, grid, independent_cycles):
 def accumulated_phases(modes: ModeSet, protocol: Protocol, table=None) -> np.ndarray:
     """Phase integral of every cycle's evolution window, exactly per mode.
 
-    Two ``np.bincount`` spreads of a_k shift_k (Re, Im), one inverse FFT,
-    one slice and one product by ``deconv``.  ``table`` is the protocol's
-    ``_phase_table`` as ``run_protocol`` shares it, built here when None.
+    Spreads of a_k shift_k (Re, Im), one inverse FFT, one slice and one
+    product by ``deconv``.  ``table`` is the protocol's ``_phase_table``
+    as ``run_protocol`` shares it, built here when None.
     """
     size, index, weight, deconv, shift, gain = (
         table if table is not None else _phase_table(modes.omega, protocol)
@@ -413,11 +390,13 @@ def accumulated_phases(modes: ModeSet, protocol: Protocol, table=None) -> np.nda
     a = np.empty(len(b), dtype=complex)
     a.real, a.imag = b * modes.u, -(b * modes.v)
     a *= shift
-    fine = np.empty(size, dtype=complex)
-    # one spread buffer for both: a second would page in afresh on every record
-    spread = weight * a.real[:, None]
-    fine.real = np.bincount(index, spread.ravel(), size)
-    fine.imag = np.bincount(index, np.multiply(weight, a.imag[:, None], out=spread).ravel(), size)
+    fine = np.zeros(size, dtype=complex)
+    # blocks reuse freed heap, where one modes x 16 buffer can page in afresh on every
+    # record; np.add.at adds in index order from 0, as one np.bincount would: same bits
+    for k in range(0, len(a), _BLOCK):
+        rows, at = slice(k, k + _BLOCK), index[_SPREAD * k : _SPREAD * (k + _BLOCK)]
+        np.add.at(fine.real, at, (weight[rows] * a.real[rows, None]).ravel())
+        np.add.at(fine.imag, at, (weight[rows] * a.imag[rows, None]).ravel())
     lo = size // 2 - protocol.n_cycles // 2
     return np.fft.ifft(fine, norm="forward").real[lo : lo + protocol.n_cycles] * deconv
 
@@ -596,7 +575,8 @@ class CorrelationCurve:
     def from_csv(cls, path):
         # extra trailing columns (e.g. uncorrected estimates) are ignored
         cols = csvio.read_columns(path, dict.fromkeys(_CURVE_HEADER, float), prefix=True)
-        return cls(*(np.asarray(c) for c in cols[:4]), np.asarray(cols[4], dtype=int))
+        # contiguous: a fit's many small ufunc calls on strided views cost it about 4%
+        return cls(*map(np.ascontiguousarray, cols[:4]), cols[4].astype(int))
 
 
 def correlation_curve(

@@ -101,7 +101,7 @@ class Schedule:
     @classmethod
     def from_csv(cls, path):
         dts, taus, flags = csvio.read_columns(path, dict(zip(_HEADER, (float, float, str))))
-        return cls(np.asarray(dts), np.asarray(taus), tuple(flags))
+        return cls(dts, taus, tuple(flags))
 
 
 def tau_constant_contrast(model: OverhauserModel, delta_t: float, target: float = 2.0) -> float:

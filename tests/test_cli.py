@@ -771,6 +771,46 @@ class TestDocumentedPaths:
             assert all(-1.0 <= float(r["correlation"]) <= 1.0 for r in rows)
         assert artifacts[0] == artifacts[1]
 
+    def test_rms_field_chi(self, tmp_path):
+        # rms_field in place of s0 sets the level through OverhauserModel.from_rms
+        spec = {k: v for k, v in OVERHAUSER_SPEC.items() if k != "s0"} | {"rms_field": 3e-5}
+        chi = {"tau": 5e-4, "delta_t": [1e-3, 1.0]}
+        cfg = write_config(tmp_path / "c.json", {"spectrum": spec, "chi": chi})
+        out = tmp_path / "chi.csv"
+        assert run_cli(["chi", "--config", cfg, "--out", out]) == 0
+        model = OverhauserModel.from_rms(3e-5, 0.6283, 62830.0, 1.0, 2e4)
+        rows = read_rows(out)
+        assert len(rows) == 2
+        for row in rows:
+            pair = EvolutionPair(float(row["tau"]), float(row["delta_t"]))
+            chi_m, chi_p = correlator.chi_pair(model, pair)
+            assert float(row["chi_minus"]) == pytest.approx(chi_m, rel=1e-11)
+            assert float(row["chi_plus"]) == pytest.approx(chi_p, rel=1e-11)
+
+    def test_linear_grid_object(self, tmp_path):
+        grid = {"start": 0.0, "stop": 1e-2, "num": 3, "spacing": "linear"}
+        cfg = write_config(tmp_path / "c.json", _chi(tmp_path, grid))
+        out = tmp_path / "chi.csv"
+        assert run_cli(["chi", "--config", cfg, "--out", out]) == 0
+        assert [float(r["delta_t"]) for r in read_rows(out)] == [0.0, 5e-3, 1e-2]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1e-3", "config field 'chi.delta_t' must be number, list, or grid object"),
+            (
+                {"start": 1e-3, "stop": 1.0, "num": 3, "spacing": "cubic"},
+                "config field 'chi.delta_t.spacing' must be log or linear",
+            ),
+        ],
+        ids=["text", "spacing"],
+    )
+    def test_grid_refusals(self, tmp_path, capsys, value, message):
+        cfg = write_config(tmp_path / "c.json", _chi(tmp_path, value))
+        assert run_cli(["chi", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_literal_oneoverf_schedule(self, tmp_path):
         dts = [3e-3, 3e-2, 3.0]
         taus = {}
@@ -1123,6 +1163,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.json"
+        assert run_cli(["chi", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ") and str(cfg) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("root", [[1, 2], "chi", 3, None], ids=["list", "text", "number", "null"])
+    def test_config_root_not_an_object(self, tmp_path, capsys, root):
+        cfg = write_config(tmp_path / "c.json", root)
+        assert run_cli(["chi", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr().err == "error: config root must be a JSON object\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

@@ -465,6 +465,19 @@ class TestChiPlan:
             np.testing.assert_allclose(chi_p, ref[1], rtol=1e-8, atol=0.0)
         assert plan.fallbacks == 0
 
+    def test_pair_over_the_panel_budget_goes_through_chi_pair(self):
+        # the pair's level-2 grid needs more than 75 panels, so the plan
+        # leaves it out, and every apply sends it to chi_pair, which
+        # stops at a level within the budget
+        model = OverhauserModel(s0=1.0e3, omega_l=1.0e3, omega_e=1.0e6, gamma=1.0, coupling_c=1.0)
+        pair, quad = EvolutionPair(tau=1.0e-4, delta_t=1.0e-3), QuadratureSpec(max_panels=75)
+        plan = ChiPlan.covering([pair], [model], quad)
+        assert len(plan.nodes) == 0
+        for _ in range(2):
+            chi_m, chi_p = plan.apply(model)
+            assert (chi_m[0], chi_p[0]) == chi_pair(model, pair, quad)
+        assert plan.fallbacks == 2 and plan.sent.tolist() == [0]
+
     @pytest.mark.parametrize(
         "make",
         [

@@ -577,36 +577,18 @@ class TestCsv:
         assert path.read_bytes() == generic.read_bytes()
         assert "\n3,0.31," in path.read_text()
 
-    def test_records_reader_matches_per_cell_reader(self, tmp_path, monkeypatch):
-        # numpy reads a written batch without the per-cell reader, and a
-        # file with quoted cells, CRLF line ends and blank lines as it does
-        rng = np.random.default_rng(9)
-        recs = [ShotRecord(rng.choice([-1, 1], n), 0.02, 0.1) for n in (7, 4, 7)]
-        path = tmp_path / "records.csv"
-        records_to_csv(recs, path)
-        quirky = tmp_path / "quirky.csv"
-        quirky.write_bytes(
-            b'cycle_index,t_center_s,outcome\r\n0,"0.01,x",1\r\n\r\n1,0.11,"-1"\r\n'
-            b'0,0.01, 1\r\n1,0.11,+1\r\n2,0.21,-1\r\n'
-        )
-        expected = {path: [r.outcomes.tolist() for r in recs], quirky: [[1, -1], [1, 1, -1]]}
-        per_cell = montecarlo._records_per_cell
-        for p, want in expected.items():
-            idx, outcomes = per_cell(p)
-            assert [list(c) for c in np.split(outcomes, np.flatnonzero(np.diff(idx) <= 0) + 1)] == want
-            assert [r.outcomes.tolist() for r in records_from_csv(p, 0.02, 0.1)] == want
-
-        def refuse(p):
-            raise AssertionError("per-cell reader used")
-
-        monkeypatch.setattr(montecarlo, "_records_per_cell", refuse)
-        for p, want in expected.items():
-            assert [r.outcomes.tolist() for r in records_from_csv(p, 0.02, 0.1)] == want
-
     def test_records_bad_outcome(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("cycle_index,t_center_s,outcome\n0,0.0005,1\n1,0.0025,2\n")
         with pytest.raises(ValueError, match="3"):
+            records_from_csv(path, tau=1.0e-3, cycle_period=2.0e-3)
+
+    @pytest.mark.parametrize("outcome", ["2", "0", "99999999999999999999"])
+    def test_records_bad_outcome_names_file_line(self, tmp_path, outcome):
+        # the blank line counts: the error names the line in the file
+        path = tmp_path / "records.csv"
+        path.write_text(f"cycle_index,t_center_s,outcome\n0,0.0005,1\n\n1,0.0025,{outcome}\n")
+        with pytest.raises(ValueError, match=rf"row 4: outcome {outcome}; outcome must be \+1 or -1"):
             records_from_csv(path, tau=1.0e-3, cycle_period=2.0e-3)
 
     def test_curve_round_trip(self, tmp_path):
